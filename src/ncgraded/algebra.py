@@ -51,14 +51,6 @@ class AlgebraOracle:
 
     # -- coordinate helpers ------------------------------------------------
 
-    def mult_vec(self, d1: int, v1: np.ndarray, d2: int, v2: np.ndarray) -> np.ndarray:
-        """Product of coordinate vectors, as coordinates in degree d1+d2."""
-        t = self.mult_tensor(d1, d2)
-        out = np.tensordot(np.tensordot(v1, t, axes=(0, 0)), v2, axes=(0, 0))
-        if self.field.is_prime_field:
-            out %= self.field.p
-        return out
-
     def left_mult_matrix(self, d1: int, v1: np.ndarray, d2: int) -> np.ndarray:
         """Matrix of (v1 . -): alg_{d2} -> alg_{d1+d2}, columns indexed by basis of d2."""
         t = self.mult_tensor(d1, d2)
@@ -126,10 +118,6 @@ class PresentedAlgebra(AlgebraOracle):
         for w, c in nf.terms.items():
             v[self._index[d][w]] = c
         return v
-
-    def vec_to_poly(self, d: int, v: np.ndarray) -> NcPoly:
-        ws = self.basis_words(d)
-        return NcPoly(self.gens, self.field, {w: v[i] for i, w in enumerate(ws)})
 
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         self._check_degree(d1 + d2)

@@ -128,17 +128,6 @@ class Quiver:
             "arrows": [{"src": s, "dst": t, "mult": m} for s, t, m in self.arrows],
         }
 
-    def canonical_signature(self):
-        """Degree-sequence signature invariant under vertex permutation."""
-        n = len(self.vertices)
-        indeg = {v: 0 for v in self.vertices}
-        outdeg = {v: 0 for v in self.vertices}
-        for s, t, m in self.arrows:
-            outdeg[s] += m
-            indeg[t] += m
-        degs = sorted((indeg[v], outdeg[v]) for v in self.vertices)
-        return (n, sum(m for _, _, m in self.arrows), tuple(degs))
-
 
 def quiver_of(F: FinDimAlgebra) -> Quiver:
     """Gabriel quiver with the right-module path convention: an arrow
@@ -224,31 +213,3 @@ def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -
         report["sides"][side] = side_rep
     report["verdict"] = ok
     return report
-
-
-def hom_into_b_module(B: EndoAlgebra, M: GradedModule, lo: int, hi: int) -> GradedModule:
-    """Hom(X, M) as a graded right B-module: degree-a piece Hom(X, M(a))_0,
-    action h * beta = h o beta."""
-    from .gmodule import compose_hom
-
-    field = M.field
-    bases = {a: hom_basis(B.X, M, a) for a in range(lo, hi + 1)}
-    stacks = {a: (np.stack([b.stacked() for b in bs], axis=1) if bs else None)
-              for a, bs in bases.items()}
-    dims = {a: len(bs) for a, bs in bases.items()}
-    alg = B.algebra
-    act = {}
-    for a in range(lo, hi + 1):
-        for e in range(max(alg.valid_from, lo - a), hi - a + 1):
-            na, ne, nt = dims.get(a, 0), alg.dim(e), dims.get(a + e, 0)
-            t = linalg.zeros(field, na * ne, nt).reshape(na, ne, nt)
-            if na and ne and nt:
-                for i, h in enumerate(bases[a]):
-                    for j, beta in enumerate(B.bases[e]):
-                        comp = compose_hom(beta, h)  # h o beta : X -> M(a+e)
-                        sol = linalg.solve(field, stacks[a + e], comp.stacked())
-                        if sol is None:
-                            raise ShapeMismatch("hom transport left the computed window")
-                        t[i, j, :] = sol[:, 0]
-            act[(a, e)] = t
-    return GradedModule(alg, dims, act, lo, hi)

@@ -266,22 +266,6 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
     return [e]
 
 
-def _coords_in(field, basis, v):
-    sol = linalg.solve(field, basis, v)
-    return sol[:, 0]
-
-
-def _corner_alg_view(alg: FinDimAlgebra, e: np.ndarray, corner: np.ndarray) -> FinDimAlgebra:
-    f = alg.field
-    k = corner.shape[1]
-    mult = linalg.zeros(f, k * k, k).reshape(k, k, k)
-    for i in range(k):
-        for j in range(k):
-            mult[i, j, :] = _coords_in(f, corner, alg.mul(corner[:, i], corner[:, j]))
-    unit = _coords_in(f, corner, e)
-    return FinDimAlgebra(f, mult, unit, check=False)
-
-
 def _scale(field, v, c):
     if field.is_prime_field:
         return (v * c) % field.p

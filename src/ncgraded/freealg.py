@@ -74,11 +74,6 @@ class MonomialOrder:
         return -1 if ku < kv else (0 if ku == kv else 1)
 
 
-def compare_words(order: MonomialOrder, u: Word, v: Word) -> int:
-    """-1 / 0 / +1 for u < v, u = v, u > v in deglex."""
-    return order.compare(u, v)
-
-
 class NcPoly:
     """Finite map Word -> nonzero coefficient over (gens, field)."""
 

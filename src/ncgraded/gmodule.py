@@ -17,11 +17,12 @@ from .errors import (
     AlgebraMismatch,
     DegreeBeyondTruncation,
     InvalidAutomorphism,
+    NcgError,
     NonHomogeneous,
     WindowExceeded,
 )
 from .freealg import NcPoly
-from .projfree import Deg0Data, Morphism, ProjFree, _Subspace, scan_minimal_generators
+from .projfree import Deg0Data, Morphism, ProjFree, act_rows, scan_minimal_generators
 
 
 class _Presentation:
@@ -71,11 +72,7 @@ class GradedModule:
 
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
         """(v at degree d) . (algebra vector w at degree e)."""
-        t = self.act_tensor(d, e)
-        out = np.tensordot(np.tensordot(v, t, axes=(0, 0)), w, axes=(0, 0))
-        if self.field.is_prime_field:
-            out %= self.field.p
-        return out
+        return linalg.matmul(self.field, w, act_rows(self.field, v, self.act_tensor(d, e)))
 
     def act_matrix(self, d: int, e: int, w: np.ndarray) -> np.ndarray:
         """Matrix of (- . w): M_d -> M_{d+e}  (shape out x in)."""
@@ -84,23 +81,6 @@ class GradedModule:
         if self.field.is_prime_field:
             m %= self.field.p
         return m
-
-    def action_span(self, gens, d: int) -> np.ndarray:
-        """Columns spanning sum of g . alg_{d - deg g} over chosen generators
-        (degree-0 action included)."""
-        cols = [linalg.zeros(self.field, self.dim(d), 0)]
-        for _, dg, v in gens:
-            e = d - dg
-            if e < 0:
-                continue
-            ne = self.algebra.dim(e)
-            if ne == 0:
-                continue
-            w = np.tensordot(v, self.act_tensor(dg, e), axes=(0, 0))  # (ne, dim_d)
-            if self.field.is_prime_field:
-                w %= self.field.p
-            cols.append(w.T)
-        return np.concatenate(cols, axis=1)
 
     # -- presentation ------------------------------------------------------
 
@@ -117,21 +97,6 @@ class GradedModule:
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
-
-
-def _cover_action_tensor(cover: ProjFree, d: int, e: int) -> np.ndarray:
-    """Full right-action tensor of a ProjFree piece: (F_d, alg_e, F_{d+e})."""
-    field = cover.field
-    ne = cover.alg.dim(e)
-    t = linalg.zeros(field, cover.dim(d) * ne, cover.dim(d + e)).reshape(
-        cover.dim(d), ne, cover.dim(d + e)
-    )
-    offs_in = cover.offsets(d)
-    offs_out = cover.offsets(d + e)
-    for j in range(cover.rank):
-        blk = cover.action_block(j, d, e)  # (r_in, ne, r_out)
-        t[offs_in[j] : offs_in[j + 1], :, offs_out[j] : offs_out[j + 1]] = blk
-    return t
 
 
 def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -> GradedModule:
@@ -158,7 +123,7 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
         for e in range(0, hi - d + 1):
             if dims.get(d, 0) == 0 or alg.dim(e) == 0 or dims.get(d + e, 0) == 0:
                 continue
-            tf = _cover_action_tensor(cover, d, e)
+            tf = cover.act_tensor(d, e)
             u = np.tensordot(sections[d], tf, axes=(0, 0))  # (k, ne, F0_{d+e})
             m = np.tensordot(u, cover_mats[d + e], axes=(2, 1))  # (k, ne, k')
             if field.is_prime_field:
@@ -193,24 +158,11 @@ def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedM
     return module_from_cover(cover, rel, 0, hi)
 
 
-def module_piece(M: GradedModule, d: int):
-    """(dimension, deterministic basis labels) of the degree-d piece."""
-    n = M.dim(d)
-    return n, [f"m{d}_{i}" for i in range(n)]
-
-
 def shift_module(M: GradedModule, n: int) -> GradedModule:
     """M(n)_i = M_{n+i}."""
     dims = {d - n: k for d, k in M._dims.items()}
     act = {(d - n, e): t for (d, e), t in M._act.items()}
     return GradedModule(M.algebra, dims, act, M.valid_from - n, M.valid_to - n)
-
-
-def truncate_module(M: GradedModule, n: int) -> GradedModule:
-    """M_{>= n}: pieces of M for d >= n, zero below."""
-    dims = {d: k for d, k in M._dims.items() if d >= n}
-    act = {(d, e): t for (d, e), t in M._act.items() if d >= n}
-    return GradedModule(M.algebra, dims, act, max(M.valid_from, n), M.valid_to)
 
 
 def direct_sum(mods) -> GradedModule:
@@ -243,7 +195,7 @@ def direct_sum(mods) -> GradedModule:
     pres = None
     try:
         parts = [m.presentation() for m in mods]
-    except Exception:
+    except NcgError:
         parts = None
     if parts is not None:
         cover = ProjFree(alg, [s for p in parts for s in p.cover.summands])
@@ -286,13 +238,6 @@ def _block_diag(field, mats):
     return out
 
 
-def zero_module(alg: AlgebraOracle, lo: int = 0, hi: int | None = None) -> GradedModule:
-    if hi is None:
-        hi = alg.valid_through
-    cover = ProjFree(alg, [])
-    return module_from_cover(cover, None, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # presentation extraction for tabulated modules
 # ---------------------------------------------------------------------------
@@ -306,7 +251,7 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
         return linalg.eye(field, M.dim(d))
 
     gens = scan_minimal_generators(
-        field, M, piece_basis, M.action_span, range(M.valid_from, M.valid_to + 1), deg0
+        field, M, piece_basis, range(M.valid_from, M.valid_to + 1), deg0
     )
     cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
     cover_mats, sections = {}, {}
@@ -316,9 +261,7 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
             sub = cover.subspace(j, d)
             if sub.r == 0:
                 continue
-            w = np.tensordot(v, M.act_tensor(dg, d - dg), axes=(0, 0))  # (ne, dimM_d)
-            if field.is_prime_field:
-                w %= field.p
+            w = act_rows(field, v, M.act_tensor(dg, d - dg))  # (ne, dimM_d)
             cols.append((sub.basis.T @ w).T)  # (dimM_d, r)
         cm = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, M.dim(d), 0)
         if field.is_prime_field:
@@ -332,21 +275,8 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
     def ker_basis(d):
         return linalg.nullspace(field, cover_mats[d])
 
-    def ker_span(kgens, d):
-        cols = [linalg.zeros(field, cover.dim(d), 0)]
-        for _, dg, v in kgens:
-            e = d - dg
-            if e < 0 or alg.dim(e) == 0:
-                continue
-            tf = _cover_action_tensor(cover, dg, e)
-            w = np.tensordot(v, tf, axes=(0, 0))
-            if field.is_prime_field:
-                w %= field.p
-            cols.append(w.T)
-        return np.concatenate(cols, axis=1)
-
     kgens = scan_minimal_generators(
-        field, cover, ker_basis, ker_span, range(M.valid_from, M.valid_to + 1), deg0
+        field, cover, ker_basis, range(M.valid_from, M.valid_to + 1), deg0
     )
     rel = None
     if kgens:
@@ -385,9 +315,7 @@ class HomElement:
             if sub.r == 0:
                 continue
             u = self.gen_images[j]
-            w = np.tensordot(u, self.N.act_tensor(gj + self.s, d - gj), axes=(0, 0))
-            if field.is_prime_field:
-                w %= field.p
+            w = act_rows(field, u, self.N.act_tensor(gj + self.s, d - gj))
             cols.append((sub.basis.T @ w).T)  # (nout, r)
         f0 = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nout, 0)
         if field.is_prime_field:

@@ -128,27 +128,8 @@ def free_resolution(M: GradedModule, steps: int, window: Window,
     while len(covers) <= steps:
         prev = diffs[-1]
         lo = min([g for _, g in prev.source.summands], default=0)
-
-        def ker_basis(d):
-            return prev.kernel_basis(d)
-
-        def ker_span(kgens, d):
-            cols = [linalg.zeros(field, prev.source.dim(d), 0)]
-            for _, dg, v in kgens:
-                e = d - dg
-                if e < 0 or alg.dim(e) == 0:
-                    continue
-                ne = alg.dim(e)
-                block = []
-                for b in range(ne):
-                    w = linalg.zeros(field, ne, 1)[:, 0]
-                    w[b] = field.one
-                    block.append(prev.source.act(dg, v, e, w))
-                cols.append(np.stack(block, axis=1))
-            return np.concatenate(cols, axis=1)
-
         kgens = scan_minimal_generators(
-            field, prev.source, ker_basis, ker_span, range(lo, cap + 1), deg0
+            field, prev.source, prev.kernel_basis, range(lo, cap + 1), deg0
         )
         if not kgens:
             res = FreeResolution(M, covers, diffs, len(covers) - 1, cap)
@@ -290,21 +271,10 @@ def end0_algebra(M: GradedModule, deg0: Deg0Data | None = None) -> tuple[FinDimA
     field = M.field
     basis = hom_basis(M, M, 0, deg0)
     n = len(basis)
-    stack = (np.stack([b.stacked() for b in basis], axis=1)
-             if n else linalg.zeros(field, 0, 0))
-    mult = linalg.zeros(field, n * n, n).reshape(n, n, n)
-    for i in range(n):
-        for j in range(n):
-            prod = compose_hom(basis[j], basis[i])
-            sol = linalg.solve(field, stack, prod.stacked())
-            if sol is None:
-                raise ShapeMismatch("composition left the hom space; presentation incomplete")
-            mult[i, j, :] = sol[:, 0]
-    ident = identity_hom(M)
-    unit = linalg.solve(field, stack, ident.stacked())
-    if unit is None:
-        raise ShapeMismatch("identity not found in End(M)_0")
-    return FinDimAlgebra(field, mult, unit[:, 0], check=False), basis
+    prods = [compose_hom(basis[j], basis[i]) for i in range(n) for j in range(n)]
+    sol = _coords_in_homs(field, basis, prods + [identity_hom(M)])
+    mult = sol[:, : n * n].T.reshape(n, n, n)
+    return FinDimAlgebra(field, mult, sol[:, n * n], check=False), basis
 
 
 def is_indecomposable(M: GradedModule, window: Window) -> bool:
@@ -330,7 +300,7 @@ class IsoResult:
 
 def are_isomorphic_graded(M: GradedModule, N: GradedModule, window: Window,
                           trials: int = 64, seed: int = 0) -> IsoResult:
-    lo = max(M.valid_from, N.valid_from, window.internal_lo)
+    lo = max(min(M.valid_from, N.valid_from), window.internal_lo)
     hi = min(M.valid_to, N.valid_to, window.internal_hi)
     for d in range(lo, hi + 1):
         if M.dim(d) != N.dim(d):
@@ -468,7 +438,11 @@ def check_cluster_tilting(X: GradedModule, n: int, candidates, window: Window) -
 
 def eval_iso_check(X: GradedModule, M: GradedModule, window: Window,
                    a_is_summand: bool = True) -> dict:
-    """Degreewise check that evaluation Hom(X, M) (x)_B X -> M is bijective."""
+    """Degreewise check that evaluation Hom(X, M) (x)_B X -> M is bijective.
+
+    In degree d the tensor product is T = (+)_a Hom(X, M(a))_0 (x) X_{d-a}
+    (coordinate (a, i, x) at off[a] + i * dim X_{d-a} + x) modulo the
+    relations (f o beta) (x) x - f (x) beta(x) for beta in Hom(X, X(e))_0."""
     from .errors import HypothesisViolated
 
     if not a_is_summand:
@@ -478,57 +452,36 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window,
     a_lo = M.valid_from
     for d in range(max(window.internal_lo, M.valid_from), min(window.internal_hi, M.valid_to) + 1):
         a_hi = min(d - X.valid_from, M.valid_to)
-        homs = {}
-        for a in range(a_lo, a_hi + 1):
-            b = d - a
-            if b < X.valid_from or b > X.valid_to:
-                continue
-            homs[a] = hom_basis(X, M, a)
-        blocks = [(a, i, x) for a in sorted(homs) for i in range(len(homs[a]))
-                  for x in range(X.dim(d - a))]
-        pos = {blk: c for c, blk in enumerate(blocks)}
-        total = len(blocks)
-        relcols = []
-        for a in sorted(homs):
-            for e in range(0, a_hi - a + 1):
-                bdeg = d - a - e
-                if bdeg < X.valid_from or bdeg > X.valid_to or X.dim(bdeg) == 0:
-                    continue
-                bb = hom_basis(X, X, e)
-                for beta in bb:
-                    bmat = beta.matrix(bdeg)  # X_{bdeg} -> X_{d-a}
-                    for f in homs[a]:
-                        fb = compose_hom(beta, f)  # f o beta : X -> M(a+e)
-                        coords = _coords_in_homs(field, homs.get(a + e, []), fb)
-                        for x in range(X.dim(bdeg)):
-                            col = linalg.zeros(field, total, 1)[:, 0]
-                            # (f o beta) (x)_B x  at block (a+e, d-a-e)
-                            for i, c in enumerate(coords):
-                                if not field.is_zero(field(c)):
-                                    col[pos[(a + e, i, x)]] = field.add(
-                                        field(col[pos[(a + e, i, x)]]), field(c))
-                            # minus f (x)_B beta(x)  at block (a, d-a)
-                            bx = bmat[:, x]
-                            fi = homs[a].index(f)
-                            for y in range(X.dim(d - a)):
-                                c = field.neg(field(bx[y]))
-                                if not field.is_zero(c):
-                                    col[pos[(a, fi, y)]] = field.add(
-                                        field(col[pos[(a, fi, y)]]), c)
-                            relcols.append(col)
-        rel = (np.stack(relcols, axis=1) if relcols
-               else linalg.zeros(field, total, 0))
-        ev = linalg.zeros(field, M.dim(d), total)
-        for (a, i, x), c in pos.items():
-            fx = homs[a][i].matrix(d - a)[:, x]
-            ev[:, c] = fx
+        homs = {a: hom_basis(X, M, a) for a in range(a_lo, a_hi + 1)
+                if X.valid_from <= d - a <= X.valid_to}
+        off, total = {}, 0
+        for a in homs:
+            off[a] = total
+            total += len(homs[a]) * X.dim(d - a)
+        terms = [(a, e, hom_basis(X, X, e)) for a in homs for e in range(0, a_hi - a + 1)
+                 if X.valid_from <= d - a - e <= X.valid_to and X.dim(d - a - e)]
+        rel = linalg.zeros(field, total, sum(len(homs[a]) * len(bb) * X.dim(d - a - e)
+                                             for a, e, bb in terms))
+        col = 0
+        for a, e, bb in terms:
+            na, nb = len(homs[a]), X.dim(d - a - e)
+            C = _coords_in_homs(field, homs[a + e],
+                                [compose_hom(beta, f) for beta in bb for f in homs[a]])
+            rows_ae = slice(off[a + e], off[a + e] + len(homs[a + e]) * nb)
+            rows_a = slice(off[a], off[a] + na * X.dim(d - a))
+            for k, beta in enumerate(bb):
+                cols = slice(col, col + na * nb)
+                rel[rows_ae, cols] += np.kron(C[:, k * na : (k + 1) * na], linalg.eye(field, nb))
+                rel[rows_a, cols] -= np.kron(linalg.eye(field, na), beta.matrix(d - a - e))
+                col += na * nb
+        if field.is_prime_field:
+            rel %= field.p
+        ev = np.concatenate([linalg.zeros(field, M.dim(d), 0)]
+                            + [h.matrix(d - a) for a in homs for h in homs[a]], axis=1)
         rk_rel = linalg.rank(field, rel)
         rk_ev = linalg.rank(field, ev)
         # relations must die under evaluation
-        comp = ev @ rel
-        if field.is_prime_field:
-            comp %= field.p
-        bal = not comp.any() if field.is_prime_field else all(field.is_zero(v) for v in comp.flat)
+        bal = not np.count_nonzero(linalg.matmul(field, ev, rel))
         surj = rk_ev == M.dim(d)
         inj = (total - rk_rel) == rk_ev
         ok = bal and surj and inj
@@ -541,15 +494,16 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window,
     return report
 
 
-def _coords_in_homs(field, basis, f: HomElement):
-    fv = f.stacked()
-    zero = (not fv.any()) if field.is_prime_field else all(field.is_zero(v) for v in fv)
+def _coords_in_homs(field, basis, fs) -> np.ndarray:
+    """Coordinates of the homs fs in a hom basis, one column per element of fs."""
+    if not fs:
+        return linalg.zeros(field, len(basis), 0)
+    rhs = np.stack([f.stacked() for f in fs], axis=1)
     if not basis:
-        if zero:
-            return []
-        raise ShapeMismatch("nonzero composite hom missing from the computed block")
-    mat = np.stack([b.stacked() for b in basis], axis=1)
-    sol = linalg.solve(field, mat, fv)
+        if np.count_nonzero(rhs):
+            raise ShapeMismatch("nonzero composite hom missing from the computed block")
+        return linalg.zeros(field, 0, len(fs))
+    sol = linalg.solve(field, np.stack([b.stacked() for b in basis], axis=1), rhs)
     if sol is None:
         raise ShapeMismatch("composite hom not in the computed basis")
-    return sol[:, 0]
+    return sol

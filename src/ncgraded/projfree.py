@@ -63,6 +63,7 @@ class ProjFree:
         self.field = alg.field
         self.summands = [(None if e is None else np.asarray(e), int(g)) for e, g in summands]
         self._sub: dict[tuple, _Subspace] = {}
+        self._act: dict[tuple, np.ndarray] = {}
 
     @property
     def rank(self) -> int:
@@ -119,23 +120,22 @@ class ProjFree:
             out %= self.field.p
         return out
 
+    def act_tensor(self, d: int, e: int) -> np.ndarray:
+        """(dim F_d, dim alg_e, dim F_{d+e}) right-action tensor, block
+        diagonal over the summands (cached)."""
+        t = self._act.get((d, e))
+        if t is None:
+            n_in, ne, n_out = self.dim(d), self.alg.dim(e), self.dim(d + e)
+            t = linalg.zeros(self.field, n_in * ne, n_out).reshape(n_in, ne, n_out)
+            oi, oo = self.offsets(d), self.offsets(d + e)
+            for j in range(self.rank):
+                t[oi[j] : oi[j + 1], :, oo[j] : oo[j + 1]] = self.action_block(j, d, e)
+            self._act[(d, e)] = t
+        return t
+
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
         """(element v at degree d) . (algebra vector w at degree e), in degree d+e."""
-        blocks = self.split(v, d)
-        out_blocks = []
-        for j, ((eps, g), blk) in enumerate(zip(self.summands, blocks)):
-            sub_in = self.subspace(j, d)
-            sub_out = self.subspace(j, d + e)
-            if sub_out.r == 0:
-                out_blocks.append(linalg.zeros(self.field, 0, 1)[:, 0])
-                continue
-            if sub_in.r == 0:
-                out_blocks.append(linalg.zeros(self.field, sub_out.r, 1)[:, 0])
-                continue
-            amb = self.ambient(j, d, blk)
-            rm = self.alg.right_mult_matrix(e, w, d - g)  # (dim_{d-g+e}, dim_{d-g})
-            out_blocks.append(sub_out.coords(rm @ amb % self.field.p if self.field.is_prime_field else rm @ amb))
-        return np.concatenate(out_blocks) if out_blocks else linalg.zeros(self.field, 0, 1)[:, 0]
+        return linalg.matmul(self.field, w, act_rows(self.field, v, self.act_tensor(d, e)))
 
     def action_block(self, j: int, d: int, e: int) -> np.ndarray:
         """Matrix of right mult (summand j piece at d) x (alg basis of e) -> piece at d+e.
@@ -213,13 +213,33 @@ class Morphism:
         return linalg.nullspace(self.source.field, self.matrix(d))
 
 
-def scan_minimal_generators(field, container, piece_basis, action_span, deg_range, deg0: Deg0Data | None):
+def act_rows(field, V: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Vectors V[..., :] of degree d times an action tensor t of shape
+    (dim d, dim alg_e, dim d+e); shape V.shape[:-1] + (dim alg_e, dim d+e)."""
+    flat = linalg.matmul(field, V, t.reshape(t.shape[0], t.shape[1] * t.shape[2]))
+    return flat.reshape(V.shape[:-1] + t.shape[1:])
+
+
+def action_span(obj, gens, d: int) -> np.ndarray:
+    """Columns spanning the sum of g . alg_{d - deg g} over the generators
+    (eps, deg g, g) inside degree d of obj; degree-0 action included."""
+    cols = [linalg.zeros(obj.field, obj.dim(d), 0)]
+    for _, dg, v in gens:
+        if d >= dg:
+            cols.append(act_rows(obj.field, v, obj.act_tensor(dg, d - dg)).T)
+    return np.concatenate(cols, axis=1)
+
+
+def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0Data | None):
     """Pick minimal generators of a graded submodule given degreewise bases.
 
+    container is the graded object the submodule lives in (a ProjFree or a
+    GradedModule).  It must provide field, dim(d) and act_tensor(d, e) of
+    shape (dim d, dim alg_e, dim d+e); the span of the generators chosen so
+    far is action_span(container, gens, d), and the degree-0 radical and
+    idempotent action is read from act_tensor(d, 0).
     piece_basis(d) -> matrix whose columns are a basis of the submodule piece
-    (in ambient coordinates of the containing graded object).
-    action_span(gens, d) -> matrix of columns spanning (chosen gens) . alg_{>=0}
-    inside degree d; must include the degree-0 action.
+    (in coordinates of container's degree-d piece).
 
     Returns list of (eps_or_None, degree, vector).  Raises IncompleteKernel if
     a chosen set fails to span a piece it should span (consistency check).
@@ -229,41 +249,28 @@ def scan_minimal_generators(field, container, piece_basis, action_span, deg_rang
         kb = piece_basis(d)
         if kb.shape[1] == 0:
             continue
-        span = action_span(gens, d)
+        span = action_span(container, gens, d)
         if deg0 is None:
             idxs = linalg.complement_pivots(field, span, kb)
             for j in idxs:
                 gens.append((None, d, kb[:, j].copy()))
         else:
-            # quotient V = K_d / span, then V/(V.rad) split by idempotents
-            radcols = []
-            if deg0.radical_basis.shape[1]:
-                for j in range(kb.shape[1]):
-                    for r in range(deg0.radical_basis.shape[1]):
-                        radcols.append(_module_act(container, kb[:, j], d, deg0.radical_basis[:, r]))
-            sp = span
-            if radcols:
-                sp = np.concatenate([span] + [c.reshape(-1, 1) for c in radcols], axis=1)
+            # quotient V = K_d / span, then V/(V.rad) split by idempotents;
+            # a0[j, :, b] = (kernel vector j) . (degree-0 basis element b)
+            a0 = act_rows(field, kb.T, container.act_tensor(d, 0)).transpose(0, 2, 1)
+            rad = linalg.matmul(field, a0, deg0.radical_basis)  # (k, n, r)
+            sp = np.concatenate([span, rad.transpose(1, 0, 2).reshape(kb.shape[0], -1)], axis=1)
             for eps in deg0.idempotents:
-                cands = np.stack(
-                    [_module_act(container, kb[:, j], d, eps) for j in range(kb.shape[1])], axis=1
-                )
+                cands = linalg.matmul(field, a0, eps).T  # (n, k)
                 idxs = linalg.complement_pivots(field, sp, cands)
                 for j in idxs:
                     v = cands[:, j].copy()
                     gens.append((eps, d, v))
                     sp = np.concatenate([sp, v.reshape(-1, 1)], axis=1)
         # consistency: the chosen generators must span the piece
-        full = action_span(gens, d)
+        full = action_span(container, gens, d)
         if linalg.rank(field, full) != linalg.rank(
             field, np.concatenate([full, kb], axis=1)
         ):
             raise IncompleteKernel(f"generator extraction failed to span degree {d}")
     return gens
-
-
-def _module_act(container, v, d, w):
-    """Right action of a degree-0 algebra vector inside the container object.
-
-    container must expose act(d, v, 0, w); used by scan_minimal_generators."""
-    return container.act(d, v, 0, w)

@@ -1,3 +1,6 @@
+import pytest
+
+from ncgraded.errors import WindowExceeded
 from ncgraded.freealg import parse_poly
 from ncgraded.gmodule import (
     compose_hom,
@@ -37,6 +40,24 @@ def test_shift_and_sum_dims(A, basic_modules):
     assert M.dim(2) == X1.dim(0)
     Ssum = direct_sum([X1, M])
     assert Ssum.dim(3) == X1.dim(3) + X1.dim(1)
+
+
+def _raise(exc):
+    def presentation(deg0=None):
+        raise exc
+    return presentation
+
+
+def test_direct_sum_presentation_failures(basic_modules):
+    X1 = basic_modules["X1"]
+    broken = shift_module(X1, 0)
+    broken.presentation = _raise(TypeError("a bug, not a library error"))
+    with pytest.raises(TypeError):
+        direct_sum([X1, broken])
+    broken.presentation = _raise(WindowExceeded("presentation beyond the window"))
+    Ssum = direct_sum([X1, broken])
+    assert Ssum._pres is None
+    assert Ssum.dim(2) == 2 * X1.dim(2)
 
 
 def test_hom_from_free_is_degree_piece(A, basic_modules):

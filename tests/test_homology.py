@@ -1,10 +1,13 @@
 import numpy as np
 
-from ncgraded.gmodule import shift_module
+from ncgraded.cli import EXAMPLE_WORKSPACE, parse_workspace
+from ncgraded.gmodule import free_graded_module, shift_module
 from ncgraded.homology import (
     Window,
     are_isomorphic_graded,
     check_cluster_tilting,
+    end0_algebra,
+    eval_iso_check,
     ext_graded_dims,
     free_resolution,
     hom_space,
@@ -64,6 +67,13 @@ def test_indecomposability(basic_modules, window):
         assert is_indecomposable(basic_modules[n], window)
 
 
+def test_end0_of_zero_module(A, window):
+    zero = free_graded_module(A, [], 0, 4)
+    E, basis = end0_algebra(zero)
+    assert E.n == 0 and basis == []
+    assert not is_indecomposable(zero, window)
+
+
 def test_isomorphism_positive_and_negative(basic_modules, window):
     X1, X2 = basic_modules["X1"], basic_modules["X2"]
     r = are_isomorphic_graded(X1, X1, window)
@@ -72,6 +82,16 @@ def test_isomorphism_positive_and_negative(basic_modules, window):
     assert r.status == "non-isomorphic" and r.certified
     r = are_isomorphic_graded(X1, shift_module(X2, 2), window)
     assert r.status == "non-isomorphic" and r.certified  # dims differ
+
+
+def test_isomorphism_compares_degrees_where_one_module_vanishes(basic_modules):
+    # X1(-3) and X2(-3) start in degree 3, beyond the window's top degree 2,
+    # while X1 is nonzero in degrees 0..2
+    narrow = Window(-1, 2, 2, 4)
+    X1, X2 = basic_modules["X1"], basic_modules["X2"]
+    for N in (shift_module(X1, -3), shift_module(X2, -3)):
+        r = are_isomorphic_graded(X1, N, narrow)
+        assert r.status == "non-isomorphic" and r.certified, r.detail
 
 
 def test_in_add_detects_membership(X, basic_modules, window):
@@ -86,3 +106,20 @@ def test_cluster_tilting_verdict(X, basic_modules, window):
     rep = check_cluster_tilting(X, 1, cands, window)
     assert rep["verdict"] is True
     assert rep["X_mcm"] is True
+
+
+def test_eval_iso_and_resolution_agree_over_qq_and_gf():
+    # X3, X4 need a square root of -1, so the sum stops at X2 for QQ
+    blocks = [b for b in EXAMPLE_WORKSPACE.split("\n\n")
+              if not b.startswith(("[module X3]", "[module X4]"))]
+    text = "\n\n".join(blocks).replace('"AF, X1, X2, X3, X4"', '"AF, X1, X2"')
+    w = Window(0, 2, 2, 4)
+    out = []
+    for field in ("QQ", "GF(10007)"):
+        ws = parse_workspace(text.replace('"GF(13)"', f'"{field}"'), max_deg=5)
+        X, X1 = ws.module("X"), ws.module("X1")
+        res = free_resolution(X1, 2, w)
+        out.append((eval_iso_check(X, X1, w)["degrees"],
+                    [res.shifts(i) for i in range(res.length + 1)]))
+    assert out[0] == out[1]
+    assert all(v["bijective"] for v in out[0][0].values())
