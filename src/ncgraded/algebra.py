@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeBeyondTruncation
-from .freealg import Gens, NcPoly
+from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
 from .scalars import Field
 
@@ -53,19 +53,11 @@ class AlgebraOracle:
 
     def left_mult_matrix(self, d1: int, v1: np.ndarray, d2: int) -> np.ndarray:
         """Matrix of (v1 . -): alg_{d2} -> alg_{d1+d2}, columns indexed by basis of d2."""
-        t = self.mult_tensor(d1, d2)
-        m = np.tensordot(v1, t, axes=(0, 0)).T  # (dim12, dim2)
-        if self.field.is_prime_field:
-            m %= self.field.p
-        return m
+        return linalg.matmul(self.field, v1, self.mult_tensor(d1, d2)).T
 
     def right_mult_matrix(self, d2: int, v2: np.ndarray, d1: int) -> np.ndarray:
         """Matrix of (- . v2): alg_{d1} -> alg_{d1+d2}."""
-        t = self.mult_tensor(d1, d2)
-        m = np.tensordot(t, v2, axes=(1, 0)).T  # (dim12, dim1)
-        if self.field.is_prime_field:
-            m %= self.field.p
-        return m
+        return linalg.matmul(self.field, self.mult_tensor(d1, d2), v2, axes=(1, 0)).T
 
 
 class PresentedAlgebra(AlgebraOracle):
@@ -106,7 +98,7 @@ class PresentedAlgebra(AlgebraOracle):
 
     @property
     def unit(self) -> np.ndarray:
-        v = linalg.zeros(self.field, 1, 1)[0]
+        v = linalg.zeros(self.field, 1)
         v[0] = self.field.one
         return v
 
@@ -114,7 +106,7 @@ class PresentedAlgebra(AlgebraOracle):
         """Coordinates of NF(f) in the degree-d basis (f homogeneous of degree d)."""
         nf = self.gb.normal_form(f)
         self.basis_words(d)
-        v = linalg.zeros(self.field, 1, len(self._basis[d]))[0]
+        v = linalg.zeros(self.field, len(self._basis[d]))
         for w, c in nf.terms.items():
             v[self._index[d][w]] = c
         return v
@@ -126,9 +118,7 @@ class PresentedAlgebra(AlgebraOracle):
             b1, b2 = self.basis_words(d1), self.basis_words(d2)
             b12 = self.basis_words(d1 + d2)
             idx = self._index[d1 + d2]
-            t = linalg.zeros(self.field, len(b1) * len(b2), len(b12)).reshape(
-                len(b1), len(b2), len(b12)
-            )
+            t = linalg.zeros(self.field, len(b1), len(b2), len(b12))
             for i, u in enumerate(b1):
                 for j, v in enumerate(b2):
                     nf = self.gb.normal_form(
@@ -168,8 +158,8 @@ class TabulatedAlgebra(AlgebraOracle):
         self._check_degree(d1 + d2)
         key = (d1, d2)
         if key not in self._tensors:
-            t = linalg.zeros(self.field, self.dim(d1) * self.dim(d2), self.dim(d1 + d2))
-            self._tensors[key] = t.reshape(self.dim(d1), self.dim(d2), self.dim(d1 + d2))
+            self._tensors[key] = linalg.zeros(
+                self.field, self.dim(d1), self.dim(d2), self.dim(d1 + d2))
         return self._tensors[key]
 
 

@@ -15,8 +15,9 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
-from . import gmodule, homology, koszul
+from . import homology, koszul
 from . import endo as endo_mod
 from .algebra import (
     PresentedAlgebra,
@@ -129,12 +130,15 @@ def _exprs(v: str):
     return [s.strip() for s in str(v).split(";") if s.strip()]
 
 
-def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG) -> Workspace:
+def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
+                    field: Field | None = None) -> Workspace:
+    """Build a workspace; ``field``, if given, replaces the file's [field]."""
     ws = Workspace()
     ws.sections = _parse_sections(text)
+    ws.field = field or ws.field
     pres_by_name = {}
     for kind, name, kv, lineno in ws.sections:
-        if kind == "field":
+        if kind == "field" and field is None:
             ws.field = Field.parse(str(kv.get("name", kv.get("p", "GF(13)"))))
         elif kind == "window":
             lo, hi = (ws.window.internal_lo, ws.window.internal_hi)
@@ -370,18 +374,22 @@ def _emit(report: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _parse_window(text: str) -> Window:
+    try:
+        lo, hi, hmax, cap = _ints(text)
+        return Window(lo, hi, hmax, cap)
+    except ValueError:
+        raise ParseError(f"window {text!r}: expected 'lo,hi,hmax,cap' with lo <= hi") from None
+
+
 def _load_workspace(args) -> Workspace:
+    text = ""
     if getattr(args, "workspace", None):
         with open(args.workspace) as fh:
             text = fh.read()
-        ws = parse_workspace(text, max_deg=args.max_deg)
-    else:
-        ws = Workspace()
-    if getattr(args, "field", None):
-        ws.field = Field.parse(args.field)
-    if getattr(args, "window", None):
-        lo, hi, hmax, cap = _ints(args.window)
-        ws.window = Window(lo, hi, hmax, cap)
+    ws = parse_workspace(text, args.max_deg, Field.parse(args.field) if args.field else None)
+    if args.window:
+        ws.window = _parse_window(args.window)
     return ws
 
 
@@ -393,7 +401,7 @@ def cmd_gb(args) -> int:
                      alg.valid_through >= args.max_deg,
                      {"complete_through": alg.valid_through})]
     rep = make_report("gb", {"algebra": args.name}, ws.window, checks)
-    rep["basis"] = [str(g.poly) for g in elems] if hasattr(elems[0], "poly") else [str(g) for g in elems]
+    rep["basis"] = [str(g) for g in elems]
     rep["dims"] = [alg.dim(d) for d in range(0, min(args.max_deg, alg.valid_through) + 1)]
     return _emit(rep, args)
 
@@ -795,10 +803,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
 
 def cmd_verify_example(args) -> int:
     t0 = time.monotonic()
-    window = None
-    if args.window:
-        lo, hi, hmax, cap = _ints(args.window)
-        window = Window(lo, hi, hmax, cap)
+    window = _parse_window(args.window) if args.window else None
     ws = example_workspace(p=args.p, max_deg=args.max_deg, window=window)
     rep = verify_example(ws, seed=args.seed)
     if args.timing:
@@ -948,11 +953,14 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except NcgError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2))
-        return 3
+        error, message = type(exc).__name__, str(exc)
     except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}, indent=2))
-        return 3
+        error, message = "OSError", str(exc)
+    except Exception as exc:  # a bug is an error (3), never a failed check (1)
+        traceback.print_exc()
+        error, message = "internal-error", f"{type(exc).__name__}: {exc}"
+    print(json.dumps({"error": error, "message": message}, indent=2))
+    return 3
 
 
 if __name__ == "__main__":

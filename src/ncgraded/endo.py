@@ -66,7 +66,7 @@ class EndoAlgebra:
         field = self.X.field
         b1, b2, b12 = self.bases[d1], self.bases[d2], self.bases[d1 + d2]
         n1, n2, n12 = len(b1), len(b2), len(b12)
-        t = linalg.zeros(field, n1 * n2, n12).reshape(n1, n2, n12)
+        t = linalg.zeros(field, n1, n2, n12)
         if not (n1 and n2 and n12):
             return t
         cover = self.X.presentation().cover
@@ -75,10 +75,7 @@ class EndoAlgebra:
             gj = cover.summands[j][1]
             mats = np.stack([b.matrix(gj + d2) for b in b1])      # (n1, out, in)
             U = np.stack([g.gen_images[j] for g in b2], axis=1)   # (in, n2)
-            comp = np.tensordot(mats, U, axes=(2, 0))             # (n1, out, n2)
-            if field.is_prime_field:
-                comp %= field.p
-            rhs_blocks.append(comp)
+            rhs_blocks.append(linalg.matmul(field, mats, U))      # (n1, out, n2)
         R = np.concatenate(rhs_blocks, axis=1)                    # (n1, L, n2)
         L = R.shape[1]
         rhs = R.transpose(1, 0, 2).reshape(L, n1 * n2)

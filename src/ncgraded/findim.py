@@ -34,50 +34,33 @@ class FinDimAlgebra:
         f = self.field
         n = self.n
         # (e_i e_j) e_k = e_i (e_j e_k), checked as one tensor identity
-        left = np.tensordot(self.mult, self.mult, axes=(2, 0))  # (i, j, k, l)
-        right = np.tensordot(self.mult, self.mult, axes=(2, 1)).transpose(2, 0, 1, 3)
-        if f.is_prime_field:
-            left %= f.p
-            right %= f.p
-            ok = (left == right).all()
-        else:
-            ok = all(x == y for x, y in zip(left.flat, right.flat))
-        if not ok:
+        left = linalg.matmul(f, self.mult, self.mult)  # (i, j, k, l)
+        right = linalg.matmul(f, self.mult, self.mult, axes=(2, 1)).transpose(2, 0, 1, 3)
+        if not (left == right).all():
             raise ValueError("structure constants are not associative")
         for i in range(n):
-            v = linalg.zeros(f, n, 1)[:, 0]
+            v = linalg.zeros(f, n)
             v[i] = f.one
             if not _veq(f, self.mul(self.unit, v), v) or not _veq(f, self.mul(v, self.unit), v):
                 raise ValueError("unit vector fails the unit law")
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.tensordot(np.tensordot(a, self.mult, axes=(0, 0)), b, axes=(0, 0))
-        if self.field.is_prime_field:
-            out %= self.field.p
-        return out
+        return linalg.matmul(self.field, self.left_mult(a), b)
 
     def left_mult(self, a: np.ndarray) -> np.ndarray:
-        m = np.tensordot(a, self.mult, axes=(0, 0)).T  # (out, in)
-        if self.field.is_prime_field:
-            m %= self.field.p
-        return m
+        return linalg.matmul(self.field, a, self.mult).T  # (out, in)
 
     def right_mult(self, b: np.ndarray) -> np.ndarray:
-        m = np.tensordot(self.mult, b, axes=(1, 0)).T
-        if self.field.is_prime_field:
-            m %= self.field.p
-        return m
+        return linalg.matmul(self.field, self.mult, b, axes=(1, 0)).T
 
     def element(self, i: int) -> np.ndarray:
-        v = linalg.zeros(self.field, self.n, 1)[:, 0]
+        v = linalg.zeros(self.field, self.n)
         v[i] = self.field.one
         return v
 
 
 def _veq(field, a, b) -> bool:
-    if field.is_prime_field:
-        return bool(((a - b) % field.p == 0).all())
-    return all(field.is_zero(field.sub(x, y)) for x, y in zip(a, b))
+    return not linalg.reduce(field, a - b).any()
 
 
 def radical_basis(alg: FinDimAlgebra) -> np.ndarray:
@@ -87,14 +70,8 @@ def radical_basis(alg: FinDimAlgebra) -> np.ndarray:
     n = alg.n
     if f.is_prime_field and f.p <= n:
         raise FieldTooSmall(f"trace-form radical needs p > dim; got p={f.p}, dim={n}")
-    lmats = [alg.left_mult(alg.element(i)) for i in range(n)]
-    gram = linalg.zeros(f, n, n)
-    for i in range(n):
-        for j in range(i, n):
-            t = np.trace(lmats[i] @ lmats[j])
-            t = f(int(t) if f.is_prime_field else t)
-            gram[i, j] = t
-            gram[j, i] = t
+    # L_i = left_mult(e_i) has entries L_i[k, l] = mult[i, l, k]
+    gram = linalg.matmul(f, alg.mult, alg.mult, axes=([1, 2], [2, 1]))
     rad = linalg.nullspace(f, gram)
     # the kernel must be nilpotent; verify by raising the span
     span = rad
@@ -195,13 +172,7 @@ def _lift_idempotent(alg: FinDimAlgebra, e: np.ndarray) -> np.ndarray:
         e2 = alg.mul(e, e)
         if _veq(f, e2, e):
             return e
-        e3 = alg.mul(e2, e)
-        three = f(3)
-        two = f(2)
-        if f.is_prime_field:
-            e = (three * e2 - two * e3) % f.p
-        else:
-            e = np.array([f.sub(f.mul(three, a), f.mul(two, b)) for a, b in zip(e2, e3)], dtype=object)
+        e = linalg.reduce(f, f(3) * e2 - f(2) * alg.mul(e2, e))
     raise NonSplit("idempotent lift did not converge")
 
 
@@ -233,7 +204,7 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
         return sol[radm.shape[1] :, 0]
 
     q = len(rep_idx)
-    qmult = linalg.zeros(f, q * q, q).reshape(q, q, q)
+    qmult = linalg.zeros(f, q, q, q)
     for i in range(q):
         for j in range(q):
             qmult[i, j, :] = qcoords(alg.mul(reps[:, i], reps[:, j]))
@@ -256,32 +227,13 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
             e1 = e.copy()
             for rp in roots[1:]:
                 inv = f.inv(f.sub(f(r), f(rp)))
-                term = _saxpy(f, v, f.neg(f(rp)), e)  # v - rp*e
-                e1 = alg.mul(e1, _scale(f, term, inv))
+                # e1 <- e1 (v - rp e) / (r - rp)
+                e1 = alg.mul(e1, linalg.reduce(f, v * inv - f.mul(f(rp), inv) * e))
             e1 = _lift_idempotent(alg, e1)
             if _veq(f, e1, e) or not e1.any():
                 continue
-            e2 = _sub(f, e, e1)
-            return [e1, e2]
+            return [e1, linalg.reduce(f, e - e1)]
     return [e]
-
-
-def _scale(field, v, c):
-    if field.is_prime_field:
-        return (v * c) % field.p
-    return np.array([field.mul(c, x) for x in v], dtype=object)
-
-
-def _saxpy(field, v, c, w):
-    if field.is_prime_field:
-        return (v + c * w) % field.p
-    return np.array([field.add(x, field.mul(c, y)) for x, y in zip(v, w)], dtype=object)
-
-
-def _sub(field, v, w):
-    if field.is_prime_field:
-        return (v - w) % field.p
-    return np.array([field.sub(x, y) for x, y in zip(v, w)], dtype=object)
 
 
 def is_local(alg: FinDimAlgebra) -> bool:

@@ -10,7 +10,7 @@ silent partial answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import DegreeBeyondTruncation, NonHomogeneous, TruncationTooLow
 from .freealg import Gens, MonomialOrder, NcPoly, Word

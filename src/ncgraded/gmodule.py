@@ -65,8 +65,7 @@ class GradedModule:
         """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
         t = self._act.get((d, e))
         if t is None:
-            t = linalg.zeros(self.field, self.dim(d) * self.algebra.dim(e), self.dim(d + e))
-            t = t.reshape(self.dim(d), self.algebra.dim(e), self.dim(d + e))
+            t = linalg.zeros(self.field, self.dim(d), self.algebra.dim(e), self.dim(d + e))
             self._act[(d, e)] = t
         return t
 
@@ -76,11 +75,7 @@ class GradedModule:
 
     def act_matrix(self, d: int, e: int, w: np.ndarray) -> np.ndarray:
         """Matrix of (- . w): M_d -> M_{d+e}  (shape out x in)."""
-        t = self.act_tensor(d, e)
-        m = np.tensordot(t, w, axes=(1, 0)).T
-        if self.field.is_prime_field:
-            m %= self.field.p
-        return m
+        return linalg.matmul(self.field, self.act_tensor(d, e), w, axes=(1, 0)).T
 
     # -- presentation ------------------------------------------------------
 
@@ -123,12 +118,8 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
         for e in range(0, hi - d + 1):
             if dims.get(d, 0) == 0 or alg.dim(e) == 0 or dims.get(d + e, 0) == 0:
                 continue
-            tf = cover.act_tensor(d, e)
-            u = np.tensordot(sections[d], tf, axes=(0, 0))  # (k, ne, F0_{d+e})
-            m = np.tensordot(u, cover_mats[d + e], axes=(2, 1))  # (k, ne, k')
-            if field.is_prime_field:
-                m %= field.p
-            act[(d, e)] = m
+            u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
+            act[(d, e)] = linalg.matmul(field, u, cover_mats[d + e].T)  # (k, ne, k')
     pres = _Presentation(cover, cover_mats, sections, rel, hi)
     return GradedModule(alg, dims, act, lo, hi, pres)
 
@@ -181,7 +172,7 @@ def direct_sum(mods) -> GradedModule:
     for d in range(lo, hi + 1):
         for e in range(0, hi - d + 1):
             ne = alg.dim(e)
-            t = linalg.zeros(field, dims[d] * ne, dims[d + e]).reshape(dims[d], ne, dims[d + e])
+            t = linalg.zeros(field, dims[d], ne, dims[d + e])
             o_in = 0
             o_out = 0
             for m in mods:
@@ -216,7 +207,7 @@ def direct_sum(mods) -> GradedModule:
                 rel_summands.append(p.rel.source.summands[j])
                 g = p.rel.source.summands[j][1]
                 img = p.rel.images[j]
-                full = linalg.zeros(field, cover.dim(g), 1)[:, 0]
+                full = linalg.zeros(field, cover.dim(g))
                 off = sum(pp.cover.dim(g) for pp in parts[:i])
                 full[off : off + parts[i].cover.dim(g)] = img
                 rel_images.append(full)
@@ -262,10 +253,8 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
             if sub.r == 0:
                 continue
             w = act_rows(field, v, M.act_tensor(dg, d - dg))  # (ne, dimM_d)
-            cols.append((sub.basis.T @ w).T)  # (dimM_d, r)
+            cols.append(linalg.matmul(field, w.T, sub.basis))  # (dimM_d, r)
         cm = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, M.dim(d), 0)
-        if field.is_prime_field:
-            cm %= field.p
         cover_mats[d] = cm
         sec = linalg.solve(field, cm, linalg.eye(field, M.dim(d)))
         if sec is None:
@@ -316,13 +305,9 @@ class HomElement:
                 continue
             u = self.gen_images[j]
             w = act_rows(field, u, self.N.act_tensor(gj + self.s, d - gj))
-            cols.append((sub.basis.T @ w).T)  # (nout, r)
+            cols.append(linalg.matmul(field, w.T, sub.basis))  # (nout, r)
         f0 = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nout, 0)
-        if field.is_prime_field:
-            f0 %= field.p
-        m = f0 @ P.sections[d]
-        if field.is_prime_field:
-            m %= field.p
+        m = linalg.matmul(field, f0, P.sections[d])
         self._mat[d] = m
         return m
 
@@ -355,8 +340,7 @@ def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = 
             rm = N.act_matrix(dN, 0, eps)  # (n, n)
             bas, _ = linalg.column_space_basis(field, rm)
             Ws.append(bas)
-    widths = [w.shape[1] for w in Ws]
-    total = sum(widths)
+    offs = np.cumsum([0] + [w.shape[1] for w in Ws])
     rows = []
     if P.rel is not None:
         for m in range(P.rel.source.rank):
@@ -365,41 +349,18 @@ def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = 
                 raise WindowExceeded(f"need N at degree {h + s} beyond validity {N.valid_to}")
             rho = P.rel.images[m]
             blocks = cover.split(rho, h)
-            nrow = N.dim(h + s)
-            row = linalg.zeros(field, nrow, total)
-            off = 0
+            row = linalg.zeros(field, N.dim(h + s), offs[-1])
             for j in range(cover.rank):
                 _, gj = cover.summands[j]
-                wj = widths[j]
-                if wj:
+                if offs[j] < offs[j + 1]:
                     amb = cover.ambient(j, h, blocks[j])  # alg_{h-gj} ambient
                     am = N.act_matrix(gj + s, h - gj, amb)  # (nrow, n_j)
-                    blk = am @ Ws[j]
-                    if field.is_prime_field:
-                        blk %= field.p
-                    row[:, off : off + wj] = blk
-                off += wj
+                    row[:, offs[j] : offs[j + 1]] = linalg.matmul(field, am, Ws[j])
             rows.append(row)
-    sys_mat = np.concatenate(rows, axis=0) if rows else linalg.zeros(field, 0, total)
+    sys_mat = np.concatenate(rows, axis=0) if rows else linalg.zeros(field, 0, offs[-1])
     null = linalg.nullspace(field, sys_mat)
-    out = []
-    for c in range(null.shape[1]):
-        coeff = null[:, c]
-        gen_images = []
-        off = 0
-        for j in range(cover.rank):
-            wj = widths[j]
-            n = N.dim(cover.summands[j][1] + s)
-            if wj == 0:
-                gen_images.append(linalg.zeros(field, n, 1)[:, 0] if n else linalg.zeros(field, 0, 0).reshape(0))
-            else:
-                u = Ws[j] @ coeff[off : off + wj]
-                if field.is_prime_field:
-                    u %= field.p
-                gen_images.append(u)
-            off += wj
-        out.append(HomElement(M, N, s, gen_images))
-    return out
+    images = [linalg.matmul(field, Ws[j], null[offs[j] : offs[j + 1]]) for j in range(cover.rank)]
+    return [HomElement(M, N, s, [im[:, c].copy() for im in images]) for c in range(null.shape[1])]
 
 
 def hom_coords(basis, f: HomElement):
@@ -420,10 +381,7 @@ def compose_hom(f: HomElement, g: HomElement) -> HomElement:
     for j in range(cover.rank):
         _, gj = cover.summands[j]
         u = f.gen_images[j]  # in N_{gj+s}
-        v = g.matrix(gj + f.s) @ u
-        if f.M.field.is_prime_field:
-            v %= f.M.field.p
-        gen_images.append(v)
+        gen_images.append(linalg.matmul(f.M.field, g.matrix(gj + f.s), u))
     return HomElement(f.M, g.N, f.s + g.s, gen_images)
 
 
@@ -436,13 +394,10 @@ def identity_hom(M: GradedModule) -> HomElement:
         sub = cover.subspace(j, gj)
         col = sub.coords(eps if eps is not None else M.algebra.unit)
         # image of generator j in M = cover_mats[gj] applied to its coords in F0
-        full = linalg.zeros(M.field, cover.dim(gj), 1)[:, 0]
+        full = linalg.zeros(M.field, cover.dim(gj))
         offs = cover.offsets(gj)
         full[offs[j] : offs[j] + sub.r] = col
-        img = P.cover_mats[gj] @ full
-        if M.field.is_prime_field:
-            img %= M.field.p
-        gen_images.append(img)
+        gen_images.append(linalg.matmul(M.field, P.cover_mats[gj], full))
     return HomElement(M, M, 0, gen_images)
 
 
@@ -511,10 +466,7 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
         if se.shape[0] == 0:
             act[(d, e)] = t
             continue
-        nt = np.tensordot(t, se, axes=(1, 0)).transpose(0, 2, 1)
-        if field.is_prime_field:
-            nt %= field.p
-        act[(d, e)] = nt
+        act[(d, e)] = linalg.matmul(field, t, se, axes=(1, 0)).transpose(0, 2, 1)
     return GradedModule(M.algebra, dict(M._dims), act, M.valid_from, M.valid_to)
 
 
@@ -552,7 +504,7 @@ def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -
         for e in range(0, hi - s + 1):
             hb, tb = bases[s], bases.get(s + e, [])
             ne = op.dim(e)
-            t = linalg.zeros(alg.field, len(hb) * ne, len(tb)).reshape(len(hb), ne, len(tb))
+            t = linalg.zeros(alg.field, len(hb), ne, len(tb))
             if hb and tb and ne:
                 stack = np.stack([b.stacked() for b in tb], axis=1)
                 for bidx, w in enumerate(op.basis_words(e)):
@@ -562,10 +514,7 @@ def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -
                         for j, u in enumerate(f.gen_images):
                             gj = M.presentation().cover.summands[j][1]
                             lm = alg.left_mult_matrix(e, rev, gj + s)
-                            v = lm @ u
-                            if alg.field.is_prime_field:
-                                v %= alg.field.p
-                            gen_images.append(v)
+                            gen_images.append(linalg.matmul(alg.field, lm, u))
                         target = np.concatenate(gen_images) if gen_images else np.zeros(0, dtype=np.int64)
                         sol = linalg.solve(alg.field, stack, target)
                         if sol is None:

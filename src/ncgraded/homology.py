@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     WindowExceeded,
 )
-from .findim import FinDimAlgebra, is_local, primitive_idempotents, radical_basis
+from .findim import FinDimAlgebra, is_local, primitive_idempotents
 from .gmodule import (
     GradedModule,
     HomElement,
@@ -202,9 +202,7 @@ def _hom_complex_map(diff: Morphism, N: GradedModule, s: int, Ws_src, Ws_tgt) ->
             if wi:
                 amb = src_cover.ambient(m, gp, blocks[m])
                 am = N.act_matrix(gm + s, gp - gm, amb)  # N_{gm+s} -> N_{gp+s}
-                blk = am @ Ws_src[m]
-                if field.is_prime_field:
-                    blk %= field.p
+                blk = linalg.matmul(field, am, Ws_src[m])
                 out[roff : roff + wo, coff : coff + wi] = sub.coords(blk)
             coff += wi
         roff += wo
@@ -313,19 +311,16 @@ def are_isomorphic_graded(M: GradedModule, N: GradedModule, window: Window,
             return IsoResult("non-isomorphic", None, True, "Hom(M, N)_0 = 0 but M is nonzero")
         return IsoResult("isomorphic", (), True, "both modules vanish within the window")
     field = M.field
+    stacks = {}  # degree -> (k, dim N_d, dim M_d) matrices of the basis
 
     def invertible(coeffs) -> bool:
+        c = np.array([field(x) for x in coeffs])
         for d in range(lo, hi + 1):
-            n = M.dim(d)
-            if n == 0:
+            if M.dim(d) == 0:
                 continue
-            m = linalg.zeros(field, N.dim(d), n)
-            for c, b in zip(coeffs, basis):
-                if not field.is_zero(field(c)):
-                    m = m + b.matrix(d) * c
-            if field.is_prime_field:
-                m %= field.p
-            if linalg.inverse(field, m) is None:
+            if d not in stacks:
+                stacks[d] = np.stack([b.matrix(d) for b in basis])
+            if linalg.inverse(field, linalg.matmul(field, c, stacks[d])) is None:
                 return False
         return True
 
@@ -379,11 +374,8 @@ def in_add_of(X: GradedModule, M: GradedModule, window: Window) -> tuple[bool, s
                 cover = M.presentation().cover
                 for j in range(cover.rank):
                     gj = cover.summands[j][1]
-                    u = g.gen_images[j]          # in X_{gj+s}
-                    v = f.matrix(gj + s) @ u     # in M_{gj}
-                    if field.is_prime_field:
-                        v %= field.p
-                    comp_images.append(v)
+                    # g.gen_images[j] in X_{gj+s} -> M_{gj}
+                    comp_images.append(linalg.matmul(field, f.matrix(gj + s), g.gen_images[j]))
                 cols.append(np.concatenate(comp_images) if comp_images
                             else np.zeros(0, dtype=np.int64))
     if not cols:
@@ -474,8 +466,7 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window,
                 rel[rows_ae, cols] += np.kron(C[:, k * na : (k + 1) * na], linalg.eye(field, nb))
                 rel[rows_a, cols] -= np.kron(linalg.eye(field, na), beta.matrix(d - a - e))
                 col += na * nb
-        if field.is_prime_field:
-            rel %= field.p
+        rel = linalg.reduce(field, rel)
         ev = np.concatenate([linalg.zeros(field, M.dim(d), 0)]
                             + [h.matrix(d - a) for a in homs for h in homs[a]], axis=1)
         rk_rel = linalg.rank(field, rel)

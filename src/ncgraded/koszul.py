@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .algebra import PresentedAlgebra, build_presented_algebra, is_central
+from .algebra import PresentedAlgebra, is_central
 from .errors import NotCentral, NotCommutative, NotQuadratic, NotSemisimple, NotStabilized
 from .findim import FinDimAlgebra, primitive_idempotents, radical_basis
 from .freealg import Gens, NcPoly
@@ -33,7 +33,7 @@ def quadratic_relation_matrix(pres: Presentation) -> np.ndarray:
     for r in pres.relations:
         if r.is_zero() or not r.is_homogeneous() or r.homogeneous_degree() != 2:
             raise NotQuadratic(f"relation {r} is not quadratic")
-        v = linalg.zeros(field, n * n, 1)[:, 0]
+        v = linalg.zeros(field, n * n)
         for w, c in r.terms.items():
             v[_word2_index(n, w)] = c
         cols.append(v)
@@ -112,13 +112,9 @@ def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tup
     k = Adual.dim(stable)
     inv_chain = linalg.eye(field, k)
     for L in range(2 * stable - 2, stable - 1, -2):
-        inv_chain = inv_chain @ linalg.inverse(field, maps[L])
-        if field.is_prime_field:
-            inv_chain %= field.p
+        inv_chain = linalg.matmul(field, inv_chain, linalg.inverse(field, maps[L]))
     mt = Adual.mult_tensor(stable, stable)  # (k, k, dim_{2 stable})
-    mult = np.tensordot(mt, inv_chain, axes=(2, 1))
-    if field.is_prime_field:
-        mult %= field.p
+    mult = linalg.matmul(field, mt, inv_chain, axes=(2, 1))
     # unit: class of 1 at level 0 transported up = w^half
     unit_poly = NcPoly.one(Adual.gens, field)
     wpow = unit_poly
@@ -131,11 +127,7 @@ def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tup
 
 
 def is_commutative(F: FinDimAlgebra) -> bool:
-    t = F.mult
-    s = t.transpose(1, 0, 2)
-    if F.field.is_prime_field:
-        return bool(((t - s) % F.field.p == 0).all())
-    return all(F.field.is_zero(F.field.sub(a, b)) for a, b in zip(t.flat, s.flat))
+    return not linalg.reduce(F.field, F.mult - F.mult.transpose(1, 0, 2)).any()
 
 
 def commutative_semisimple_decompose(F: FinDimAlgebra) -> list:

@@ -1,26 +1,31 @@
 """Exact dense linear algebra over GF(p) and QQ.
 
-Matrices over GF(p) are numpy int64 arrays kept reduced mod p (row
-operations vectorize, products stay far below 2**63 for the primes used
-here).  Matrices over QQ are object arrays of Fractions; that path is
+Arrays over GF(p) are numpy int64 arrays kept reduced mod p, so that row
+operations vectorize.  This module is the one place that reduces them:
+every product of field arrays goes through ``matmul``, every elementwise
+result (sums, scalings) through ``reduce``.  ``matmul`` sums the terms of
+a contraction in blocks of floor((2**63 - 1) / (p - 1)**2), each of which
+fits in int64, and reduces after each block; ``Field`` refuses primes with
+(p - 1)**2 > 2**63 - 1, which also keeps the elimination step of ``rref``
+in range.  (For p up to 32003 a block holds more than 10**9 terms, so
+one block covers any contraction.)  Arrays over QQ are object arrays of Fractions; that path is
 slower and only exercised by small inputs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .scalars import Field
+from .scalars import INT64_MAX, Field
 
 
-def zeros(field: Field, m: int, n: int) -> np.ndarray:
+def zeros(field: Field, *shape: int) -> np.ndarray:
     if field.is_prime_field:
-        return np.zeros((m, n), dtype=np.int64)
-    out = np.empty((m, n), dtype=object)
-    out[:] = Fraction(0)
-    return out
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, Fraction(0), dtype=object)
 
 
 def eye(field: Field, n: int) -> np.ndarray:
@@ -41,10 +46,48 @@ def as_matrix(field: Field, rows) -> np.ndarray:
     return out
 
 
-def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c = a @ b
+def reduce(field: Field, a: np.ndarray) -> np.ndarray:
+    """Canonical form, in place, of an elementwise result (a sum or scaling
+    of reduced field arrays); returns a."""
     if field.is_prime_field:
-        c %= field.p
+        a %= field.p
+    return a
+
+
+def matmul(field: Field, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
+    """Contraction of field arrays a and b, reduced.
+
+    With axes=None the last axis of a is contracted with the first axis of
+    b (what ``@`` does for 1-D and 2-D operands, and for a 3-D a against a
+    2-D b); otherwise axes = (axes of a, axes of b), each an int or a
+    sequence, as in np.tensordot.  An empty contraction gives field zeros
+    of the result shape."""
+    if axes is not None or b.ndim > 2:
+        # move the contracted axes together and contract two matrices
+        ax_a, ax_b = (a.ndim - 1, 0) if axes is None else axes
+        ax_a = [i % a.ndim for i in ((ax_a,) if isinstance(ax_a, int) else ax_a)]
+        ax_b = [i % b.ndim for i in ((ax_b,) if isinstance(ax_b, int) else ax_b)]
+        free_a = [i for i in range(a.ndim) if i not in ax_a]
+        free_b = [i for i in range(b.ndim) if i not in ax_b]
+        shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
+        k = math.prod(a.shape[i] for i in ax_a)
+        if k == 0:
+            return zeros(field, *shape)
+        a = a.transpose(free_a + ax_a).reshape(-1, k)
+        b = b.transpose(ax_b + free_b).reshape(k, -1)
+        return matmul(field, a, b).reshape(shape)
+    k = a.shape[-1]
+    if k == 0:
+        return zeros(field, *a.shape[:-1], *b.shape[1:])
+    if not field.is_prime_field:
+        return np.asarray(np.dot(a, b))
+    p = field.p
+    step = INT64_MAX // (p - 1) ** 2
+    c = np.dot(a, b) if k <= step else np.dot(a[..., :step], b[:step])
+    c %= p
+    for i in range(step, k, step):
+        c += np.dot(a[..., i : i + step], b[i : i + step]) % p
+        c %= p
     return c
 
 

@@ -35,23 +35,12 @@ class _Subspace:
         self.field = field
         self.basis = basis  # (ambient_dim, r)
         self.r = basis.shape[1]
-        if self.r:
-            _, pivots = linalg.rref(field, basis.T)
-            self.rows = pivots  # rows where the basis is invertible
-            self._inv = linalg.inverse(field, basis[pivots, :])
-        else:
-            self.rows = []
-            self._inv = None
+        _, self.rows = linalg.rref(field, basis.T)  # rows where the basis is invertible
+        self._inv = linalg.inverse(field, basis[self.rows, :])
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of a vector (or matrix of columns) lying in the subspace."""
-        if self.r == 0:
-            shape = (0,) if v.ndim == 1 else (0, v.shape[1])
-            return linalg.zeros(self.field, 0, shape[1] if len(shape) == 2 else 0).reshape(shape)
-        out = self._inv @ v[self.rows]
-        if self.field.is_prime_field:
-            out %= self.field.p
-        return out
+        return linalg.matmul(self.field, self._inv, v[self.rows])
 
 
 class ProjFree:
@@ -109,16 +98,7 @@ class ProjFree:
 
     def ambient(self, j: int, d: int, block: np.ndarray) -> np.ndarray:
         """Summand-j block coords -> ambient alg_{d-g_j} vector (or matrix)."""
-        sub = self.subspace(j, d)
-        e = d - self.summands[j][1]
-        n = self.alg.dim(e) if e >= 0 else 0
-        if sub.r == 0:
-            shape = (n,) if block.ndim == 1 else (n, block.shape[1])
-            return linalg.zeros(self.field, shape[0], shape[1] if len(shape) == 2 else 0).reshape(shape) if len(shape) == 2 else linalg.zeros(self.field, n, 1)[:, 0]
-        out = sub.basis @ block
-        if self.field.is_prime_field:
-            out %= self.field.p
-        return out
+        return linalg.matmul(self.field, self.subspace(j, d).basis, block)
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim F_d, dim alg_e, dim F_{d+e}) right-action tensor, block
@@ -126,7 +106,7 @@ class ProjFree:
         t = self._act.get((d, e))
         if t is None:
             n_in, ne, n_out = self.dim(d), self.alg.dim(e), self.dim(d + e)
-            t = linalg.zeros(self.field, n_in * ne, n_out).reshape(n_in, ne, n_out)
+            t = linalg.zeros(self.field, n_in, ne, n_out)
             oi, oo = self.offsets(d), self.offsets(d + e)
             for j in range(self.rank):
                 t[oi[j] : oi[j + 1], :, oo[j] : oo[j + 1]] = self.action_block(j, d, e)
@@ -145,13 +125,11 @@ class ProjFree:
         sub_in = self.subspace(j, d)
         sub_out = self.subspace(j, d + e)
         ne = self.alg.dim(e)
-        t = linalg.zeros(self.field, sub_in.r * ne, sub_out.r).reshape(sub_in.r, ne, sub_out.r)
+        t = linalg.zeros(self.field, sub_in.r, ne, sub_out.r)
         if sub_in.r == 0 or sub_out.r == 0 or ne == 0:
             return t
         mt = self.alg.mult_tensor(d - g, e)  # (dim_{d-g}, ne, dim_{d-g+e})
-        amb = np.tensordot(sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
-        if self.field.is_prime_field:
-            amb %= self.field.p
+        amb = linalg.matmul(self.field, sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
         flat = amb.reshape(-1, amb.shape[2]).T  # (dim_out_amb, r_in*ne)
         coords = sub_out.coords(flat)  # (r_out, r_in*ne)
         return coords.T.reshape(sub_in.r, ne, sub_out.r)
@@ -197,10 +175,7 @@ class Morphism:
                     continue
                 a = self.target.ambient(i, gj, tblocks[i])  # alg_{gj-gi}
                 lm = self.target.alg.left_mult_matrix(gj - gi, a, d - gj)  # (dim_{d-gi}, dim_{d-gj})
-                prod = lm @ amb
-                if field.is_prime_field:
-                    prod %= field.p
-                out[toffs[i] : toffs[i + 1], :] = sub_to.coords(prod)
+                out[toffs[i] : toffs[i + 1], :] = sub_to.coords(linalg.matmul(field, lm, amb))
             cols.append(out)
         if cols:
             m = np.concatenate(cols, axis=1)

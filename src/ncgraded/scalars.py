@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoSuchRoot, UnsupportedField
+from .errors import NoSuchRoot, ParseError, UnsupportedField
+
+INT64_MAX = 2**63 - 1
 
 
 def _is_prime(n: int) -> bool:
@@ -30,13 +32,20 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p) when ``p`` is set, the rationals when ``p`` is None."""
+    """GF(p) when ``p`` is set, the rationals when ``p`` is None.
+
+    GF(p) arrays are int64, so p is bounded by (p - 1)**2 <= 2**63 - 1
+    (the largest such prime is 3,037,000,493); see ``linalg``."""
 
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if self.p is None:
+            return
+        if (self.p - 1) ** 2 > INT64_MAX:
+            raise UnsupportedField(f"GF({self.p}): p is above the bound (p - 1)^2 <= 2^63 - 1")
+        if not _is_prime(self.p):
+            raise UnsupportedField(f"GF({self.p}): {self.p} is not prime")
 
     @property
     def is_prime_field(self) -> bool:
@@ -92,9 +101,9 @@ class Field:
         text = text.strip()
         if text == "QQ":
             return Field()
-        if text.startswith("GF(") and text.endswith(")"):
+        if text.startswith("GF(") and text.endswith(")") and text[3:-1].strip().isdigit():
             return Field(int(text[3:-1]))
-        raise ValueError(f"cannot parse field {text!r}; expected 'GF(p)' or 'QQ'")
+        raise ParseError(f"cannot parse field {text!r}; expected 'GF(p)' or 'QQ'")
 
 
 GF = Field

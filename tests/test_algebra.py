@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ncgraded.algebra import (
     HilbertSeries,
@@ -8,7 +9,10 @@ from ncgraded.algebra import (
     is_regular_element,
     match_rational,
 )
-from ncgraded.freealg import parse_poly
+from ncgraded.algebra import PresentedAlgebra
+from ncgraded.freealg import Gens, parse_poly
+from ncgraded.gbasis import MonomialOrder, Presentation
+from ncgraded.scalars import QQ, Field
 
 
 def test_S_dims_and_series(S):
@@ -65,3 +69,22 @@ def test_unit_is_neutral(A):
         t = A.mult_tensor(0, d)
         acted = np.tensordot(u, t, axes=(0, 0)) % 13
         assert (acted == np.eye(A.dim(d), dtype=acted.dtype)).all()
+
+
+@pytest.mark.parametrize("relations", [
+    ("x*y + y*x - z^2", "x*z + z*x", "y*z + z*y"),                  # S
+    ("x*y + y*x - z^2", "x*z + z*x", "y*z + z*y", "x^2 + y^2"),     # A
+    ("x*y - 2*y*x", "x*z - 3*z*x", "y*z + 5*z*y"),                  # skew polynomial ring
+    ("x*y - y*x - x^2", "z^2 - 2*x*y"),
+    ("x^2 - y*z", "y^2 - z*x", "z^2 - x*y"),
+    ("x*y - 4*y*x",),
+])
+def test_hilbert_dims_agree_over_qq_and_large_primes(relations):
+    # integer presentations: only finitely many primes can disagree with QQ
+    gens = Gens(("x", "y", "z"), (1, 1, 1))
+    dims = []
+    for field in (QQ, Field(10007), Field(32003)):
+        rels = tuple(parse_poly(r, gens, field) for r in relations)
+        alg = PresentedAlgebra(Presentation(field, gens, rels, MonomialOrder(gens, (0, 1, 2))), 5)
+        dims.append(hilbert_series(alg, 5).coeffs)
+    assert dims[0] == dims[1] == dims[2]

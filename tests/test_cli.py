@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ncgraded import cli
 from ncgraded.cli import (
     EXAMPLE_WORKSPACE,
     main,
@@ -117,3 +118,54 @@ def test_json_report_written(tmp_path, capsys):
     blob = json.loads(target.read_text())
     assert blob["command"] == "hilbert"
     assert blob["coeffs"][:3] == [1, 3, 6]
+
+
+SMALL_WORKSPACE = """[field]
+name = "GF(13)"
+[algebra T]
+generators = "x, y"
+relations = "3*x*y"
+[algebra F]
+generators = "x, y"
+"""
+
+
+def _run(tmp_path, capsys, argv):
+    wsfile = tmp_path / "t.nws"
+    wsfile.write_text(SMALL_WORKSPACE)
+    code = main(argv + ["-w", str(wsfile)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_field_override_builds_the_workspace_over_that_field(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, ["hilbert", "T", "--max-deg", "3"])
+    assert code == 0 and out["coeffs"] == [1, 2, 3, 4]
+    # 3 = 0 in GF(3): T is free there
+    code, out = _run(tmp_path, capsys, ["hilbert", "T", "--field", "GF(3)", "--max-deg", "3"])
+    assert code == 0 and out["coeffs"] == [1, 2, 4, 8]
+
+
+def test_gb_without_relations_reports_an_empty_basis(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, ["gb", "F", "--max-deg", "3"])
+    assert code == 0
+    assert out["basis"] == [] and out["dims"] == [1, 2, 4, 8]
+
+
+def test_unsupported_field_is_an_error(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, ["hilbert", "T", "--field", "GF(4)"])
+    assert code == 3 and out["error"] == "UnsupportedField"
+
+
+def test_malformed_window_is_a_parse_error(tmp_path, capsys):
+    code, out = _run(tmp_path, capsys, ["hilbert", "T", "--window", "1,2"])
+    assert code == 3 and out["error"] == "ParseError"
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        return [][0]
+
+    monkeypatch.setattr(cli, "cmd_hilbert", broken)
+    code, out = _run(tmp_path, capsys, ["hilbert", "T"])
+    assert code == 3 and out["error"] == "internal-error"
+    assert "IndexError" in out["message"]

@@ -1,6 +1,13 @@
+import math
+import time
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from ncgraded import linalg
+from ncgraded.errors import UnsupportedField
 from ncgraded.scalars import QQ, Field
 
 F = Field(13)
@@ -68,3 +75,69 @@ def test_column_space_basis():
     basis, piv = linalg.column_space_basis(F, a)
     assert piv == [0, 2]
     assert basis.shape == (2, 2)
+
+
+# largest prime p with (p - 1)^2 <= 2^63 - 1, and the next prime
+LARGEST_PRIME = 3_037_000_493
+FIRST_PRIME_ABOVE = 3_037_000_507
+
+MATMUL_FIELDS = [Field(13), Field(2**31 - 1), Field(LARGEST_PRIME), QQ]
+MATMUL_CASES = [  # (shape of a, shape of b, axes)
+    ((4,), (4,), None),
+    ((4,), (4, 3), None),
+    ((3, 4), (4,), None),
+    ((3, 4), (4, 2), None),
+    ((2, 3, 4), (4, 5), None),
+    ((2, 3, 4), (4, 3), ([1, 2], [1, 0])),
+    ((3, 2), (3, 4), (0, 0)),
+    ((3, 0), (0, 2), None),
+    ((2, 0, 3), (0, 4), (1, 0)),
+]
+
+
+@st.composite
+def matmul_inputs(draw):
+    field = draw(st.sampled_from(MATMUL_FIELDS))
+    shape_a, shape_b, axes = draw(st.sampled_from(MATMUL_CASES))
+    if field.is_prime_field:
+        p = field.p
+        elem = st.sampled_from([0, 1, p - 2, p - 1]) | st.integers(0, p - 1)
+    else:
+        elem = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+    def array(shape):
+        n = math.prod(shape)
+        return np.array(draw(st.lists(elem, min_size=n, max_size=n)), dtype=object).reshape(shape)
+
+    return field, array(shape_a), array(shape_b), axes
+
+
+@settings(max_examples=150, deadline=None)
+@given(matmul_inputs())
+def test_matmul_matches_python_int_reference(case):
+    field, a, b, axes = case
+    # object arrays of Python ints / Fractions never overflow
+    ref = np.tensordot(a, b, axes=1 if axes is None else axes)
+    if field.is_prime_field:
+        ref = ref % field.p
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    ref = np.asarray(ref, dtype=object)
+    got = linalg.matmul(field, a, b, axes)
+    assert got.shape == ref.shape
+    assert got.dtype == (np.int64 if field.is_prime_field else object)
+    assert got.tolist() == ref.tolist()
+
+
+def test_matmul_does_not_overflow_near_the_prime_bound():
+    for p in (2**31 - 1, LARGEST_PRIME):
+        a = np.full((4, 4), p - 1, dtype=np.int64)
+        assert (linalg.matmul(Field(p), a, a) == 4).all()  # 4 * (-1)^2
+
+
+def test_primes_above_the_int64_bound_are_refused_quickly():
+    Field(LARGEST_PRIME)
+    for p in (4611686018427387847, FIRST_PRIME_ABOVE, 4):
+        t0 = time.perf_counter()
+        with pytest.raises(UnsupportedField):
+            Field(p)
+        assert time.perf_counter() - t0 < 1.0
