@@ -5,21 +5,25 @@ Workspace (.nws) files are line-based: sections `[field]`, `[algebra N]`,
 values are integers or double-quoted strings.  Expression lists inside
 strings split on ';', name/number lists on ','.
 
-Exit codes: 0 all pass, 1 any fail, 2 inconclusive, 3 error.  Reports are
-deterministic (no wall-clock content unless --timing is given).
+Exit codes: 0 all pass, 1 any fail, 2 inconclusive, 3 error, usage errors
+included.  Reports are deterministic (no wall-clock content unless --timing
+is given).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 import traceback
+from importlib.resources import files
 
 from . import homology, koszul
 from . import endo as endo_mod
 from .algebra import (
+    HilbertSeries,
     PresentedAlgebra,
     build_presented_algebra,
     hilbert_series,
@@ -142,13 +146,17 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             ws.field = Field.parse(str(kv.get("name", kv.get("p", "GF(13)"))))
         elif kind == "window":
             lo, hi = (ws.window.internal_lo, ws.window.internal_hi)
-            if "internal" in kv:
-                lo, hi = _ints(kv["internal"])
-            ws.window = Window(
-                internal_lo=lo, internal_hi=hi,
-                homological_max=int(kv.get("homological_max", ws.window.homological_max)),
-                algebra_degree_cap=int(kv.get("cap", ws.window.algebra_degree_cap)),
-            )
+            try:
+                if "internal" in kv:
+                    lo, hi = _ints(kv["internal"])
+                ws.window = Window(
+                    internal_lo=lo, internal_hi=hi,
+                    homological_max=int(kv.get("homological_max", ws.window.homological_max)),
+                    algebra_degree_cap=int(kv.get("cap", ws.window.algebra_degree_cap)),
+                )
+            except ValueError:
+                raise ParseError('window: expected internal = "lo, hi" with lo <= hi and '
+                                 "integer homological_max and cap", line=lineno, column=1) from None
     for kind, name, kv, lineno in ws.sections:
         if kind == "algebra":
             if "base" in kv:
@@ -332,24 +340,17 @@ _VERDICT_CODE = {"pass": 0, "fail": 1, "inconclusive": 2}
 
 
 def _worst(checks):
-    code = 0
-    for c in checks:
-        code = max(code, _VERDICT_CODE.get(c["verdict"], 3))
-    return code
+    return max((_VERDICT_CODE.get(c["verdict"], 3) for c in checks), default=0)
 
 
-def make_report(command: str, inputs: dict, window: Window, checks: list,
-                elapsed: float | None = None) -> dict:
-    rep = {
+def make_report(command: str, inputs: dict, window: Window, checks: list) -> dict:
+    return {
         "command": command,
         "inputs": inputs,
         "window": window.tag(),
         "checks": checks,
         "verdict": ["pass", "fail", "inconclusive"][min(_worst(checks), 2)],
     }
-    if elapsed is not None:
-        rep["time_s"] = round(elapsed, 3)
-    return rep
 
 
 def _check(name: str, ok, evidence) -> dict:
@@ -363,10 +364,10 @@ def _check(name: str, ok, evidence) -> dict:
 def _emit(report: dict, args) -> int:
     blob = json.dumps(report, indent=2, default=str)
     print(blob)
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w") as fh:
             fh.write(blob + "\n")
-    return _worst(report["checks"]) if report["checks"] else 0
+    return _worst(report["checks"])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +385,7 @@ def _parse_window(text: str) -> Window:
 
 def _load_workspace(args) -> Workspace:
     text = ""
-    if getattr(args, "workspace", None):
+    if args.workspace:
         with open(args.workspace) as fh:
             text = fh.read()
     ws = parse_workspace(text, args.max_deg, Field.parse(args.field) if args.field else None)
@@ -393,122 +394,117 @@ def _load_workspace(args) -> Workspace:
     return ws
 
 
-def cmd_gb(args) -> int:
-    ws = _load_workspace(args)
+_ISO_VERDICT = {"isomorphic": "pass", "non-isomorphic": "fail", "not-found": "inconclusive"}
+
+
+def _endo_series(B, window: Window) -> HilbertSeries:
+    return HilbertSeries(tuple(B.algebra.dim(d) for d in range(0, window.algebra_degree_cap + 1)))
+
+
+def _series_match(series: HilbertSeries, expression: str) -> dict:
+    num, den = parse_rational(expression)
+    return _check("series-match", match_rational(series, num, den),
+                  {"coeffs": list(series.coeffs), "expression": expression})
+
+
+def _unreachable(window: Window, d: int) -> dict:
+    return {"reason": f"window homological_max {window.homological_max} cannot reach Ext^{d}"}
+
+
+def cmd_gb(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
-    elems = alg.gb.elements
     checks = [_check("groebner-complete",
                      alg.valid_through >= args.max_deg,
                      {"complete_through": alg.valid_through})]
     rep = make_report("gb", {"algebra": args.name}, ws.window, checks)
-    rep["basis"] = [str(g) for g in elems]
+    rep["basis"] = [str(g) for g in alg.gb.elements]
     rep["dims"] = [alg.dim(d) for d in range(0, min(args.max_deg, alg.valid_through) + 1)]
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_hilbert(args) -> int:
-    ws = _load_workspace(args)
+def cmd_hilbert(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
     D = min(args.max_deg, alg.valid_through)
     series = hilbert_series(alg, D)
-    checks = []
-    if args.match:
-        num, den = parse_rational(args.match)
-        ok = match_rational(series, num, den)
-        checks.append(_check("series-match", ok,
-                             {"coeffs": list(series.coeffs), "expression": args.match}))
+    checks = [_series_match(series, args.match)] if args.match else []
     rep = make_report("hilbert", {"algebra": args.name, "max_deg": D}, ws.window, checks)
     rep["coeffs"] = list(series.coeffs)
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_hom(args) -> int:
-    ws = _load_workspace(args)
+def cmd_hom(args) -> dict:
+    ws = args.ws
     M, N = ws.module(args.M), ws.module(args.N)
     hs = homology.hom_space(M, N, args.s, ws.window)
     rep = make_report("hom", {"M": args.M, "N": args.N, "s": args.s}, ws.window, [])
     rep["dim"] = hs.dim
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_ext(args) -> int:
-    ws = _load_workspace(args)
+def cmd_ext(args) -> dict:
+    ws = args.ws
     M, N = ws.module(args.M), ws.module(args.N)
     dims = homology.ext_graded_dims(M, N, args.i, ws.window)
     rep = make_report("ext", {"M": args.M, "N": args.N, "i": args.i}, ws.window, [])
     rep["dims"] = {str(s): d for s, d in sorted(dims.items())}
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_mcm(args) -> int:
-    ws = _load_workspace(args)
-    M = ws.module(args.M)
-    ok, detail = homology.is_mcm(M, ws.window)
-    rep = make_report("mcm", {"M": args.M}, ws.window,
-                      [_check("ext-vanishing", ok, detail["ext"])])
-    return _emit(rep, args)
+def cmd_mcm(args) -> dict:
+    ws = args.ws
+    ok, detail = homology.is_mcm(ws.module(args.M), ws.window)
+    return make_report("mcm", {"M": args.M}, ws.window,
+                       [_check("ext-vanishing", ok, detail["ext"])])
 
 
-def cmd_indec(args) -> int:
-    ws = _load_workspace(args)
+def cmd_indec(args) -> dict:
+    ws = args.ws
     ok = homology.is_indecomposable(ws.module(args.M), ws.window)
-    rep = make_report("indec", {"M": args.M}, ws.window,
-                      [_check("endomorphism-local", ok, {})])
-    return _emit(rep, args)
+    return make_report("indec", {"M": args.M}, ws.window,
+                       [_check("endomorphism-local", ok, {})])
 
 
-def cmd_iso(args) -> int:
-    ws = _load_workspace(args)
+def cmd_iso(args) -> dict:
+    ws = args.ws
     M, N = ws.module(args.M), ws.module(args.N)
     if args.shift:
         N = shift_module(N, args.shift)
     r = homology.are_isomorphic_graded(M, N, ws.window, trials=args.trials, seed=args.seed)
-    verdict = {"isomorphic": "pass", "non-isomorphic": "fail", "not-found": "inconclusive"}[r.status]
-    rep = make_report("iso", {"M": args.M, "N": args.N, "shift": args.shift}, ws.window,
-                      [_check("isomorphism", verdict,
-                              {"status": r.status, "certified": r.certified,
-                               "witness": list(r.witness) if r.witness else None,
-                               "detail": r.detail})])
-    return _emit(rep, args)
+    return make_report("iso", {"M": args.M, "N": args.N, "shift": args.shift}, ws.window,
+                       [_check("isomorphism", _ISO_VERDICT[r.status],
+                               {"status": r.status, "certified": r.certified,
+                                "witness": list(r.witness) if r.witness else None,
+                                "detail": r.detail})])
 
 
-def cmd_cluster(args) -> int:
-    ws = _load_workspace(args)
+def cmd_cluster(args) -> dict:
+    ws = args.ws
     X = ws.module(args.X)
     cands = [(n, ws.module(n)) for n in _names(args.candidates)]
     rep0 = homology.check_cluster_tilting(X, args.n, cands, ws.window)
-    rep = make_report("cluster", {"X": args.X, "n": args.n}, ws.window,
-                      [_check("cluster-tilting", rep0["verdict"], rep0)])
-    return _emit(rep, args)
+    return make_report("cluster", {"X": args.X, "n": args.n}, ws.window,
+                       [_check("cluster-tilting", rep0["verdict"], rep0)])
 
 
-def _build_endo(ws: Workspace, name: str):
-    return endo_mod.endomorphism_algebra(ws.module(name), ws.window)
-
-
-def cmd_endo(args) -> int:
-    ws = _load_workspace(args)
-    B = _build_endo(ws, args.X)
+def cmd_endo(args) -> dict:
+    ws = args.ws
+    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
     dims = {str(d): B.algebra.dim(d)
             for d in range(ws.window.internal_lo, ws.window.algebra_degree_cap + 1)}
     checks = [_check("nonnegative", endo_mod.check_nonnegative(B),
                      {d: v for d, v in dims.items() if int(d) < 0})]
     if args.match:
-        num, den = parse_rational(args.match)
-        from .algebra import HilbertSeries
-
-        series = HilbertSeries(tuple(B.algebra.dim(d)
-                                     for d in range(0, ws.window.algebra_degree_cap + 1)))
-        checks.append(_check("series-match", match_rational(series, num, den),
-                             {"coeffs": list(series.coeffs), "expression": args.match}))
+        checks.append(_series_match(_endo_series(B, ws.window), args.match))
     rep = make_report("endo", {"X": args.X}, ws.window, checks)
     rep["dims"] = dims
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_quiver(args) -> int:
-    ws = _load_workspace(args)
-    B = _build_endo(ws, args.X)
+def cmd_quiver(args) -> dict:
+    ws = args.ws
+    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
     B0 = endo_mod.degree_zero_algebra(B)
     rad, idems = endo_mod.radical_and_idempotents(B0)
     Q = endo_mod.quiver_of(B0)
@@ -517,32 +513,30 @@ def cmd_quiver(args) -> int:
     rep["radical_dim"] = int(rad.shape[1])
     rep["idempotents"] = len(idems)
     rep["quiver"] = Q.to_json()
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_koszul_dual(args) -> int:
-    ws = _load_workspace(args)
+def cmd_koszul_dual(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
     dual = koszul.quadratic_dual(alg.presentation)
     dalg = build_presented_algebra(dual, args.max_deg)
     n = len(alg.gens)
+    ranks = len(alg.presentation.relations) + len(dual.relations)
     rep = make_report("koszul-dual", {"algebra": args.name}, ws.window,
-                      [_check("rank-complement",
-                              len(alg.presentation.relations) + len(dual.relations) == n * n,
-                              {"dim_R_plus_dim_Rperp": len(alg.presentation.relations) + len(dual.relations),
-                               "n_squared": n * n})])
+                      [_check("rank-complement", ranks == n * n,
+                              {"dim_R_plus_dim_Rperp": ranks, "n_squared": n * n})])
     rep["dual_relations"] = [str(r) for r in dual.relations]
     rep["dual_dims"] = [dalg.dim(d) for d in range(0, min(args.max_deg, dalg.valid_through) + 1)]
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_clifford(args) -> int:
-    ws = _load_workspace(args)
+def cmd_clifford(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
     dual = build_presented_algebra(koszul.quadratic_dual(alg.presentation), args.max_deg)
     w = parse_poly(args.central, dual.gens, ws.field)
     C, detail = koszul.clifford_algebra(dual, w, ws.window.algebra_degree_cap + 2)
-    blocks = None
     checks = [_check("stabilized", True, detail)]
     if koszul.is_commutative(C):
         blocks = koszul.commutative_semisimple_decompose(C)
@@ -552,118 +546,67 @@ def cmd_clifford(args) -> int:
     rep = make_report("clifford", {"algebra": args.name, "central": args.central},
                       ws.window, checks)
     rep["dim"] = C.n
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_points(args) -> int:
-    ws = _load_workspace(args)
+def cmd_points(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
     polys = [parse_poly(e, alg.gens, ws.field) for e in _exprs(args.polys)]
     pts = koszul.enumerate_projective_points(polys, alg.gens, ws.field)
     rep = make_report("points", {"algebra": args.name, "polys": args.polys}, ws.window, [])
     rep["count"] = len(pts)
     rep["points"] = [list(p) for p in pts]
-    return _emit(rep, args)
+    return rep
 
 
-def cmd_asgorenstein(args) -> int:
-    ws = _load_workspace(args)
+def cmd_asgorenstein(args) -> dict:
+    ws = args.ws
     alg = ws.algebra(args.name)
     if ws.window.homological_max < args.d:
-        rep = make_report("asgorenstein", {"algebra": args.name, "d": args.d, "ell": args.ell},
-                          ws.window,
-                          [_check("gorenstein", "inconclusive",
-                                  {"reason": f"window homological_max {ws.window.homological_max} "
-                                             f"cannot reach Ext^{args.d}"})])
-        return _emit(rep, args)
-    detail = endo_mod.as_gorenstein_check(alg, args.d, args.ell, ws.window)
-    rep = make_report("asgorenstein", {"algebra": args.name, "d": args.d, "ell": args.ell},
-                      ws.window, [_check("gorenstein", detail["verdict"], detail["sides"])])
-    return _emit(rep, args)
+        check = _check("gorenstein", "inconclusive", _unreachable(ws.window, args.d))
+    else:
+        detail = endo_mod.as_gorenstein_check(alg, args.d, args.ell, ws.window)
+        check = _check("gorenstein", detail["verdict"], detail["sides"])
+    return make_report("asgorenstein", {"algebra": args.name, "d": args.d, "ell": args.ell},
+                       ws.window, [check])
 
 
-def cmd_asregular(args) -> int:
-    ws = _load_workspace(args)
+def cmd_asregular(args) -> dict:
+    ws = args.ws
     if ws.window.homological_max < args.d:
-        rep = make_report("asregular", {"X": args.X, "d": args.d, "ell": args.ell}, ws.window,
-                          [_check("as-regular-over-degree-zero", "inconclusive",
-                                  {"reason": f"window homological_max {ws.window.homological_max} "
-                                             f"cannot reach Ext^{args.d}"})])
-        return _emit(rep, args)
-    B = _build_endo(ws, args.X)
-    detail = endo_mod.as_regular_over_R_check(B, args.d, args.ell, ws.window)
-    rep = make_report("asregular", {"X": args.X, "d": args.d, "ell": args.ell}, ws.window,
-                      [_check("as-regular-over-degree-zero", detail["verdict"], detail)])
-    return _emit(rep, args)
+        check = _check("as-regular-over-degree-zero", "inconclusive",
+                       _unreachable(ws.window, args.d))
+    else:
+        B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
+        detail = endo_mod.as_regular_over_R_check(B, args.d, args.ell, ws.window)
+        check = _check("as-regular-over-degree-zero", detail["verdict"], detail)
+    return make_report("asregular", {"X": args.X, "d": args.d, "ell": args.ell}, ws.window,
+                       [check])
 
 
-def cmd_eval_iso(args) -> int:
-    ws = _load_workspace(args)
-    X, M = ws.module(args.X), ws.module(args.M)
-    detail = homology.eval_iso_check(X, M, ws.window)
-    rep = make_report("eval-iso", {"X": args.X, "M": args.M}, ws.window,
-                      [_check("evaluation-bijective", detail["verdict"], detail["degrees"])])
-    return _emit(rep, args)
+def cmd_eval_iso(args) -> dict:
+    ws = args.ws
+    detail = homology.eval_iso_check(ws.module(args.X), ws.module(args.M), ws.window)
+    return make_report("eval-iso", {"X": args.X, "M": args.M}, ws.window,
+                       [_check("evaluation-bijective", detail["verdict"], detail["degrees"])])
 
 
-def cmd_nu_stable(args) -> int:
-    ws = _load_workspace(args)
+def cmd_nu_stable(args) -> dict:
+    ws = args.ws
     M = ws.module(args.M)
     sigma = ws.automorphism(args.sigma)
     r = homology.nu_stability_check(M, sigma, ws.window, trials=args.trials, seed=args.seed)
-    verdict = {"isomorphic": "pass", "non-isomorphic": "fail", "not-found": "inconclusive"}[r.status]
-    rep = make_report("nu-stable", {"M": args.M, "sigma": args.sigma}, ws.window,
-                      [_check("twist-isomorphic", verdict,
-                              {"status": r.status, "certified": r.certified, "detail": r.detail})])
-    return _emit(rep, args)
+    return make_report("nu-stable", {"M": args.M, "sigma": args.sigma}, ws.window,
+                       [_check("twist-isomorphic", _ISO_VERDICT[r.status],
+                               {"status": r.status, "certified": r.certified, "detail": r.detail})])
 
 
 # ---------------------------------------------------------------------------
 # the end-to-end example pipeline
 # ---------------------------------------------------------------------------
 
-EXAMPLE_WORKSPACE = """\
-[field]
-name = "GF(13)"
-
-[algebra S]
-generators = "x, y, z"
-degrees = "1, 1, 1"
-relations = "x*y + y*x - z^2; x*z + z*x; y*z + z*y"
-
-[algebra A]
-base = "S"
-extra_relations = "x^2 + y^2"
-
-[module AF]
-kind = "free"
-of = "A"
-shifts = "0"
-
-[module X1]
-kind = "cyclic"
-of = "A"
-generators = "x - y + z"
-
-[module X2]
-kind = "cyclic"
-of = "A"
-generators = "x - y - z"
-
-[module X3]
-kind = "cyclic"
-of = "A"
-generators = "x + y + 5*z"
-
-[module X4]
-kind = "cyclic"
-of = "A"
-generators = "x + y - 5*z"
-
-[module X]
-kind = "sum"
-of = "AF, X1, X2, X3, X4"
-"""
+EXAMPLE_WORKSPACE = files(__package__).joinpath("example_paper.nws").read_text()
 
 
 def example_workspace(p: int = 13, max_deg: int = DEFAULT_MAX_DEG,
@@ -725,36 +668,26 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     # (6) X1..X4 are MCM, indecomposable, pairwise non-isomorphic
     names = ["X1", "X2", "X3", "X4"]
     mods = {n: ws.module(n) for n in names}
-    ok6 = True
-    pair_evidence = {}
+    pair_evidence = {}  # every failure, so the check passes when it stays empty
     for n in names:
         if not homology.is_mcm(mods[n], window)[0]:
-            ok6 = False
             pair_evidence[n + ":mcm"] = False
         if not homology.is_indecomposable(mods[n], window):
-            ok6 = False
             pair_evidence[n + ":indec"] = False
-    for a in range(len(names)):
-        for b in range(len(names)):
-            if a == b:
-                continue
-            for s in range(-3, 4):
-                r = homology.are_isomorphic_graded(
-                    mods[names[a]], shift_module(mods[names[b]], s), window, seed=seed)
-                if not (r.status == "non-isomorphic" and r.certified):
-                    ok6 = False
-                    pair_evidence[f"{names[a]}~{names[b]}({s})"] = r.status
-    checks.append(_check("mcm-basic-summands", ok6, pair_evidence or {"pairs": "all certified distinct"}))
+    for a, b in itertools.permutations(names, 2):
+        for s in range(-3, 4):
+            r = homology.are_isomorphic_graded(mods[a], shift_module(mods[b], s), window, seed=seed)
+            if not (r.status == "non-isomorphic" and r.certified):
+                pair_evidence[f"{a}~{b}({s})"] = r.status
+    checks.append(_check("mcm-basic-summands", not pair_evidence,
+                         pair_evidence or {"pairs": "all certified distinct"}))
 
     # (7)-(8) B = End(X): nonnegative and the right Hilbert series
     X = ws.module("X")
     B = endo_mod.endomorphism_algebra(X, window)
     checks.append(_check("endo-nonnegative", endo_mod.check_nonnegative(B),
                          {str(d): B.algebra.dim(d) for d in range(window.internal_lo, 0)}))
-    from .algebra import HilbertSeries
-
-    hb = HilbertSeries(tuple(B.algebra.dim(d)
-                             for d in range(0, window.algebra_degree_cap + 1)))
+    hb = _endo_series(B, window)
     ok8 = match_rational(hb, [9, 9], _poly_mul([1, -1], [1, -1]))
     checks.append(_check("endo-hilbert-series", ok8, {"coeffs": list(hb.coeffs)}))
 
@@ -788,170 +721,110 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
 
     # (11) evaluation isomorphism for A, X1, k
     wd = Window(0, 4, window.homological_max, window.algebra_degree_cap)
-    ok11 = True
-    ev_evidence = {}
     k = cyclic_module(A, [parse_poly(g, A.gens, field) for g in ("x", "y", "z")],
                       DEFAULT_MAX_DEG)
-    for n, mod in (("A", ws.module("AF")), ("X1", ws.module("X1")), ("k", k)):
-        r = homology.eval_iso_check(X, mod, wd)
-        ev_evidence[n] = r["verdict"]
-        ok11 = ok11 and r["verdict"]
-    checks.append(_check("evaluation-isomorphism", ok11, ev_evidence))
+    ev_evidence = {n: homology.eval_iso_check(X, mod, wd)["verdict"]
+                   for n, mod in (("A", ws.module("AF")), ("X1", ws.module("X1")), ("k", k))}
+    checks.append(_check("evaluation-isomorphism", all(ev_evidence.values()), ev_evidence))
 
     return make_report("verify-example", {"p": field.p, "seed": seed}, window, checks)
 
 
-def cmd_verify_example(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify_example(args) -> dict:
     window = _parse_window(args.window) if args.window else None
-    ws = example_workspace(p=args.p, max_deg=args.max_deg, window=window)
-    rep = verify_example(ws, seed=args.seed)
-    if args.timing:
-        rep["time_s"] = round(time.monotonic() - t0, 3)
-    return _emit(rep, args)
+    return verify_example(example_workspace(args.p, args.max_deg, window), seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and the one dispatch
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, workspace=True):
-    if workspace:
-        p.add_argument("--workspace", "-w", help="path to a .nws workspace file")
-    p.add_argument("--field", help='override field, e.g. "GF(13)" or "QQ"')
-    p.add_argument("--max-deg", type=int, default=DEFAULT_MAX_DEG,
-                   help="truncation degree for algebra construction")
-    p.add_argument("--window", help='window override "lo,hi,hmax,cap"')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", help="also write the JSON report to this file")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock time in the report (breaks byte-identity)")
+def _arg(*flags, **kw):
+    return flags, kw
+
+
+_MATCH = _arg("--match", help='rational expression such as "(1+t)/(1-t)^2"')
+_TRIALS = _arg("--trials", type=int, default=64)
+_SEED = _arg("--seed", type=int, default=0, help="seed for randomized isomorphism searches")
+_D_ELL = [_arg("--d", type=int, required=True), _arg("--ell", type=int, required=True)]
+_WORKSPACE = [_arg("--workspace", "-w", help="path to a .nws workspace file"),
+              _arg("--field", help='override field, e.g. "GF(13)" or "QQ"')]
+_COMMON = [
+    _arg("--max-deg", type=int, default=DEFAULT_MAX_DEG,
+         help="truncation degree for algebra construction"),
+    _arg("--window", help='window override "lo,hi,hmax,cap"'),
+    _arg("--json", help="also write the JSON report to this file"),
+    _arg("--timing", action="store_true",
+         help="include wall-clock time in the report (breaks byte-identity)"),
+]
+
+# name -> (help, positionals and own options); a bare string is a plain positional.
+# `main` runs a command as cmd_<name with '-' as '_'>(args).  Every command but
+# verify-example also takes _WORKSPACE and gets the loaded workspace as args.ws.
+COMMANDS = {
+    "gb": ("Groebner basis of an algebra", ["name"]),
+    "hilbert": ("Hilbert series, optionally matched to a rational form", ["name", _MATCH]),
+    "hom": ("dim Hom(M, N(s))", ["M", "N", _arg("s", type=int)]),
+    "ext": ("graded dims of Ext^i(M, N)", ["M", "N", _arg("i", type=int)]),
+    "mcm": ("maximal Cohen-Macaulay test", ["M"]),
+    "indec": ("indecomposability via local endomorphism ring", ["M"]),
+    "iso": ("graded isomorphism search",
+            ["M", "N", _arg("--shift", type=int, default=0), _TRIALS, _SEED]),
+    "cluster": ("cluster-tilting verification",
+                ["X", _arg("--n", type=int, default=1), _arg("--candidates", default="")]),
+    "endo": ("graded endomorphism algebra dims", ["X", _MATCH]),
+    "quiver": ("Gabriel quiver of End(X)_0", ["X"]),
+    "koszul-dual": ("quadratic dual presentation", ["name"]),
+    "clifford": ("Clifford-type algebra of the dual",
+                 ["name", _arg("--central", required=True,
+                               help='central degree-2 element, e.g. "x^2"')]),
+    "points": ("projective point enumeration",
+               [_arg("name", help="algebra whose variables are used"),
+                _arg("polys", help='semicolon-separated polynomials, e.g. "x*y + z^2; x^2 - y^2"')]),
+    "asgorenstein": ("AS-Gorenstein test for a connected algebra", ["name", *_D_ELL]),
+    "asregular": ("AS-regularity of End(X) over its degree-0 part", ["X", *_D_ELL]),
+    "eval-iso": ("evaluation-map isomorphism check", ["X", "M"]),
+    "nu-stable": ("twist-stability under an automorphism", ["M", "sigma", _TRIALS, _SEED]),
+    "verify-example": ("run the built-in end-to-end example",
+                       [_arg("--p", type=int, default=13, help="prime for the fixture "
+                             "field; p = 1 mod 4, for the fixture needs a 4th root of unity"),
+                        _SEED]),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError (exit 3), not argparse's exit 2, which means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="ncg",
-        description="graded noncommutative algebra workbench (exact, truncated)")
+    ap = _Parser(prog="ncg",
+                 description="graded noncommutative algebra workbench (exact, truncated)")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("gb", help="Groebner basis of an algebra")
-    p.add_argument("name")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gb)
-
-    p = sub.add_parser("hilbert", help="Hilbert series, optionally matched to a rational form")
-    p.add_argument("name")
-    p.add_argument("--match", help='rational expression such as "(1+t)/(1-t)^2"')
-    _add_common(p)
-    p.set_defaults(fn=cmd_hilbert)
-
-    p = sub.add_parser("hom", help="dim Hom(M, N(s))")
-    p.add_argument("M")
-    p.add_argument("N")
-    p.add_argument("s", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_hom)
-
-    p = sub.add_parser("ext", help="graded dims of Ext^i(M, N)")
-    p.add_argument("M")
-    p.add_argument("N")
-    p.add_argument("i", type=int)
-    _add_common(p)
-    p.set_defaults(fn=cmd_ext)
-
-    p = sub.add_parser("mcm", help="maximal Cohen-Macaulay test")
-    p.add_argument("M")
-    _add_common(p)
-    p.set_defaults(fn=cmd_mcm)
-
-    p = sub.add_parser("indec", help="indecomposability via local endomorphism ring")
-    p.add_argument("M")
-    _add_common(p)
-    p.set_defaults(fn=cmd_indec)
-
-    p = sub.add_parser("iso", help="graded isomorphism search")
-    p.add_argument("M")
-    p.add_argument("N")
-    p.add_argument("--shift", type=int, default=0)
-    p.add_argument("--trials", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("cluster", help="cluster-tilting verification")
-    p.add_argument("X")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--candidates", default="")
-    _add_common(p)
-    p.set_defaults(fn=cmd_cluster)
-
-    p = sub.add_parser("endo", help="graded endomorphism algebra dims")
-    p.add_argument("X")
-    p.add_argument("--match", help="rational expression for the Hilbert series")
-    _add_common(p)
-    p.set_defaults(fn=cmd_endo)
-
-    p = sub.add_parser("quiver", help="Gabriel quiver of End(X)_0")
-    p.add_argument("X")
-    _add_common(p)
-    p.set_defaults(fn=cmd_quiver)
-
-    p = sub.add_parser("koszul-dual", help="quadratic dual presentation")
-    p.add_argument("name")
-    _add_common(p)
-    p.set_defaults(fn=cmd_koszul_dual)
-
-    p = sub.add_parser("clifford", help="Clifford-type algebra of the dual")
-    p.add_argument("name")
-    p.add_argument("--central", required=True, help='central degree-2 element, e.g. "x^2"')
-    _add_common(p)
-    p.set_defaults(fn=cmd_clifford)
-
-    p = sub.add_parser("points", help="projective point enumeration")
-    p.add_argument("name", help="algebra whose variables are used")
-    p.add_argument("polys", help='semicolon-separated polynomials, e.g. "x*y + z^2; x^2 - y^2"')
-    _add_common(p)
-    p.set_defaults(fn=cmd_points)
-
-    p = sub.add_parser("asgorenstein", help="AS-Gorenstein test for a connected algebra")
-    p.add_argument("name")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_asgorenstein)
-
-    p = sub.add_parser("asregular", help="AS-regularity of End(X) over its degree-0 part")
-    p.add_argument("X")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_asregular)
-
-    p = sub.add_parser("eval-iso", help="evaluation-map isomorphism check")
-    p.add_argument("X")
-    p.add_argument("M")
-    _add_common(p)
-    p.set_defaults(fn=cmd_eval_iso)
-
-    p = sub.add_parser("nu-stable", help="twist-stability under an automorphism")
-    p.add_argument("M")
-    p.add_argument("sigma")
-    p.add_argument("--trials", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(fn=cmd_nu_stable)
-
-    p = sub.add_parser("verify-example", help="run the built-in end-to-end example")
-    p.add_argument("--p", type=int, default=13, help="prime for the fixture field")
-    _add_common(p, workspace=False)
-    p.set_defaults(fn=cmd_verify_example)
-
+    for name, (help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != "verify-example":
+            arguments = arguments + _WORKSPACE
+        for a in arguments + _COMMON:
+            flags, kw = ((a,), {}) if isinstance(a, str) else a
+            p.add_argument(*flags, **kw)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        if "workspace" in args:
+            args.ws = _load_workspace(args)
+        rep = globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        if args.timing:
+            rep["time_s"] = round(time.monotonic() - t0, 3)
+        return _emit(rep, args)
     except NcgError as exc:
         error, message = type(exc).__name__, str(exc)
     except OSError as exc:

@@ -58,9 +58,6 @@ class GradedModule:
             raise DegreeBeyondTruncation(f"degree {d} beyond module validity {self.valid_to}")
         return self._dims.get(d, 0)
 
-    def dims_list(self, lo: int, hi: int):
-        return [self.dim(d) for d in range(lo, hi + 1)]
-
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
         t = self._act.get((d, e))
@@ -315,6 +312,25 @@ class HomElement:
         return np.concatenate([u for u in self.gen_images]) if self.gen_images else np.zeros(0, dtype=np.int64)
 
 
+def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
+    """Per-summand coordinate bases W_m of Hom(eps_m Alg(-g_m), N(s)) = N_{g_m+s} eps_m."""
+    field = N.field
+    Ws = []
+    for eps, gm in cover.summands:
+        dN = gm + s
+        if dN > N.valid_to:
+            raise WindowExceeded(f"need module degree {dN} beyond validity {N.valid_to}")
+        n = N.dim(dN)
+        if n == 0:
+            Ws.append(linalg.zeros(field, 0, 0))
+        elif eps is None:
+            Ws.append(linalg.eye(field, n))
+        else:
+            bas, _ = linalg.column_space_basis(field, N.act_matrix(dN, 0, eps))
+            Ws.append(bas)
+    return Ws
+
+
 def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = None):
     """Basis of Hom_GrMod(M, N(s)) as HomElements, by exact linear solve on
     the generators and relations of M's presentation."""
@@ -323,23 +339,7 @@ def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = 
         raise AlgebraMismatch("hom requires a common algebra")
     P = M.presentation(deg0)
     cover = P.cover
-    # unknown parametrization per generator
-    Ws = []
-    for j in range(cover.rank):
-        eps, gj = cover.summands[j]
-        dN = gj + s
-        if dN > N.valid_to:
-            raise WindowExceeded(f"need N at degree {dN} beyond validity {N.valid_to}")
-        n = N.dim(dN)
-        if n == 0:
-            Ws.append(linalg.zeros(field, 0, 0))
-            continue
-        if eps is None:
-            Ws.append(linalg.eye(field, n))
-        else:
-            rm = N.act_matrix(dN, 0, eps)  # (n, n)
-            bas, _ = linalg.column_space_basis(field, rm)
-            Ws.append(bas)
+    Ws = hom_block_bases(cover, N, s)  # unknown parametrization per generator
     offs = np.cumsum([0] + [w.shape[1] for w in Ws])
     rows = []
     if P.rel is not None:
@@ -361,15 +361,6 @@ def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = 
     null = linalg.nullspace(field, sys_mat)
     images = [linalg.matmul(field, Ws[j], null[offs[j] : offs[j + 1]]) for j in range(cover.rank)]
     return [HomElement(M, N, s, [im[:, c].copy() for im in images]) for c in range(null.shape[1])]
-
-
-def hom_coords(basis, f: HomElement):
-    """Coordinates of f in a hom basis (via stacked generator images)."""
-    field = f.M.field
-    if not basis:
-        return None
-    mat = np.stack([b.stacked() for b in basis], axis=1)
-    return linalg.solve(field, mat, f.stacked())
 
 
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:

@@ -58,9 +58,6 @@ class ProjFree:
     def rank(self) -> int:
         return len(self.summands)
 
-    def gen_degrees(self):
-        return [g for _, g in self.summands]
-
     def subspace(self, j: int, d: int) -> _Subspace:
         """Basis data of summand j's piece in internal degree d (ambient alg_{d-g_j})."""
         eps, g = self.summands[j]

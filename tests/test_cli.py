@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -169,3 +171,50 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     code, out = _run(tmp_path, capsys, ["hilbert", "T"])
     assert code == 3 and out["error"] == "internal-error"
     assert "IndexError" in out["message"]
+
+
+@pytest.mark.parametrize("internal", ["3, 1", "1"])
+def test_window_section_errors_are_parse_errors(internal):
+    text = f'[field]\nname = "GF(13)"\n[window]\ninternal = "{internal}"\n'
+    with pytest.raises(ParseError) as exc:
+        parse_workspace(text)
+    assert exc.value.line == 3
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN), ids=lambda c: c.split()[0])
+def test_workspace_command_report_matches_golden(tmp_path, capsys, command):
+    wsfile = tmp_path / "w.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE + '\n[automorphism sw]\nof = "A"\nimages = "y; x; z"\n')
+    main(shlex.split(command) + ["-w", str(wsfile)])
+    assert capsys.readouterr().out == GOLDEN[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "X1"],
+    ["nosuchcmd"],
+    ["hom", "X1", "X2", "x"],
+    ["hom", "X1", "X2", "1", "--seed", "1"],
+    ["verify-example", "--field", "QQ", "--window=-1,1,1,2"],
+])
+def test_usage_errors_exit_3(capsys, argv):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == "ParseError"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", "-h"])
+    assert exc.value.code == 0
+    assert "--workspace" in capsys.readouterr().out
+
+
+def test_timing_is_appended_to_any_report(tmp_path, capsys):
+    _, plain = _run(tmp_path, capsys, ["hilbert", "T", "--max-deg", "3"])
+    _, timed = _run(tmp_path, capsys, ["hilbert", "T", "--max-deg", "3", "--timing"])
+    assert "time_s" not in plain
+    assert list(timed) == list(plain) + ["time_s"]
+    assert {k: v for k, v in timed.items() if k != "time_s"} == plain
