@@ -18,6 +18,8 @@ import json
 import sys
 import time
 import traceback
+from collections.abc import Mapping
+from functools import cache, partial
 from importlib.resources import files
 
 from . import homology, koszul
@@ -32,10 +34,18 @@ from .algebra import (
     match_rational,
     quotient_algebra,
 )
-from .errors import NcgError, ParseError, UnknownReference
+from .errors import AlgebraMismatch, InvalidWindow, NcgError, ParseError, UnknownReference
 from .freealg import Gens, parse_poly
 from .gbasis import MonomialOrder, Presentation
-from .gmodule import GradedAutomorphism, cyclic_module, direct_sum, free_graded_module, shift_module
+from .gmodule import (
+    GradedAutomorphism,
+    cyclic_cover,
+    cyclic_module,
+    direct_sum,
+    free_graded_module,
+    module_from_cover,
+    shift_module,
+)
 from .homology import Window
 from .scalars import Field, root_of_unity
 
@@ -47,12 +57,36 @@ DEFAULT_MAX_DEG = 12
 # ---------------------------------------------------------------------------
 
 
+class _LazyModules(Mapping):
+    """name -> module; each module is built on its first lookup."""
+
+    def __init__(self):
+        self._get = {}  # name -> memoized () -> GradedModule
+
+    def define(self, name: str, build):
+        """Register build() under name; returns the memoized builder."""
+        self._get[name] = get = cache(build)
+        return get
+
+    def __getitem__(self, name: str):
+        return self._get[name]()
+
+    def __contains__(self, name) -> bool:  # Mapping's default would build the module
+        return name in self._get
+
+    def __iter__(self):
+        return iter(self._get)
+
+    def __len__(self) -> int:
+        return len(self._get)
+
+
 class Workspace:
     def __init__(self):
         self.field = Field(13)
         self.window = Window()
         self.algebras: dict[str, PresentedAlgebra] = {}
-        self.modules: dict[str, object] = {}
+        self.modules = _LazyModules()
         self.automorphisms: dict[str, GradedAutomorphism] = {}
         self.sections = []  # (kind, name, dict) in file order, for round-trips
 
@@ -124,10 +158,13 @@ def _names(v: str):
     return [s.strip() for s in str(v).split(",") if s.strip()]
 
 
-def _ints(v):
+def _ints(v, line=None):
     if isinstance(v, int):
         return [v]
-    return [int(s) for s in _names(v)]
+    try:
+        return [int(s) for s in _names(v)]
+    except ValueError:
+        raise ParseError(f"expected a list of integers, got {v!r}", line=line, column=1) from None
 
 
 def _exprs(v: str):
@@ -136,11 +173,14 @@ def _exprs(v: str):
 
 def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                     field: Field | None = None) -> Workspace:
-    """Build a workspace; ``field``, if given, replaces the file's [field]."""
+    """Build a workspace; ``field``, if given, replaces the file's [field].
+
+    Every section is checked here, but a module is built only when first
+    looked up in ``ws.modules``."""
     ws = Workspace()
     ws.sections = _parse_sections(text)
     ws.field = field or ws.field
-    pres_by_name = {}
+    defined = {}  # module name -> (its algebra, its memoized builder)
     for kind, name, kv, lineno in ws.sections:
         if kind == "field" and field is None:
             ws.field = Field.parse(str(kv.get("name", kv.get("p", "GF(13)"))))
@@ -154,7 +194,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                     homological_max=int(kv.get("homological_max", ws.window.homological_max)),
                     algebra_degree_cap=int(kv.get("cap", ws.window.algebra_degree_cap)),
                 )
-            except ValueError:
+            except (ValueError, ParseError, InvalidWindow):
                 raise ParseError('window: expected internal = "lo, hi" with lo <= hi and '
                                  "integer homological_max and cap", line=lineno, column=1) from None
     for kind, name, kv, lineno in ws.sections:
@@ -167,19 +207,17 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                 extra = tuple(parse_poly(e, b.gens, ws.field)
                               for e in _exprs(kv.get("extra_relations", "")))
                 ws.algebras[name] = quotient_algebra(b, extra, max_deg)
-                pres_by_name[name] = ws.algebras[name].presentation
                 continue
             gnames = tuple(_names(kv.get("generators", "")))
             if not gnames:
                 raise ParseError(f"algebra {name!r} needs generators", line=lineno, column=1)
-            degrees = tuple(_ints(kv.get("degrees", ", ".join("1" for _ in gnames))))
+            degrees = tuple(_ints(kv.get("degrees", ", ".join("1" for _ in gnames)), lineno))
             gens = Gens(gnames, degrees)
             order = MonomialOrder(gens, tuple(range(len(gens))))
             rels = tuple(parse_poly(e, gens, ws.field)
                          for e in _exprs(kv.get("relations", "")))
-            pres = Presentation(ws.field, gens, rels, order)
-            pres_by_name[name] = pres
-            ws.algebras[name] = build_presented_algebra(pres, max_deg)
+            ws.algebras[name] = build_presented_algebra(Presentation(ws.field, gens, rels, order),
+                                                        max_deg)
         elif kind == "module":
             mkind = str(kv.get("kind", "cyclic"))
             of = str(kv.get("of", ""))
@@ -187,16 +225,27 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                 alg = ws.algebra(of)
                 gens = [parse_poly(e, alg.gens, ws.field)
                         for e in _exprs(kv.get("generators", ""))]
-                ws.modules[name] = cyclic_module(alg, gens, max_deg)
+                build = partial(module_from_cover, *cyclic_cover(alg, gens), 0, max_deg)
             elif mkind == "free":
                 alg = ws.algebra(of)
-                shifts = _ints(kv.get("shifts", "0"))
-                ws.modules[name] = free_graded_module(alg, shifts, min(0, *shifts), max_deg)
+                shifts = _ints(kv.get("shifts", "0"), lineno)
+                build = partial(free_graded_module, alg, shifts, min(0, *shifts), max_deg)
             elif mkind == "sum":
-                parts = [ws.module(m) for m in _names(of)]
-                ws.modules[name] = direct_sum(parts)
+                parts = _names(of)
+                if not parts:
+                    raise ParseError(f"module {name!r}: a sum needs at least one summand",
+                                     line=lineno, column=1)
+                for m in parts:
+                    if m not in defined:
+                        raise UnknownReference(f"unknown module {m!r}")
+                alg = defined[parts[0]][0]
+                if any(defined[m][0] is not alg for m in parts):
+                    raise AlgebraMismatch("direct sum requires a common algebra")
+                gets = [defined[m][1] for m in parts]
+                build = partial(lambda gets: direct_sum([get() for get in gets]), gets)
             else:
                 raise ParseError(f"unknown module kind {mkind!r}", line=lineno, column=1)
+            defined[name] = (alg, ws.modules.define(name, build))
         elif kind == "automorphism":
             alg = ws.algebra(str(kv.get("of", "")))
             images = [parse_poly(e, alg.gens, ws.field)
@@ -379,7 +428,7 @@ def _parse_window(text: str) -> Window:
     try:
         lo, hi, hmax, cap = _ints(text)
         return Window(lo, hi, hmax, cap)
-    except ValueError:
+    except (ValueError, ParseError, InvalidWindow):
         raise ParseError(f"window {text!r}: expected 'lo,hi,hmax,cap' with lo <= hi") from None
 
 

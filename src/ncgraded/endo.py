@@ -151,10 +151,9 @@ def deg0_data(B: EndoAlgebra) -> Deg0Data:
 def b0_module(B: EndoAlgebra) -> GradedModule:
     """B_0 = B / B_{>=1} as a graded right B-module (one piece in degree 0)."""
     alg = B.algebra
-    n = alg.dim(0)
-    dims = {0: n}
-    act = {(0, 0): np.asarray(alg.mult_tensor(0, 0))}
-    return GradedModule(alg, dims, act, 0, alg.valid_through)
+    # only (d, e) = (0, 0) has all three dimensions nonzero
+    return GradedModule(alg, {0: alg.dim(0)}, lambda d, e: np.asarray(alg.mult_tensor(0, 0)),
+                        0, alg.valid_through)
 
 
 def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) -> dict:

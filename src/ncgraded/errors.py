@@ -33,6 +33,10 @@ class WindowExceeded(NcgError):
     pass
 
 
+class InvalidWindow(NcgError):
+    pass
+
+
 class IncompleteKernel(NcgError):
     pass
 

@@ -1,13 +1,15 @@
 """Finitely generated graded right modules over an algebra oracle.
 
 A GradedModule is tabulated: per-degree dimensions plus right-action
-tensors.  Every module also carries (or lazily extracts) a projective
-presentation  F1 -> F0 -> M -> 0  used by Hom/Ext computations; for
-modules over a non-connected algebra the cover summands are cut out by
-idempotents of the degree-0 part.
+tensors, each computed on first use and cached.  Every module also carries
+(or lazily extracts) a projective presentation  F1 -> F0 -> M -> 0  used by
+Hom/Ext computations; for modules over a non-connected algebra the cover
+summands are cut out by idempotents of the degree-0 part.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +41,19 @@ class _Presentation:
 
 
 class GradedModule:
-    def __init__(self, algebra: AlgebraOracle, dims: dict, act: dict,
+    """Degreewise dimensions on [valid_from, valid_to] and a right action.
+
+    action(d, e) builds the (dim M_d, dim alg_e, dim M_{d+e}) action tensor;
+    act_tensor calls it once per (d, e), and never when a dimension is 0.
+    """
+
+    def __init__(self, algebra: AlgebraOracle, dims: dict, action: Callable[[int, int], np.ndarray],
                  valid_from: int, valid_to: int, pres: _Presentation | None = None):
         self.algebra = algebra
         self.field = algebra.field
         self._dims = {d: int(n) for d, n in dims.items() if n}
-        self._act = act
+        self._action = action
+        self._tensors: dict[tuple, np.ndarray] = {}
         self.valid_from = valid_from
         self.valid_to = valid_to
         self._pres = pres
@@ -60,10 +69,11 @@ class GradedModule:
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
-        t = self._act.get((d, e))
+        t = self._tensors.get((d, e))
         if t is None:
-            t = linalg.zeros(self.field, self.dim(d), self.algebra.dim(e), self.dim(d + e))
-            self._act[(d, e)] = t
+            shape = (self.dim(d), self.algebra.dim(e), self.dim(d + e))
+            t = self._action(d, e) if all(shape) else linalg.zeros(self.field, *shape)
+            self._tensors[(d, e)] = t
         return t
 
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
@@ -95,13 +105,11 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
     """Cokernel of rel: F1 -> F0 as a tabulated module with known presentation."""
     alg = cover.alg
     field = cover.field
-    dims, act, cover_mats, sections = {}, {}, {}, {}
-    idxs_by_deg = {}
+    dims, cover_mats, sections = {}, {}, {}
     for d in range(lo, hi + 1):
         n = cover.dim(d)
         im = rel.matrix(d) if rel is not None else linalg.zeros(field, n, 0)
         idxs = linalg.complement_pivots(field, im, linalg.eye(field, n))
-        idxs_by_deg[d] = idxs
         k = len(idxs)
         dims[d] = k
         sec = linalg.zeros(field, n, k)
@@ -111,14 +119,13 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
         aug = np.concatenate([im, sec], axis=1)
         sol = linalg.solve(field, aug, linalg.eye(field, n))
         cover_mats[d] = sol[im.shape[1] :, :]  # (k, n): projection F0_d ->> M_d
-    for d in range(lo, hi + 1):
-        for e in range(0, hi - d + 1):
-            if dims.get(d, 0) == 0 or alg.dim(e) == 0 or dims.get(d + e, 0) == 0:
-                continue
-            u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
-            act[(d, e)] = linalg.matmul(field, u, cover_mats[d + e].T)  # (k, ne, k')
+
+    def action(d, e):
+        u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
+        return linalg.matmul(field, u, cover_mats[d + e].T)  # (k, ne, k')
+
     pres = _Presentation(cover, cover_mats, sections, rel, hi)
-    return GradedModule(alg, dims, act, lo, hi, pres)
+    return GradedModule(alg, dims, action, lo, hi, pres)
 
 
 def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None = None) -> GradedModule:
@@ -131,10 +138,12 @@ def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None =
     return module_from_cover(cover, None, lo, hi)
 
 
-def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedModule:
-    """Alg / sum g_i Alg as a right module."""
-    if hi is None:
-        hi = alg.valid_through
+def cyclic_cover(alg: PresentedAlgebra, gens) -> tuple[ProjFree, Morphism | None]:
+    """Cover Alg and relation map (+) g_i Alg -> Alg of Alg / sum g_i Alg.
+
+    Cheap: it only takes normal forms of the generators.  Raises
+    NonHomogeneous, or DegreeBeyondTruncation for a generator past the
+    algebra's truncation."""
     for g in gens:
         if not g.is_zero() and not g.is_homogeneous():
             raise NonHomogeneous(f"generator {g} is not homogeneous")
@@ -142,15 +151,21 @@ def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedM
     gens = [g for g in gens if not g.is_zero()]
     src = ProjFree(alg, [(None, g.homogeneous_degree()) for g in gens])
     images = [alg.poly_to_vec(g.homogeneous_degree(), g) for g in gens]
-    rel = Morphism(src, cover, images) if gens else None
-    return module_from_cover(cover, rel, 0, hi)
+    return cover, (Morphism(src, cover, images) if gens else None)
+
+
+def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedModule:
+    """Alg / sum g_i Alg as a right module."""
+    if hi is None:
+        hi = alg.valid_through
+    return module_from_cover(*cyclic_cover(alg, gens), 0, hi)
 
 
 def shift_module(M: GradedModule, n: int) -> GradedModule:
     """M(n)_i = M_{n+i}."""
     dims = {d - n: k for d, k in M._dims.items()}
-    act = {(d - n, e): t for (d, e), t in M._act.items()}
-    return GradedModule(M.algebra, dims, act, M.valid_from - n, M.valid_to - n)
+    return GradedModule(M.algebra, dims, lambda d, e: M.act_tensor(d + n, e),
+                        M.valid_from - n, M.valid_to - n)
 
 
 def direct_sum(mods) -> GradedModule:
@@ -165,20 +180,18 @@ def direct_sum(mods) -> GradedModule:
     lo = min(m.valid_from for m in mods)
     hi = min(m.valid_to for m in mods)
     dims = {d: sum(m.dim(d) for m in mods) for d in range(lo, hi + 1)}
-    act = {}
-    for d in range(lo, hi + 1):
-        for e in range(0, hi - d + 1):
-            ne = alg.dim(e)
-            t = linalg.zeros(field, dims[d], ne, dims[d + e])
-            o_in = 0
-            o_out = 0
-            for m in mods:
-                a, b = m.dim(d), m.dim(d + e)
-                if a and b and ne:
-                    t[o_in : o_in + a, :, o_out : o_out + b] = m.act_tensor(d, e)
-                o_in += a
-                o_out += b
-            act[(d, e)] = t
+
+    def action(d, e):
+        t = linalg.zeros(field, dims[d], alg.dim(e), dims[d + e])
+        o_in = o_out = 0
+        for m in mods:
+            a, b = m.dim(d), m.dim(d + e)
+            if a and b:
+                t[o_in : o_in + a, :, o_out : o_out + b] = m.act_tensor(d, e)
+            o_in += a
+            o_out += b
+        return t
+
     # merge presentations when every summand has one with the same kind of cover
     pres = None
     try:
@@ -210,8 +223,7 @@ def direct_sum(mods) -> GradedModule:
                 rel_images.append(full)
         rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
         pres = _Presentation(cover, cover_mats, sections, rel, hi)
-    out = GradedModule(alg, dims, act, lo, hi, pres)
-    return out
+    return GradedModule(alg, dims, action, lo, hi, pres)
 
 
 def _block_diag(field, mats):
@@ -450,15 +462,12 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
     """Same graded pieces, new action m * a = m sigma(a)."""
     if not isinstance(M.algebra, PresentedAlgebra) or sigma.alg is not M.algebra:
         raise AlgebraMismatch("twist requires the module's presented algebra")
-    field = M.field
-    act = {}
-    for (d, e), t in M._act.items():
-        se = sigma.matrix(e)
-        if se.shape[0] == 0:
-            act[(d, e)] = t
-            continue
-        act[(d, e)] = linalg.matmul(field, t, se, axes=(1, 0)).transpose(0, 2, 1)
-    return GradedModule(M.algebra, dict(M._dims), act, M.valid_from, M.valid_to)
+
+    def action(d, e):
+        return linalg.matmul(M.field, M.act_tensor(d, e), sigma.matrix(e),
+                             axes=(1, 0)).transpose(0, 2, 1)
+
+    return GradedModule(M.algebra, dict(M._dims), action, M.valid_from, M.valid_to)
 
 
 # ---------------------------------------------------------------------------
@@ -490,26 +499,25 @@ def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -
     NA = free_graded_module(alg, [0], 0, alg.valid_through)
     bases = {s: hom_basis(M, NA, s) for s in range(lo, hi + 1)}
     dims = {s: len(bases[s]) for s in bases}
-    act = {}
-    for s in range(lo, hi + 1):
-        for e in range(0, hi - s + 1):
-            hb, tb = bases[s], bases.get(s + e, [])
-            ne = op.dim(e)
-            t = linalg.zeros(alg.field, len(hb), ne, len(tb))
-            if hb and tb and ne:
-                stack = np.stack([b.stacked() for b in tb], axis=1)
-                for bidx, w in enumerate(op.basis_words(e)):
-                    rev = alg.poly_to_vec(e, NcPoly.word(alg.gens, alg.field, tuple(reversed(w))))
-                    for i, f in enumerate(hb):
-                        gen_images = []
-                        for j, u in enumerate(f.gen_images):
-                            gj = M.presentation().cover.summands[j][1]
-                            lm = alg.left_mult_matrix(e, rev, gj + s)
-                            gen_images.append(linalg.matmul(alg.field, lm, u))
-                        target = np.concatenate(gen_images) if gen_images else np.zeros(0, dtype=np.int64)
-                        sol = linalg.solve(alg.field, stack, target)
-                        if sol is None:
-                            raise WindowExceeded("dual action left the computed window")
-                        t[i, bidx, :] = sol[:, 0]
-            act[(s, e)] = t
-    return GradedModule(op, dims, act, lo, hi)
+    field = alg.field
+    gdegs = [g for _, g in M.presentation().cover.summands]
+
+    def action(s, e):
+        """(f * a) for every basis f of degree s and word a of op_e: the images
+        a . f(gen_j), solved in the degree-(s+e) basis all at once."""
+        hb, tb = bases[s], bases[s + e]
+        images = [np.stack([f.gen_images[j] for f in hb], axis=1) for j in range(len(gdegs))]
+        rhs = []
+        for w in op.basis_words(e):
+            rev = alg.poly_to_vec(e, NcPoly.word(alg.gens, field, tuple(reversed(w))))
+            rhs += [linalg.matmul(field, alg.left_mult_matrix(e, rev, gj + s), u)
+                    for gj, u in zip(gdegs, images)]
+        # rows: stacked generator images; columns: (word, f), word-major
+        rhs = np.concatenate(rhs, axis=0).reshape(op.dim(e), -1, len(hb))
+        rhs = rhs.transpose(1, 0, 2).reshape(-1, op.dim(e) * len(hb))
+        sol = linalg.solve(field, np.stack([b.stacked() for b in tb], axis=1), rhs)
+        if sol is None:
+            raise WindowExceeded("dual action left the computed window")
+        return sol.T.reshape(op.dim(e), len(hb), len(tb)).transpose(1, 0, 2)
+
+    return GradedModule(op, dims, action, lo, hi)

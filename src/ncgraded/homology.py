@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     IncompleteKernel,
+    InvalidWindow,
     NonSplitResidue,
     NonSplit,
     ShapeMismatch,
@@ -43,7 +44,7 @@ class Window:
 
     def __post_init__(self):
         if self.internal_lo > self.internal_hi:
-            raise ValueError("internal_lo must not exceed internal_hi")
+            raise InvalidWindow("internal_lo must not exceed internal_hi")
 
     def tag(self) -> str:
         return (f"internal [{self.internal_lo}, {self.internal_hi}], "
@@ -395,15 +396,22 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
     a_lo = M.valid_from
+    to_m, to_x = {}, {}  # a -> Hom(X, M(a)), e -> Hom(X, X(e)), shared by all degrees d
+
+    def hom(bases, N, s):
+        if s not in bases:
+            bases[s] = hom_basis(X, N, s)
+        return bases[s]
+
     for d in range(max(window.internal_lo, M.valid_from), min(window.internal_hi, M.valid_to) + 1):
         a_hi = min(d - X.valid_from, M.valid_to)
-        homs = {a: hom_basis(X, M, a) for a in range(a_lo, a_hi + 1)
+        homs = {a: hom(to_m, M, a) for a in range(a_lo, a_hi + 1)
                 if X.valid_from <= d - a <= X.valid_to}
         off, total = {}, 0
         for a in homs:
             off[a] = total
             total += len(homs[a]) * X.dim(d - a)
-        terms = [(a, e, hom_basis(X, X, e)) for a in homs for e in range(0, a_hi - a + 1)
+        terms = [(a, e, hom(to_x, X, e)) for a in homs for e in range(0, a_hi - a + 1)
                  if X.valid_from <= d - a - e <= X.valid_to and X.dim(d - a - e)]
         rel = linalg.zeros(field, total, sum(len(homs[a]) * len(bb) * X.dim(d - a - e)
                                              for a, e, bb in terms))

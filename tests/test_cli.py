@@ -218,3 +218,51 @@ def test_timing_is_appended_to_any_report(tmp_path, capsys):
     assert "time_s" not in plain
     assert list(timed) == list(plain) + ["time_s"]
     assert {k: v for k, v in timed.items() if k != "time_s"} == plain
+
+
+def _section_line():
+    return SMALL_WORKSPACE.count("\n") + 1
+
+
+@pytest.mark.parametrize("section", [
+    '[algebra U]\ngenerators = "x, y"\ndegrees = "1, x"\n',
+    '[module M]\nkind = "free"\nof = "T"\nshifts = "0, q"\n',
+    '[module M]\nkind = "sum"\nof = ""\n',
+], ids=["degrees", "shifts", "empty-sum"])
+def test_malformed_values_are_parse_errors_with_the_section_line(section):
+    with pytest.raises(ParseError) as exc:
+        parse_workspace(SMALL_WORKSPACE + section)
+    assert exc.value.line == _section_line()
+
+
+# a module section that no command reads still fails the load, as it did when
+# every module was built at load (the empty sum was an internal error then)
+@pytest.mark.parametrize("sections, error", [
+    ('[module M]\nof = "T"\ngenerators = "x + y^2"\n', "NonHomogeneous"),
+    ('[module M]\nof = "T"\ngenerators = "x^4"\n', "DegreeBeyondTruncation"),
+    ('[module M]\nkind = "sum"\nof = "N"\n', "UnknownReference"),
+    ('[module M]\nof = "T"\ngenerators = "x"\n[module N]\nof = "F"\ngenerators = "y"\n'
+     '[module P]\nkind = "sum"\nof = "M, N"\n', "AlgebraMismatch"),
+    ('[module M]\nkind = "sum"\nof = ""\n', "ParseError"),
+], ids=["non-homogeneous", "beyond-truncation", "unknown-summand", "two-algebras", "empty-sum"])
+def test_unread_modules_still_fail_the_load(tmp_path, capsys, sections, error):
+    wsfile = tmp_path / "m.nws"
+    wsfile.write_text(SMALL_WORKSPACE + sections)
+    code = main(["hilbert", "T", "--max-deg", "3", "-w", str(wsfile)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == error
+
+
+def test_modules_are_built_on_first_lookup(monkeypatch):
+    built = []
+    build = cli.module_from_cover
+    monkeypatch.setattr(cli, "module_from_cover", lambda *a: built.append(a) or build(*a))
+    ws = parse_workspace(EXAMPLE_WORKSPACE, max_deg=4)
+    assert built == []
+    assert "X1" in ws.modules and "NOPE" not in ws.modules and len(ws.modules) == 6
+    assert built == []
+    X1 = ws.module("X1")
+    assert len(built) == 1 and ws.module("X1") is X1
+    X = ws.module("X")  # AF + X1 + ... + X4 builds X2..X4 and reuses X1
+    assert len(built) == 4
+    assert X.dim(2) == sum(ws.module(n).dim(2) for n in ("AF", "X1", "X2", "X3", "X4"))

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from ncgraded.errors import WindowExceeded
+from ncgraded import linalg
+from ncgraded.errors import DegreeBeyondTruncation, WindowExceeded
 from ncgraded.freealg import parse_poly
 from ncgraded.gmodule import (
     compose_hom,
@@ -13,6 +15,7 @@ from ncgraded.gmodule import (
     shift_module,
     twist_module,
     GradedAutomorphism,
+    GradedModule,
 )
 
 
@@ -109,3 +112,78 @@ def test_dual_module_dims(A, basic_modules):
     X1 = basic_modules["X1"]
     D = dual_module(X1, 0, 5)
     assert [D.dim(d) for d in range(0, 5)] == [0, 1, 2, 3, 4]
+
+
+def test_action_is_built_on_first_use_and_only_where_nonzero(A):
+    calls = []
+
+    def action(d, e):
+        calls.append((d, e))
+        return linalg.eye(A.field, 1).reshape(1, 1, 1)
+
+    M = GradedModule(A, {0: 1}, action, 0, 3)
+    assert calls == []
+    assert M.act_tensor(0, 1).shape == (1, A.dim(1), 0)  # dim M_1 = 0
+    assert M.act_tensor(1, 0).shape == (0, 1, 0)
+    assert calls == []
+    t = M.act_tensor(0, 0)
+    assert M.act_tensor(0, 0) is t and calls == [(0, 0)]
+
+
+HI = 6
+_SIGMA = ("y", "-x", "5*z")  # an automorphism of A over GF(13) (5^2 = -1), of order 4
+
+
+def _fresh(A, kind):
+    """A module of each constructor, built anew so that no tensor is cached."""
+    F = A.field
+
+    def X1():
+        return cyclic_module(A, [parse_poly("x - y + z", A.gens, F)], HI)
+
+    build = {
+        "free": lambda: free_graded_module(A, [0, -1], -1, HI),
+        "cyclic": X1,
+        "shifted": lambda: shift_module(X1(), -1),
+        "sum": lambda: direct_sum([X1(), shift_module(X1(), -1),
+                                   cyclic_module(A, [parse_poly(g, A.gens, F) for g in "xyz"], HI)]),
+        "twisted": lambda: twist_module(X1(), GradedAutomorphism(
+            A, [parse_poly(t, A.gens, F) for t in _SIGMA])),
+        "dual": lambda: dual_module(X1(), 0, HI - 1),
+    }
+    return build[kind]()
+
+
+KINDS = ("free", "cyclic", "shifted", "sum", "twisted", "dual")
+
+
+def _pairs(M):
+    return [(d, e) for d in range(M.valid_from, M.valid_to + 1) for e in range(M.valid_to - d + 1)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lazy_action_is_associative(A, kind):
+    # (m a) b = m (ab) for every in-range (d, e1, e2)
+    M = _fresh(A, kind)
+    alg, field = M.algebra, M.field
+    for d, e1 in _pairs(M):
+        for e2 in range(M.valid_to - d - e1 + 1):
+            lhs = linalg.matmul(field, M.act_tensor(d, e1), M.act_tensor(d + e1, e2))
+            rhs = linalg.matmul(field, alg.mult_tensor(e1, e2), M.act_tensor(d, e1 + e2),
+                                axes=(2, 1))
+            assert np.array_equal(lhs, rhs.transpose(2, 0, 1, 3)), (d, e1, e2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lazy_tensors_do_not_depend_on_request_order(A, kind):
+    up, down = _fresh(A, kind), _fresh(A, kind)
+    pairs = _pairs(up)
+    got_up = {p: up.act_tensor(*p) for p in pairs}
+    got_down = {p: down.act_tensor(*p) for p in reversed(pairs)}
+    for d, e in pairs:
+        assert got_up[d, e].shape == (up.dim(d), up.algebra.dim(e), up.dim(d + e))
+        assert np.array_equal(got_up[d, e], got_down[d, e]), (d, e)
+    with pytest.raises(DegreeBeyondTruncation):
+        up.act_tensor(up.valid_to, 1)
+    with pytest.raises(DegreeBeyondTruncation):
+        down.act_tensor(down.valid_to + 1, 0)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ncgraded.cli import EXAMPLE_WORKSPACE, parse_workspace
+from ncgraded.errors import InvalidWindow, NcgError
 from ncgraded.gmodule import free_graded_module, shift_module
 from ncgraded.homology import (
     Window,
@@ -123,3 +125,10 @@ def test_eval_iso_and_resolution_agree_over_qq_and_gf():
                     [res.shifts(i) for i in range(res.length + 1)]))
     assert out[0] == out[1]
     assert all(v["bijective"] for v in out[0][0].values())
+
+
+def test_window_with_lo_above_hi_is_a_typed_error():
+    with pytest.raises(InvalidWindow):
+        Window(3, 1)
+    assert issubclass(InvalidWindow, NcgError)
+    assert Window(1, 1).internal_hi == 1
