@@ -14,9 +14,21 @@ import numpy as np
 
 from . import linalg
 from .errors import DegreeBeyondTruncation
+from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
 from .scalars import Field
+
+
+def memo(owner, key, build):
+    """build(), computed on the first call for (owner, key) and kept in one
+    dict on owner, so it lives as long as owner does.  A key holds every
+    object whose identity it uses, which keeps that object alive; callers
+    never mutate the result."""
+    table = vars(owner).setdefault("_memo", {})
+    if key not in table:
+        table[key] = build()
+    return table[key]
 
 
 class AlgebraOracle:
@@ -49,6 +61,17 @@ class AlgebraOracle:
     def is_connected(self) -> bool:
         return self.dim(0) == 1
 
+    @property
+    def deg0(self) -> Deg0Data | None:
+        """Radical and primitive idempotents of the degree-0 part, which split
+        the generators of a minimal cover; None when that part is the field."""
+        return memo(self, "deg0", lambda: None if self.is_connected
+                    else radical_and_idempotents(self.degree_zero()))
+
+    def degree_zero(self) -> FinDimAlgebra:
+        """The degree-0 part as a finite-dimensional algebra."""
+        return FinDimAlgebra(self.field, np.asarray(self.mult_tensor(0, 0)), self.unit, check=False)
+
     # -- coordinate helpers ------------------------------------------------
 
     def left_mult_matrix(self, d1: int, v1: np.ndarray, d2: int) -> np.ndarray:
@@ -73,19 +96,16 @@ class PresentedAlgebra(AlgebraOracle):
         self.order = pres.order
         self.gb = gb if gb is not None else truncated_groebner(pres, D)
         self.valid_through = self.gb.complete_through
-        self._basis: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
-        self._mult: dict[tuple, np.ndarray] = {}
 
     def basis_words(self, d: int) -> list:
         if d < 0:
             return []
-        if d not in self._basis:
-            ws = self.gb.normal_words(d)
-            ws = sorted(ws, key=self.order.key, reverse=True)
-            self._basis[d] = ws
-            self._index[d] = {w: i for i, w in enumerate(ws)}
-        return self._basis[d]
+        return memo(self, ("words", d),
+                    lambda: sorted(self.gb.normal_words(d), key=self.order.key, reverse=True))
+
+    def _word_index(self, d: int) -> dict:
+        """Position of each normal word of degree d in basis_words(d)."""
+        return memo(self, ("index", d), lambda: {w: i for i, w in enumerate(self.basis_words(d))})
 
     def dim(self, d: int) -> int:
         if d < 0:
@@ -104,30 +124,26 @@ class PresentedAlgebra(AlgebraOracle):
 
     def poly_to_vec(self, d: int, f: NcPoly) -> np.ndarray:
         """Coordinates of NF(f) in the degree-d basis (f homogeneous of degree d)."""
-        nf = self.gb.normal_form(f)
-        self.basis_words(d)
-        v = linalg.zeros(self.field, len(self._basis[d]))
-        for w, c in nf.terms.items():
-            v[self._index[d][w]] = c
+        idx = self._word_index(d)
+        v = linalg.zeros(self.field, len(idx))
+        for w, c in self.gb.normal_form(f).terms.items():
+            v[idx[w]] = c
         return v
 
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         self._check_degree(d1 + d2)
-        key = (d1, d2)
-        if key not in self._mult:
-            b1, b2 = self.basis_words(d1), self.basis_words(d2)
-            b12 = self.basis_words(d1 + d2)
-            idx = self._index[d1 + d2]
-            t = linalg.zeros(self.field, len(b1), len(b2), len(b12))
+
+        def build():
+            b1, b2, idx = self.basis_words(d1), self.basis_words(d2), self._word_index(d1 + d2)
+            t = linalg.zeros(self.field, len(b1), len(b2), len(idx))
             for i, u in enumerate(b1):
                 for j, v in enumerate(b2):
-                    nf = self.gb.normal_form(
-                        NcPoly.word(self.gens, self.field, u + v)
-                    )
+                    nf = self.gb.normal_form(NcPoly.word(self.gens, self.field, u + v))
                     for w, c in nf.terms.items():
                         t[i, j, idx[w]] = c
-            self._mult[key] = t
-        return self._mult[key]
+            return t
+
+        return memo(self, ("mult", d1, d2), build)
 
 
 class TabulatedAlgebra(AlgebraOracle):

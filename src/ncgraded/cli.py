@@ -850,12 +850,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command gets a subparser, so `ncg -h` lists
+    them all, but only the command argv names (its first word) gets its arguments."""
     ap = _Parser(prog="ncg",
                  description="graded noncommutative algebra workbench (exact, truncated)")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    chosen = next((a for a in argv if not a.startswith("-")), None)
     for name, (help_text, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != chosen:
+            continue
         if name != "verify-example":
             arguments = arguments + _WORKSPACE
         for a in arguments + _COMMON:
@@ -866,8 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if "workspace" in args:
             args.ws = _load_workspace(args)
         rep = globals()["cmd_" + args.cmd.replace("-", "_")](args)

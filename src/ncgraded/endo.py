@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import PresentedAlgebra, TabulatedAlgebra
+from .algebra import PresentedAlgebra, TabulatedAlgebra, memo
 from .errors import NotConnected, ShapeMismatch
-from .findim import FinDimAlgebra, gabriel_quiver as _findim_quiver, primitive_idempotents, radical_basis
+from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
+from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
     GradedModule,
     cyclic_module,
@@ -26,7 +27,6 @@ from .gmodule import (
     opposite_algebra,
 )
 from .homology import Window, ext_graded_dims, free_resolution
-from .projfree import Deg0Data
 
 
 class EndoAlgebra:
@@ -41,7 +41,7 @@ class EndoAlgebra:
         self.bases = {}
         dims = {}
         for d in range(lo, hi + 1):
-            self.bases[d] = hom_basis(X, X, d)
+            self.bases[d] = hom_basis(X, X, d, shared=True)
             dims[d] = len(self.bases[d])
         self._stacks = {
             d: (np.stack([b.stacked() for b in bs], axis=1) if bs else None)
@@ -95,23 +95,7 @@ def check_nonnegative(B: EndoAlgebra) -> bool:
 
 
 def degree_zero_algebra(B: EndoAlgebra) -> FinDimAlgebra:
-    alg = B.algebra
-    n = alg.dim(0)
-    mult = np.asarray(alg.mult_tensor(0, 0))
-    return FinDimAlgebra(alg.field, mult, alg.unit, check=False)
-
-
-def radical_and_idempotents(F: FinDimAlgebra):
-    rad = radical_basis(F)
-    idems = primitive_idempotents(F, rad)
-    idems = sorted(idems, key=lambda e: _support_key(F.field, e))
-    return rad, idems
-
-
-def _support_key(field, v):
-    nz = [(i, int(c) if field.is_prime_field else str(c)) for i, c in enumerate(v)
-          if not field.is_zero(field(c))]
-    return (nz[0][0] if nz else -1, tuple(nz))
+    return B.algebra.degree_zero()
 
 
 @dataclass
@@ -142,36 +126,31 @@ def quiver_of(F: FinDimAlgebra) -> Quiver:
     return Quiver(names, arr)
 
 
-def deg0_data(B: EndoAlgebra) -> Deg0Data:
-    F = degree_zero_algebra(B)
-    rad, idems = radical_and_idempotents(F)
-    return Deg0Data(rad, idems)
-
-
 def b0_module(B: EndoAlgebra) -> GradedModule:
-    """B_0 = B / B_{>=1} as a graded right B-module (one piece in degree 0)."""
+    """B_0 = B / B_{>=1} as a graded right B-module (one piece in degree 0),
+    memoized on B."""
     alg = B.algebra
     # only (d, e) = (0, 0) has all three dimensions nonzero
-    return GradedModule(alg, {0: alg.dim(0)}, lambda d, e: np.asarray(alg.mult_tensor(0, 0)),
-                        0, alg.valid_through)
+    return memo(B, "b0", lambda: GradedModule(
+        alg, {0: alg.dim(0)}, lambda d, e: np.asarray(alg.mult_tensor(0, 0)), 0, alg.valid_through))
 
 
 def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) -> dict:
     """AS-regularity of B over R = B_0: Ext^i_B(B_0, B) = 0 for i < d,
     Ext^d concentrated in internal degree -ell with dim = dim B_0, and the
     minimal resolution of B_0 terminating at step d (within the window)."""
-    deg0 = deg0_data(B)
     M = b0_module(B)
     alg = B.algebra
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
     report = {"window": window.tag(), "d": d, "ell": ell}
-    res = free_resolution(M, min(d + 1, window.homological_max + 1), window, deg0)
-    report["resolution_shifts"] = [res.shifts(i) for i in range(res.length + 1)]
+    steps = min(d + 1, window.homological_max + 1)
+    res = free_resolution(M, steps, window)
+    report["resolution_shifts"] = [res.shifts(i) for i in range(min(res.length, steps) + 1)]
     report["terminates_at_d"] = res.terminated_at == d
     ok = res.terminated_at == d
     ext_rep = {}
     for i in range(0, d + 1):
-        dims = ext_graded_dims(M, NB, i, window, deg0)
+        dims = ext_graded_dims(M, NB, i, window)
         nz = {s: v for s, v in dims.items() if v}
         ext_rep[i] = nz
         if i < d and nz:

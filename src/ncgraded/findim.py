@@ -9,6 +9,8 @@ matrix algebras over the base field); NonSplit is raised otherwise.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import linalg
@@ -234,6 +236,26 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
                 continue
             return [e1, linalg.reduce(f, e - e1)]
     return [e]
+
+
+def radical_and_idempotents(F: FinDimAlgebra) -> Deg0Data:
+    """Radical basis and primitive idempotents, the latter sorted by support."""
+    rad = radical_basis(F)
+    return Deg0Data(rad, sorted(primitive_idempotents(F, rad), key=lambda e: _support_key(F.field, e)))
+
+
+def _support_key(field, v):
+    nz = [(i, int(c) if field.is_prime_field else str(c)) for i, c in enumerate(v)
+          if not field.is_zero(field(c))]
+    return (nz[0][0] if nz else -1, tuple(nz))
+
+
+class Deg0Data(NamedTuple):
+    """Radical and primitive idempotents of a graded algebra's degree-0 part,
+    used to pick minimal generating sets of modules over a non-connected algebra."""
+
+    radical_basis: np.ndarray      # columns: radical basis in alg_0 coords
+    idempotents: list              # primitive orthogonal idempotent vectors
 
 
 def is_local(alg: FinDimAlgebra) -> bool:

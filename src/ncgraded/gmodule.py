@@ -2,9 +2,11 @@
 
 A GradedModule is tabulated: per-degree dimensions plus right-action
 tensors, each computed on first use and cached.  Every module also carries
-(or lazily extracts) a projective presentation  F1 -> F0 -> M -> 0  used by
-Hom/Ext computations; for modules over a non-connected algebra the cover
-summands are cut out by idempotents of the degree-0 part.
+(or lazily extracts) a minimal projective presentation  F1 -> F0 -> M -> 0
+used by Hom/Ext computations; over a non-connected algebra the cover
+summands are cut out by the idempotents of the algebra's own `deg0`, so the
+presentation does not depend on who asks for it first.  Derived results
+(shared hom bases, free modules, opposite algebras) are memoized on their owner.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle, PresentedAlgebra, opposite_presentation
+from .algebra import AlgebraOracle, PresentedAlgebra, memo, opposite_presentation
 from .errors import (
     AlgebraMismatch,
     DegreeBeyondTruncation,
     InvalidAutomorphism,
     NcgError,
     NonHomogeneous,
+    ShapeMismatch,
     WindowExceeded,
 )
 from .freealg import NcPoly
-from .projfree import Deg0Data, Morphism, ProjFree, act_rows, scan_minimal_generators
+from .projfree import Morphism, ProjFree, act_rows, scan_minimal_generators
 
 
 class _Presentation:
@@ -53,7 +56,6 @@ class GradedModule:
         self.field = algebra.field
         self._dims = {d: int(n) for d, n in dims.items() if n}
         self._action = action
-        self._tensors: dict[tuple, np.ndarray] = {}
         self.valid_from = valid_from
         self.valid_to = valid_to
         self._pres = pres
@@ -69,12 +71,12 @@ class GradedModule:
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
-        t = self._tensors.get((d, e))
-        if t is None:
+
+        def build():
             shape = (self.dim(d), self.algebra.dim(e), self.dim(d + e))
-            t = self._action(d, e) if all(shape) else linalg.zeros(self.field, *shape)
-            self._tensors[(d, e)] = t
-        return t
+            return self._action(d, e) if all(shape) else linalg.zeros(self.field, *shape)
+
+        return memo(self, ("act", d, e), build)
 
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
         """(v at degree d) . (algebra vector w at degree e)."""
@@ -86,9 +88,9 @@ class GradedModule:
 
     # -- presentation ------------------------------------------------------
 
-    def presentation(self, deg0: Deg0Data | None = None) -> _Presentation:
+    def presentation(self) -> _Presentation:
         if self._pres is None:
-            self._pres = _extract_presentation(self, deg0)
+            self._pres = _extract_presentation(self)
         return self._pres
 
     def __repr__(self):
@@ -129,13 +131,13 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
 
 
 def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None = None) -> GradedModule:
-    """(+)_i Alg(s_i): zero relation matrix."""
+    """(+)_i Alg(s_i): zero relation matrix.  Memoized on alg, so equal
+    arguments give the same module."""
     if hi is None:
         hi = alg.valid_through
     gdegs = [-s for s in shifts]
-    cover = ProjFree(alg, [(None, g) for g in gdegs])
-    lo = min([lo] + gdegs)
-    return module_from_cover(cover, None, lo, hi)
+    return memo(alg, ("free", tuple(shifts), lo, hi), lambda: module_from_cover(
+        ProjFree(alg, [(None, g) for g in gdegs]), None, min([lo] + gdegs), hi))
 
 
 def cyclic_cover(alg: PresentedAlgebra, gens) -> tuple[ProjFree, Morphism | None]:
@@ -171,7 +173,7 @@ def shift_module(M: GradedModule, n: int) -> GradedModule:
 def direct_sum(mods) -> GradedModule:
     mods = list(mods)
     if not mods:
-        raise ValueError("empty direct sum")
+        raise ShapeMismatch("empty direct sum")
     alg = mods[0].algebra
     field = mods[0].field
     for m in mods[1:]:
@@ -243,7 +245,7 @@ def _block_diag(field, mats):
 # ---------------------------------------------------------------------------
 
 
-def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentation:
+def _extract_presentation(M: GradedModule) -> _Presentation:
     field = M.field
     alg = M.algebra
 
@@ -251,7 +253,7 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
         return linalg.eye(field, M.dim(d))
 
     gens = scan_minimal_generators(
-        field, M, piece_basis, range(M.valid_from, M.valid_to + 1), deg0
+        field, M, piece_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
     )
     cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
     cover_mats, sections = {}, {}
@@ -274,7 +276,7 @@ def _extract_presentation(M: GradedModule, deg0: Deg0Data | None) -> _Presentati
         return linalg.nullspace(field, cover_mats[d])
 
     kgens = scan_minimal_generators(
-        field, cover, ker_basis, range(M.valid_from, M.valid_to + 1), deg0
+        field, cover, ker_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
     )
     rel = None
     if kgens:
@@ -296,12 +298,12 @@ class HomElement:
         self.N = N
         self.s = s
         self.gen_images = [np.asarray(u) for u in gen_images]
-        self._mat: dict[int, np.ndarray] = {}
 
     def matrix(self, d: int) -> np.ndarray:
         """f_d: M_d -> N_{d+s}  (shape out x in)."""
-        if d in self._mat:
-            return self._mat[d]
+        return memo(self, ("matrix", d), lambda: self._matrix(d))
+
+    def _matrix(self, d: int) -> np.ndarray:
         field = self.M.field
         P = self.M.presentation()
         cover = P.cover
@@ -316,9 +318,7 @@ class HomElement:
             w = act_rows(field, u, self.N.act_tensor(gj + self.s, d - gj))
             cols.append(linalg.matmul(field, w.T, sub.basis))  # (nout, r)
         f0 = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nout, 0)
-        m = linalg.matmul(field, f0, P.sections[d])
-        self._mat[d] = m
-        return m
+        return linalg.matmul(field, f0, P.sections[d])
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([u for u in self.gen_images]) if self.gen_images else np.zeros(0, dtype=np.int64)
@@ -343,13 +343,22 @@ def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
     return Ws
 
 
-def hom_basis(M: GradedModule, N: GradedModule, s: int, deg0: Deg0Data | None = None):
+def hom_basis(M: GradedModule, N: GradedModule, s: int, *, shared: bool = False):
     """Basis of Hom_GrMod(M, N(s)) as HomElements, by exact linear solve on
-    the generators and relations of M's presentation."""
-    field = M.field
+    the generators and relations of M's presentation.  Each call computes,
+    except with shared=True: then the list is memoized on M, keyed by (N, s),
+    and every shared caller gets the same one (End(X) and the evaluation
+    check reuse Hom(X, X(e)) this way)."""
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("hom requires a common algebra")
-    P = M.presentation(deg0)
+    if shared:
+        return memo(M, ("hom", N, s), lambda: _hom_basis(M, N, s))
+    return _hom_basis(M, N, s)
+
+
+def _hom_basis(M: GradedModule, N: GradedModule, s: int):
+    field = M.field
+    P = M.presentation()
     cover = P.cover
     Ws = hom_block_bases(cover, N, s)  # unknown parametrization per generator
     offs = np.cumsum([0] + [w.shape[1] for w in Ws])
@@ -421,7 +430,6 @@ class GradedAutomorphism:
         for i, f in enumerate(self.images):
             if f.is_zero() or not f.is_homogeneous() or f.homogeneous_degree() != alg.gens.degrees[i]:
                 raise InvalidAutomorphism(f"image of generator {alg.gens.names[i]} must be homogeneous of the same degree")
-        self._mats: dict[int, np.ndarray] = {}
         for r in alg.presentation.relations:
             img = self._apply_poly(r)
             if not alg.gb.normal_form(img).is_zero():
@@ -442,15 +450,16 @@ class GradedAutomorphism:
 
     def matrix(self, d: int) -> np.ndarray:
         """Matrix of sigma on the degree-d piece (columns = images of basis words)."""
-        if d not in self._mats:
+
+        def build():
             ws = self.alg.basis_words(d)
-            n = len(ws)
-            m = linalg.zeros(self.alg.field, n, n)
+            m = linalg.zeros(self.alg.field, len(ws), len(ws))
             for b, w in enumerate(ws):
                 img = self._apply_poly(NcPoly.word(self.alg.gens, self.alg.field, w))
                 m[:, b] = self.alg.poly_to_vec(d, img)
-            self._mats[d] = m
-        return self._mats[d]
+            return m
+
+        return memo(self, ("matrix", d), build)
 
     @staticmethod
     def identity(alg: PresentedAlgebra) -> "GradedAutomorphism":
@@ -476,13 +485,14 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
 
 
 def opposite_algebra(alg: PresentedAlgebra) -> PresentedAlgebra:
-    """Presented opposite algebra, cached so that op(op(A)) is A itself."""
-    op = getattr(alg, "_op_cache", None)
-    if op is None:
+    """Presented opposite algebra, memoized so that op(op(A)) is A itself."""
+
+    def build():
         op = PresentedAlgebra(opposite_presentation(alg.presentation), alg.valid_through)
-        op._op_cache = alg
-        alg._op_cache = op
-    return op
+        memo(op, "op", lambda: alg)
+        return op
+
+    return memo(alg, "op", build)
 
 
 def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -> GradedModule:

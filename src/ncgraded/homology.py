@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .algebra import memo
 from .errors import (
     IncompleteKernel,
     InvalidWindow,
@@ -32,7 +33,7 @@ from .gmodule import (
     identity_hom,
     twist_module,
 )
-from .projfree import Deg0Data, Morphism, ProjFree, _Subspace, scan_minimal_generators
+from .projfree import Morphism, ProjFree, _Subspace, scan_minimal_generators
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,8 @@ class HomSpace:
         return len(self.basis)
 
 
-def hom_space(M: GradedModule, N: GradedModule, s: int, window: Window,
-              deg0: Deg0Data | None = None) -> HomSpace:
-    return HomSpace(M, N, s, hom_basis(M, N, s, deg0), window)
+def hom_space(M: GradedModule, N: GradedModule, s: int, window: Window) -> HomSpace:
+    return HomSpace(M, N, s, hom_basis(M, N, s), window)
 
 
 class FreeResolution:
@@ -75,14 +75,23 @@ class FreeResolution:
     steps[i] is the ProjFree F_i; diffs[i] is the differential F_{i+1} -> F_i
     (diffs[0] = relation map).  terminated_at = i means the kernel at F_i was
     zero through the cap, so the resolution is complete with length i.
+    extend() only appends steps, so earlier steps never change.
     """
 
-    def __init__(self, M: GradedModule, steps, diffs, terminated_at, cap: int):
+    def __init__(self, M: GradedModule, cap: int):
+        P = M.presentation()
         self.M = M
-        self.steps = steps
-        self.diffs = diffs
-        self.terminated_at = terminated_at
         self.cap = cap
+        self.steps = [P.cover]
+        self.diffs = []
+        self.terminated_at = None
+        if P.rel is not None:
+            self.diffs.append(P.rel)
+            self.steps.append(P.rel.source)
+        elif P.cover.rank == 0 or _kernel_vanishes(M.field, P, cap):
+            self.terminated_at = 0
+        else:
+            raise IncompleteKernel("presentation lacks a relation map but the cover has a kernel")
 
     @property
     def length(self) -> int:
@@ -94,50 +103,49 @@ class FreeResolution:
             return []
         return [-g for _, g in self.steps[i].summands]
 
+    def extend(self, steps: int):
+        """Resolve until F_steps is known or the resolution terminates."""
+        alg = self.M.algebra
+        while self.terminated_at is None and self.length < steps:
+            prev = self.diffs[-1]
+            lo = min([g for _, g in prev.source.summands], default=0)
+            kgens = scan_minimal_generators(
+                self.M.field, prev.source, prev.kernel_basis, range(lo, self.cap + 1), alg.deg0
+            )
+            if not kgens:
+                self.terminated_at = self.length
+                break
+            if any(dg >= self.cap for _, dg, _ in kgens):
+                raise IncompleteKernel(
+                    f"kernel generators found at the degree cap {self.cap}; raise the cap")
+            src = ProjFree(alg, [(eps, dg) for eps, dg, _ in kgens])
+            self.diffs.append(Morphism(src, prev.source, [v for _, _, v in kgens]))
+            self.steps.append(src)
 
-def free_resolution(M: GradedModule, steps: int, window: Window,
-                    deg0: Deg0Data | None = None) -> FreeResolution:
+    def blocks(self, N: GradedModule, j: int, s: int) -> list:
+        """hom_block_bases(F_j, N, s), the parametrisation of Hom(F_j, N(s)), memoized."""
+        return memo(self, ("blocks", N, j, s), lambda: hom_block_bases(self.steps[j], N, s))
+
+    def delta_rank(self, N: GradedModule, j: int, s: int) -> int:
+        """Rank of delta_j: Hom(F_j, N(s)) -> Hom(F_{j+1}, N(s)), memoized; 0 for
+        a j with no differential (j < 0, or j at the end of a terminated resolution)."""
+        if not 0 <= j < len(self.diffs):
+            return 0
+        return memo(self, ("delta_rank", N, j, s), lambda: linalg.rank(N.field, _hom_complex_map(
+            self.diffs[j], N, s, self.blocks(N, j, s), self.blocks(N, j + 1, s))))
+
+
+def free_resolution(M: GradedModule, steps: int, window: Window) -> FreeResolution:
+    """Minimal resolution of M through F_steps (or to its end), at the
+    window's degree cap.  Memoized on M: one resolution per (M, cap),
+    extended in place when a caller asks for more steps, so it may hold
+    more than `steps` steps."""
     cap = window.algebra_degree_cap
     if steps > window.homological_max + 1:
         raise WindowExceeded(
             f"requested {steps} steps beyond homological_max {window.homological_max} + 1")
-    cached = getattr(M, "_res_cache", None)
-    if cached is not None and cached.cap == cap and (
-        cached.terminated_at is not None or cached.length >= steps
-    ):
-        return cached
-    P = M.presentation(deg0)
-    covers = [P.cover]
-    diffs = []
-    field = M.field
-    alg = M.algebra
-    if P.rel is None:
-        if P.cover.rank == 0 or _kernel_vanishes(field, P, cap):
-            res = FreeResolution(M, covers, diffs, 0, cap)
-            M._res_cache = res
-            return res
-        raise IncompleteKernel("presentation lacks a relation map but the cover has a kernel")
-    diffs.append(P.rel)
-    covers.append(P.rel.source)
-    while len(covers) <= steps:
-        prev = diffs[-1]
-        lo = min([g for _, g in prev.source.summands], default=0)
-        kgens = scan_minimal_generators(
-            field, prev.source, prev.kernel_basis, range(lo, cap + 1), deg0
-        )
-        if not kgens:
-            res = FreeResolution(M, covers, diffs, len(covers) - 1, cap)
-            M._res_cache = res
-            return res
-        if any(dg >= cap for _, dg, _ in kgens):
-            raise IncompleteKernel(
-                f"kernel generators found at the degree cap {cap}; raise the cap")
-        src = ProjFree(alg, [(eps, dg) for eps, dg, _ in kgens])
-        d_next = Morphism(src, prev.source, [v for _, _, v in kgens])
-        diffs.append(d_next)
-        covers.append(src)
-    res = FreeResolution(M, covers, diffs, None, cap)
-    M._res_cache = res
+    res = memo(M, ("resolution", cap), lambda: FreeResolution(M, cap))
+    res.extend(steps)
     return res
 
 
@@ -184,34 +192,14 @@ def _hom_complex_map(diff: Morphism, N: GradedModule, s: int, Ws_src, Ws_tgt) ->
     return out
 
 
-def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window,
-                    deg0: Deg0Data | None = None) -> dict:
+def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window) -> dict:
     """Map internal degree s -> dim Ext^i_{GrMod}(M, N(s)), for s in the window."""
     if i > window.homological_max:
         raise WindowExceeded(f"homological degree {i} beyond window bound {window.homological_max}")
-    res = free_resolution(M, i + 1, window, deg0)
-    out = {}
-    field = M.field
-    for s in range(window.internal_lo, window.internal_hi + 1):
-        if i > res.length:
-            out[s] = 0
-            continue
-        Ws_i = hom_block_bases(res.steps[i], N, s)
-        dim_i = sum(w.shape[1] for w in Ws_i)
-        if i < len(res.diffs):
-            Ws_next = hom_block_bases(res.steps[i + 1], N, s)
-            delta_i = _hom_complex_map(res.diffs[i], N, s, Ws_i, Ws_next)
-            ker = dim_i - linalg.rank(field, delta_i)
-        else:
-            ker = dim_i
-        if i > 0:
-            Ws_prev = hom_block_bases(res.steps[i - 1], N, s)
-            delta_prev = _hom_complex_map(res.diffs[i - 1], N, s, Ws_prev, Ws_i)
-            im = linalg.rank(field, delta_prev)
-        else:
-            im = 0
-        out[s] = ker - im
-    return out
+    res = free_resolution(M, i + 1, window)
+    return {s: 0 if i > res.length else sum(w.shape[1] for w in res.blocks(N, i, s))
+            - res.delta_rank(N, i, s) - res.delta_rank(N, i - 1, s)
+            for s in range(window.internal_lo, window.internal_hi + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +222,11 @@ def is_mcm(M: GradedModule, window: Window) -> tuple[bool, dict]:
     return ok, report
 
 
-def end0_algebra(M: GradedModule, deg0: Deg0Data | None = None) -> tuple[FinDimAlgebra, list]:
+def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
     """End(M)_0 as a finite-dimensional algebra; product is composition
     (b_i * b_j means apply b_j first)."""
     field = M.field
-    basis = hom_basis(M, M, 0, deg0)
+    basis = hom_basis(M, M, 0)
     n = len(basis)
     prods = [compose_hom(basis[j], basis[i]) for i in range(n) for j in range(n)]
     sol = _coords_in_homs(field, basis, prods + [identity_hom(M)])
@@ -396,22 +384,15 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
     a_lo = M.valid_from
-    to_m, to_x = {}, {}  # a -> Hom(X, M(a)), e -> Hom(X, X(e)), shared by all degrees d
-
-    def hom(bases, N, s):
-        if s not in bases:
-            bases[s] = hom_basis(X, N, s)
-        return bases[s]
-
     for d in range(max(window.internal_lo, M.valid_from), min(window.internal_hi, M.valid_to) + 1):
         a_hi = min(d - X.valid_from, M.valid_to)
-        homs = {a: hom(to_m, M, a) for a in range(a_lo, a_hi + 1)
+        homs = {a: hom_basis(X, M, a, shared=True) for a in range(a_lo, a_hi + 1)
                 if X.valid_from <= d - a <= X.valid_to}
         off, total = {}, 0
         for a in homs:
             off[a] = total
             total += len(homs[a]) * X.dim(d - a)
-        terms = [(a, e, hom(to_x, X, e)) for a in homs for e in range(0, a_hi - a + 1)
+        terms = [(a, e, hom_basis(X, X, e, shared=True)) for a in homs for e in range(0, a_hi - a + 1)
                  if X.valid_from <= d - a - e <= X.valid_to and X.dim(d - a - e)]
         rel = linalg.zeros(field, total, sum(len(homs[a]) * len(bb) * X.dim(d - a - e)
                                              for a, e, bb in terms))

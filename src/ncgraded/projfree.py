@@ -10,22 +10,12 @@ when the relevant projectives are not free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle
+from .algebra import AlgebraOracle, memo
 from .errors import IncompleteKernel, ShapeMismatch
-
-
-@dataclass
-class Deg0Data:
-    """Radical and primitive idempotents of the degree-0 part, used to pick
-    minimal generating sets of modules over a non-connected algebra."""
-
-    radical_basis: np.ndarray      # columns: radical basis in alg_0 coords
-    idempotents: list              # primitive orthogonal idempotent vectors
+from .findim import Deg0Data
 
 
 class _Subspace:
@@ -51,8 +41,6 @@ class ProjFree:
         self.alg = alg
         self.field = alg.field
         self.summands = [(None if e is None else np.asarray(e), int(g)) for e, g in summands]
-        self._sub: dict[tuple, _Subspace] = {}
-        self._act: dict[tuple, np.ndarray] = {}
 
     @property
     def rank(self) -> int:
@@ -60,20 +48,19 @@ class ProjFree:
 
     def subspace(self, j: int, d: int) -> _Subspace:
         """Basis data of summand j's piece in internal degree d (ambient alg_{d-g_j})."""
-        eps, g = self.summands[j]
-        key = (j, d)
-        if key not in self._sub:
-            e = d - g
-            n = self.alg.dim(e) if e >= 0 else 0
+
+        def build():
+            eps, g = self.summands[j]
+            n = self.alg.dim(d - g) if d >= g else 0
             if n == 0:
                 bas = linalg.zeros(self.field, 0, 0)
             elif eps is None:
                 bas = linalg.eye(self.field, n)
             else:
-                lm = self.alg.left_mult_matrix(0, eps, e)  # (n, n)
-                bas, _ = linalg.column_space_basis(self.field, lm)
-            self._sub[key] = _Subspace(self.field, bas)
-        return self._sub[key]
+                bas, _ = linalg.column_space_basis(self.field, self.alg.left_mult_matrix(0, eps, d - g))
+            return _Subspace(self.field, bas)
+
+        return memo(self, ("sub", j, d), build)
 
     def piece_dims(self, d: int):
         return [self.subspace(j, d).r for j in range(self.rank)]
@@ -99,16 +86,16 @@ class ProjFree:
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim F_d, dim alg_e, dim F_{d+e}) right-action tensor, block
-        diagonal over the summands (cached)."""
-        t = self._act.get((d, e))
-        if t is None:
-            n_in, ne, n_out = self.dim(d), self.alg.dim(e), self.dim(d + e)
-            t = linalg.zeros(self.field, n_in, ne, n_out)
+        diagonal over the summands (memoized)."""
+
+        def build():
+            t = linalg.zeros(self.field, self.dim(d), self.alg.dim(e), self.dim(d + e))
             oi, oo = self.offsets(d), self.offsets(d + e)
             for j in range(self.rank):
                 t[oi[j] : oi[j + 1], :, oo[j] : oo[j + 1]] = self.action_block(j, d, e)
-            self._act[(d, e)] = t
-        return t
+            return t
+
+        return memo(self, ("act", d, e), build)
 
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
         """(element v at degree d) . (algebra vector w at degree e), in degree d+e."""
@@ -142,12 +129,12 @@ class Morphism:
         self.source = source
         self.target = target
         self.images = [np.asarray(v) for v in images]
-        self._mat: dict[int, np.ndarray] = {}
 
     def matrix(self, d: int) -> np.ndarray:
         """Degreewise matrix F'_d -> F_d (target coords x source coords)."""
-        if d in self._mat:
-            return self._mat[d]
+        return memo(self, ("matrix", d), lambda: self._matrix(d))
+
+    def _matrix(self, d: int) -> np.ndarray:
         field = self.source.field
         nrow = self.target.dim(d)
         cols = []
@@ -174,12 +161,7 @@ class Morphism:
                 lm = self.target.alg.left_mult_matrix(gj - gi, a, d - gj)  # (dim_{d-gi}, dim_{d-gj})
                 out[toffs[i] : toffs[i + 1], :] = sub_to.coords(linalg.matmul(field, lm, amb))
             cols.append(out)
-        if cols:
-            m = np.concatenate(cols, axis=1)
-        else:
-            m = linalg.zeros(field, nrow, 0)
-        self._mat[d] = m
-        return m
+        return np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nrow, 0)
 
     def kernel_basis(self, d: int) -> np.ndarray:
         return linalg.nullspace(self.source.field, self.matrix(d))
@@ -211,7 +193,9 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
     far is action_span(container, gens, d), and the degree-0 radical and
     idempotent action is read from act_tensor(d, 0).
     piece_basis(d) -> matrix whose columns are a basis of the submodule piece
-    (in coordinates of container's degree-d piece).
+    (in coordinates of container's degree-d piece).  deg0 is the `deg0` of
+    the container's algebra: None for a connected algebra, else the radical
+    and idempotents that split each new generator, so the set is minimal.
 
     Returns list of (eps_or_None, degree, vector).  Raises IncompleteKernel if
     a chosen set fails to span a piece it should span (consistency check).

@@ -266,3 +266,11 @@ def test_modules_are_built_on_first_lookup(monkeypatch):
     X = ws.module("X")  # AF + X1 + ... + X4 builds X2..X4 and reuses X1
     assert len(built) == 4
     assert X.dim(2) == sum(ws.module(n).dim(2) for n in ("AF", "X1", "X2", "X3", "X4"))
+
+
+def test_command_help_lists_its_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hom", "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert "--window" in out and "--field" in out

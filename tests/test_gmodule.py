@@ -187,3 +187,26 @@ def test_lazy_tensors_do_not_depend_on_request_order(A, kind):
         up.act_tensor(up.valid_to, 1)
     with pytest.raises(DegreeBeyondTruncation):
         down.act_tensor(down.valid_to + 1, 0)
+
+
+def test_free_module_tensors_do_not_depend_on_request_order(A):
+    # free_graded_module is memoized, so two unshared free modules come
+    # straight from their covers
+    from ncgraded.gmodule import module_from_cover
+    from ncgraded.projfree import ProjFree
+
+    up, down = (module_from_cover(ProjFree(A, [(None, 0), (None, 1)]), None, -1, HI)
+                for _ in range(2))
+    pairs = _pairs(up)
+    got_up = {p: up.act_tensor(*p) for p in pairs}
+    got_down = {p: down.act_tensor(*p) for p in reversed(pairs)}
+    for d, e in pairs:
+        assert np.array_equal(got_up[d, e], got_down[d, e]), (d, e)
+
+
+def test_empty_direct_sum_is_a_typed_error():
+    from ncgraded.errors import NcgError, ShapeMismatch
+
+    with pytest.raises(ShapeMismatch):
+        direct_sum([])
+    assert issubclass(ShapeMismatch, NcgError)
