@@ -555,7 +555,7 @@ def cmd_quiver(args) -> dict:
     ws = args.ws
     B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
     B0 = endo_mod.degree_zero_algebra(B)
-    rad, idems = endo_mod.radical_and_idempotents(B0)
+    rad, idems = B.algebra.deg0
     Q = endo_mod.quiver_of(B0)
     rep = make_report("quiver", {"X": args.X}, ws.window, [])
     rep["degree_zero_dim"] = B0.n
@@ -742,7 +742,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
 
     # (9) B0: dimension 9, radical of dim 4 squaring to zero, quiver 4 -> 1
     B0 = endo_mod.degree_zero_algebra(B)
-    rad, idems = endo_mod.radical_and_idempotents(B0)
+    rad, idems = B.algebra.deg0
     rad2_zero = all(
         not B0.mul(rad[:, a], rad[:, b]).any()
         for a in range(rad.shape[1]) for b in range(rad.shape[1])

@@ -89,10 +89,6 @@ class NotConnected(NcgError):
     pass
 
 
-class HypothesisViolated(NcgError):
-    pass
-
-
 class ParseError(NcgError):
     def __init__(self, message, line=None, column=None):
         self.line = line

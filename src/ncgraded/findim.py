@@ -52,9 +52,6 @@ class FinDimAlgebra:
     def left_mult(self, a: np.ndarray) -> np.ndarray:
         return linalg.matmul(self.field, a, self.mult).T  # (out, in)
 
-    def right_mult(self, b: np.ndarray) -> np.ndarray:
-        return linalg.matmul(self.field, self.mult, b, axes=(1, 0)).T
-
     def element(self, i: int) -> np.ndarray:
         v = linalg.zeros(self.field, self.n)
         v[i] = self.field.one
@@ -85,7 +82,7 @@ def radical_basis(alg: FinDimAlgebra) -> np.ndarray:
             for b in range(rad.shape[1]):
                 prods.append(alg.mul(span[:, a], rad[:, b]))
         span = np.stack(prods, axis=1) if prods else linalg.zeros(f, n, 0)
-        span, _ = linalg.column_space_basis(f, span)
+        span = linalg.Echelon.of(f, span).basis
     if span.shape[1]:
         raise NotSemisimple("trace-form kernel is not nilpotent")
     return rad
@@ -157,14 +154,11 @@ def primitive_idempotents(alg: FinDimAlgebra, rad: np.ndarray | None = None):
 
 
 def _corner_basis(alg: FinDimAlgebra, e: np.ndarray) -> np.ndarray:
-    f = alg.field
     cols = []
     for i in range(alg.n):
         v = alg.mul(alg.mul(e, alg.element(i)), e)
         cols.append(v)
-    mat = np.stack(cols, axis=1)
-    bas, _ = linalg.column_space_basis(f, mat)
-    return bas
+    return linalg.Echelon.of(alg.field, np.stack(cols, axis=1)).basis
 
 
 def _lift_idempotent(alg: FinDimAlgebra, e: np.ndarray) -> np.ndarray:
@@ -192,18 +186,17 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
     for c in range(rad.shape[1]):
         rad_corner.append(alg.mul(alg.mul(e, rad[:, c]), e))
     radm = np.stack(rad_corner, axis=1) if rad_corner else linalg.zeros(f, alg.n, 0)
-    radm, _ = linalg.column_space_basis(f, radm)
-    rep_idx = linalg.complement_pivots(f, radm, corner)
+    span = linalg.Echelon.of(f, radm)
+    r = span.rank
+    rep_idx = span.extend(corner)
     if len(rep_idx) <= 1:
         # corner = k.e (+) radical part: local, so e is primitive
         return [e]
     # quotient corner algebra on representative columns
     reps = corner[:, rep_idx]
-    stacked = np.concatenate([radm, reps], axis=1)
 
     def qcoords(v):
-        sol = linalg.solve(f, stacked, v)
-        return sol[radm.shape[1] :, 0]
+        return span.coords(v)[r:]
 
     q = len(rep_idx)
     qmult = linalg.zeros(f, q, q, q)
@@ -276,8 +269,7 @@ def gabriel_quiver(alg: FinDimAlgebra):
     for a in range(rad.shape[1]):
         for b in range(rad.shape[1]):
             rad2.append(alg.mul(rad[:, a], rad[:, b]))
-    rad2m = np.stack(rad2, axis=1) if rad2 else linalg.zeros(f, alg.n, 0)
-    rad2m, _ = linalg.column_space_basis(f, rad2m)
+    rad2_span = linalg.Echelon.of(f, np.stack(rad2, axis=1) if rad2 else linalg.zeros(f, alg.n, 0))
     m = len(idems)
     arrows = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -286,6 +278,5 @@ def gabriel_quiver(alg: FinDimAlgebra):
             for c in range(rad.shape[1]):
                 cols.append(alg.mul(alg.mul(idems[j], rad[:, c]), idems[i]))
             mat = np.stack(cols, axis=1) if cols else linalg.zeros(f, alg.n, 0)
-            r_all = linalg.rank(f, np.concatenate([rad2m, mat], axis=1))
-            arrows[i][j] = r_all - rad2m.shape[1]
+            arrows[i][j] = linalg.rank(f, rad2_span.reduce(mat))
     return idems, arrows

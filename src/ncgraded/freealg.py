@@ -69,10 +69,6 @@ class MonomialOrder:
     def key(self, w: Word):
         return (self.gens.word_degree(w), tuple(self.rank[i] for i in w))
 
-    def compare(self, u: Word, v: Word) -> int:
-        ku, kv = self.key(u), self.key(v)
-        return -1 if ku < kv else (0 if ku == kv else 1)
-
 
 class NcPoly:
     """Finite map Word -> nonzero coefficient over (gens, field)."""
@@ -173,9 +169,6 @@ class NcPoly:
         return hash((self.gens, self.field, frozenset(self.terms.items())))
 
     # -- order-dependent views --------------------------------------------
-    def sorted_terms(self, order: MonomialOrder):
-        return sorted(self.terms.items(), key=lambda wc: order.key(wc[0]), reverse=True)
-
     def leading_word(self, order: MonomialOrder) -> Word:
         return max(self.terms, key=order.key)
 

@@ -101,9 +101,6 @@ class TruncatedGB:
             right = NcPoly.word(self.gens, self.field, w[pos + len(u) :])
             cur = cur - left * g * right
 
-    def is_normal_word(self, w: Word) -> bool:
-        return self._find_reduction(w) is None
-
     def normal_words(self, d: int) -> list[Word]:
         """All degree-d words with no leading word as subword, sorted ascending
         by the monomial order."""

@@ -109,18 +109,13 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
     field = cover.field
     dims, cover_mats, sections = {}, {}, {}
     for d in range(lo, hi + 1):
-        n = cover.dim(d)
-        im = rel.matrix(d) if rel is not None else linalg.zeros(field, n, 0)
-        idxs = linalg.complement_pivots(field, im, linalg.eye(field, n))
-        k = len(idxs)
-        dims[d] = k
-        sec = linalg.zeros(field, n, k)
-        for c, i in enumerate(idxs):
-            sec[i, c] = field.one
-        sections[d] = sec
-        aug = np.concatenate([im, sec], axis=1)
-        sol = linalg.solve(field, aug, linalg.eye(field, n))
-        cover_mats[d] = sol[im.shape[1] :, :]  # (k, n): projection F0_d ->> M_d
+        eye = linalg.eye(field, cover.dim(d))
+        span = linalg.Echelon.of(field, rel.matrix(d) if rel is not None else eye[:, :0])
+        r = span.rank
+        idxs = span.extend(eye)
+        dims[d] = len(idxs)
+        sections[d] = eye[:, idxs]
+        cover_mats[d] = span.coords(eye)[r:]  # (k, n): projection F0_d ->> M_d
 
     def action(d, e):
         u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
@@ -261,7 +256,7 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
         cols = []
         for j, (eps, dg, v) in enumerate(gens):
             sub = cover.subspace(j, d)
-            if sub.r == 0:
+            if sub.rank == 0:
                 continue
             w = act_rows(field, v, M.act_tensor(dg, d - dg))  # (ne, dimM_d)
             cols.append(linalg.matmul(field, w.T, sub.basis))  # (dimM_d, r)
@@ -312,7 +307,7 @@ class HomElement:
         for j in range(cover.rank):
             _, gj = cover.summands[j]
             sub = cover.subspace(j, d)
-            if sub.r == 0:
+            if sub.rank == 0:
                 continue
             u = self.gen_images[j]
             w = act_rows(field, u, self.N.act_tensor(gj + self.s, d - gj))
@@ -338,8 +333,7 @@ def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
         elif eps is None:
             Ws.append(linalg.eye(field, n))
         else:
-            bas, _ = linalg.column_space_basis(field, N.act_matrix(dN, 0, eps))
-            Ws.append(bas)
+            Ws.append(linalg.Echelon.of(field, N.act_matrix(dN, 0, eps)).basis)
     return Ws
 
 
@@ -362,26 +356,35 @@ def _hom_basis(M: GradedModule, N: GradedModule, s: int):
     cover = P.cover
     Ws = hom_block_bases(cover, N, s)  # unknown parametrization per generator
     offs = np.cumsum([0] + [w.shape[1] for w in Ws])
-    rows = []
-    if P.rel is not None:
-        for m in range(P.rel.source.rank):
-            _, h = P.rel.source.summands[m]
-            if h + s > N.valid_to:
-                raise WindowExceeded(f"need N at degree {h + s} beyond validity {N.valid_to}")
-            rho = P.rel.images[m]
-            blocks = cover.split(rho, h)
-            row = linalg.zeros(field, N.dim(h + s), offs[-1])
-            for j in range(cover.rank):
-                _, gj = cover.summands[j]
-                if offs[j] < offs[j + 1]:
-                    amb = cover.ambient(j, h, blocks[j])  # alg_{h-gj} ambient
-                    am = N.act_matrix(gj + s, h - gj, amb)  # (nrow, n_j)
-                    row[:, offs[j] : offs[j + 1]] = linalg.matmul(field, am, Ws[j])
-            rows.append(row)
-    sys_mat = np.concatenate(rows, axis=0) if rows else linalg.zeros(field, 0, offs[-1])
-    null = linalg.nullspace(field, sys_mat)
+    null = linalg.nullspace(field, precomposition_matrix(P.rel, N, s, Ws))
     images = [linalg.matmul(field, Ws[j], null[offs[j] : offs[j + 1]]) for j in range(cover.rank)]
     return [HomElement(M, N, s, [im[:, c].copy() for im in images]) for c in range(null.shape[1])]
+
+
+def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) -> np.ndarray:
+    """Matrix of f -> f o diff, from Hom(diff.target, N(s)) in the coordinates
+    of its block bases Ws (see hom_block_bases) to the values of f o diff on
+    the generators of diff.source, stacked; no rows when diff is None."""
+    field = N.field
+    offs = np.cumsum([0] + [w.shape[1] for w in Ws])
+    rows = [linalg.zeros(field, 0, offs[-1])]
+    if diff is None:
+        return rows[0]
+    cover = diff.target
+    for m in range(diff.source.rank):
+        _, h = diff.source.summands[m]
+        if h + s > N.valid_to:
+            raise WindowExceeded(f"need N at degree {h + s} beyond validity {N.valid_to}")
+        blocks = cover.split(diff.images[m], h)
+        row = linalg.zeros(field, N.dim(h + s), offs[-1])
+        for j in range(cover.rank):
+            _, gj = cover.summands[j]
+            if offs[j] < offs[j + 1]:
+                amb = cover.ambient(j, h, blocks[j])  # alg_{h-gj} ambient
+                am = N.act_matrix(gj + s, h - gj, amb)  # (nrow, n_j)
+                row[:, offs[j] : offs[j + 1]] = linalg.matmul(field, am, Ws[j])
+        rows.append(row)
+    return np.concatenate(rows, axis=0)
 
 
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:
@@ -408,7 +411,7 @@ def identity_hom(M: GradedModule) -> HomElement:
         # image of generator j in M = cover_mats[gj] applied to its coords in F0
         full = linalg.zeros(M.field, cover.dim(gj))
         offs = cover.offsets(gj)
-        full[offs[j] : offs[j] + sub.r] = col
+        full[offs[j] : offs[j] + sub.rank] = col
         gen_images.append(linalg.matmul(M.field, P.cover_mats[gj], full))
     return HomElement(M, M, 0, gen_images)
 

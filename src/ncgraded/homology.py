@@ -31,9 +31,10 @@ from .gmodule import (
     hom_basis,
     hom_block_bases,
     identity_hom,
+    precomposition_matrix,
     twist_module,
 )
-from .projfree import Morphism, ProjFree, _Subspace, scan_minimal_generators
+from .projfree import Morphism, ProjFree, scan_minimal_generators
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,14 @@ class FreeResolution:
         return memo(self, ("blocks", N, j, s), lambda: hom_block_bases(self.steps[j], N, s))
 
     def delta_rank(self, N: GradedModule, j: int, s: int) -> int:
-        """Rank of delta_j: Hom(F_j, N(s)) -> Hom(F_{j+1}, N(s)), memoized; 0 for
-        a j with no differential (j < 0, or j at the end of a terminated resolution)."""
+        """Rank of delta_j: Hom(F_j, N(s)) -> Hom(F_{j+1}, N(s)), f -> f o d_j, memoized;
+        0 for a j with no differential (j < 0, or j at the end of a terminated
+        resolution).  Taken on the values of f o d_j at the generators of F_{j+1}:
+        its coordinates in the blocks of F_{j+1} are an injective image of them."""
         if not 0 <= j < len(self.diffs):
             return 0
-        return memo(self, ("delta_rank", N, j, s), lambda: linalg.rank(N.field, _hom_complex_map(
-            self.diffs[j], N, s, self.blocks(N, j, s), self.blocks(N, j + 1, s))))
+        return memo(self, ("delta_rank", N, j, s), lambda: linalg.rank(
+            N.field, precomposition_matrix(self.diffs[j], N, s, self.blocks(N, j, s))))
 
 
 def free_resolution(M: GradedModule, steps: int, window: Window) -> FreeResolution:
@@ -150,7 +153,10 @@ def free_resolution(M: GradedModule, steps: int, window: Window) -> FreeResoluti
 
 
 def _kernel_vanishes(field, P, cap) -> bool:
-    for d in range(min([g for _, g in P.cover.summands], default=0), cap + 1):
+    """Whether the cover has no kernel through the cap, in the degrees the
+    presentation tabulates (the ones its relations were scanned in)."""
+    lo = min([g for _, g in P.cover.summands], default=0)
+    for d in range(lo, min(cap, P.complete_through) + 1):
         if linalg.nullspace(field, P.cover_mats[d]).shape[1]:
             return False
     return True
@@ -159,37 +165,6 @@ def _kernel_vanishes(field, P, cap) -> bool:
 # ---------------------------------------------------------------------------
 # Ext via Hom(resolution, N)
 # ---------------------------------------------------------------------------
-
-
-def _hom_complex_map(diff: Morphism, N: GradedModule, s: int, Ws_src, Ws_tgt) -> np.ndarray:
-    """delta: Hom(F_j, N(s)) -> Hom(F_{j+1}, N(s)), f -> f o diff."""
-    field = N.field
-    src_cover = diff.target   # F_j
-    tgt_cover = diff.source   # F_{j+1}
-    wid_in = [w.shape[1] for w in Ws_src]
-    wid_out = [w.shape[1] for w in Ws_tgt]
-    out = linalg.zeros(field, sum(wid_out), sum(wid_in))
-    roff = 0
-    for mp in range(tgt_cover.rank):
-        _, gp = tgt_cover.summands[mp]
-        wo = wid_out[mp]
-        if wo == 0:
-            continue
-        sub = _Subspace(field, Ws_tgt[mp])
-        rho = diff.images[mp]
-        blocks = src_cover.split(rho, gp)
-        coff = 0
-        for m in range(src_cover.rank):
-            _, gm = src_cover.summands[m]
-            wi = wid_in[m]
-            if wi:
-                amb = src_cover.ambient(m, gp, blocks[m])
-                am = N.act_matrix(gm + s, gp - gm, amb)  # N_{gm+s} -> N_{gp+s}
-                blk = linalg.matmul(field, am, Ws_src[m])
-                out[roff : roff + wo, coff : coff + wi] = sub.coords(blk)
-            coff += wi
-        roff += wo
-    return out
 
 
 def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window) -> dict:

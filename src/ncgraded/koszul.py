@@ -47,8 +47,7 @@ def quadratic_dual(pres: Presentation) -> Presentation:
     field = pres.field
     n = len(pres.gens)
     R = quadratic_relation_matrix(pres)
-    Rspan, _ = linalg.column_space_basis(field, R)
-    perp = linalg.nullspace(field, Rspan.T)
+    perp = linalg.nullspace(field, R.T)
     rels = []
     for c in range(perp.shape[1]):
         terms = {}
@@ -63,11 +62,9 @@ def quadratic_dual(pres: Presentation) -> Presentation:
 
 def relation_span_equal(p1: Presentation, p2: Presentation) -> bool:
     field = p1.field
-    m1 = quadratic_relation_matrix(p1)
+    span = linalg.Echelon.of(field, quadratic_relation_matrix(p1))
     m2 = quadratic_relation_matrix(p2)
-    r1 = linalg.rank(field, m1)
-    r2 = linalg.rank(field, m2)
-    return r1 == r2 == linalg.rank(field, np.concatenate([m1, m2], axis=1))
+    return linalg.rank(field, m2) == span.rank and not np.count_nonzero(span.reduce(m2))
 
 
 def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tuple[FinDimAlgebra, dict]:

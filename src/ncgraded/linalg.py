@@ -188,21 +188,70 @@ def inverse(field: Field, a: np.ndarray):
     return r[:, n:]
 
 
-def column_space_basis(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(basis matrix of pivot columns, their indices in a)."""
-    _, pivots = rref(field, a)
-    return a[:, pivots].copy(), pivots
+class Echelon:
+    """Incremental echelon basis of a column span in field^n.
 
+    ``basis`` holds the accepted columns in order, and ``rank`` their number.
+    An element of the span is determined by its entries at ``pivots``:
+    ``basis[pivots]`` is invertible, and ``coords`` applies its inverse.
+    ``extend`` reduces new columns against the span, eliminates only the
+    residual and updates that inverse, so it never eliminates accepted
+    columns again."""
 
-def in_span(field: Field, basis: np.ndarray, v: np.ndarray) -> bool:
-    return solve(field, basis, v) is not None
+    def __init__(self, field: Field, n: int):
+        self.field = field
+        self.basis = zeros(field, n, 0)
+        self.pivots: list[int] = []
+        self._inv = zeros(field, 0, 0)
 
+    @classmethod
+    def of(cls, field: Field, cols: np.ndarray) -> "Echelon":
+        """The echelon basis of the span of the columns of cols."""
+        ech = cls(field, cols.shape[0])
+        ech.extend(cols)
+        return ech
 
-def complement_pivots(field: Field, span: np.ndarray, candidates: np.ndarray) -> list[int]:
-    """Indices j such that candidate columns j extend span(``span``) to
-    span([span | candidates]).  Greedy left-to-right (first valid choice),
-    computed with a single elimination.
-    """
-    k = span.shape[1]
-    _, pivots = rref(field, np.concatenate([span, candidates], axis=1))
-    return [j - k for j in pivots if j >= k]
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """Coordinates on ``basis`` of v (a vector or a matrix of columns)
+        lying in the span."""
+        return matmul(self.field, self._inv, v[self.pivots])
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v (a vector or a matrix of columns) minus the element of the span
+        that agrees with it on the pivots; zero on exactly the columns of v
+        that lie in the span."""
+        return reduce(self.field, v - matmul(self.field, self.basis, self.coords(v)))
+
+    def extend(self, cols: np.ndarray) -> list[int]:
+        """Accept, greedily left to right, the columns of cols that enlarge
+        the span; returns their indices."""
+        f, n = self.field, cols.shape[0]
+        w = self.reduce(cols) if self.rank else cols
+        _, accepted = rref(f, w)
+        if not accepted:
+            return []
+        k = len(accepted)
+        # w[:, accepted] has full column rank and is zero at the old pivots:
+        # the rref of its transpose beside an identity has its pivots at the
+        # new pivot positions, and its right part transposes to z, the
+        # inverse of w[new][:, accepted]
+        r, new = rref(f, np.concatenate([w[:, accepted].T, eye(f, k)], axis=1))
+        z = r[:, n:].T
+        if self.rank:
+            # a vector v of the enlarged span is basis @ a + cols[:, accepted] @ b,
+            # with b = z @ (its residual against the old span)[new] and
+            # a = inv @ (v[pivots] - cols[pivots][:, accepted] @ b); the new
+            # inverse maps v[pivots + new] to (a, b)
+            lower = reduce(f, -matmul(f, z, matmul(f, self.basis[new], self._inv)))
+            lower = np.concatenate([lower, z], axis=1)
+            upper = np.concatenate([self._inv, zeros(f, self.rank, k)], axis=1)
+            upper -= matmul(f, matmul(f, self._inv, cols[self.pivots][:, accepted]), lower)
+            z = np.concatenate([reduce(f, upper), lower])
+        self._inv = z
+        self.pivots += new
+        self.basis = np.concatenate([self.basis, cols[:, accepted]], axis=1)
+        return accepted

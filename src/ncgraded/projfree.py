@@ -18,21 +18,6 @@ from .errors import IncompleteKernel, ShapeMismatch
 from .findim import Deg0Data
 
 
-class _Subspace:
-    """Basis of eps . alg_d inside alg_d, with a coordinate extractor."""
-
-    def __init__(self, field, basis: np.ndarray):
-        self.field = field
-        self.basis = basis  # (ambient_dim, r)
-        self.r = basis.shape[1]
-        _, self.rows = linalg.rref(field, basis.T)  # rows where the basis is invertible
-        self._inv = linalg.inverse(field, basis[self.rows, :])
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a vector (or matrix of columns) lying in the subspace."""
-        return linalg.matmul(self.field, self._inv, v[self.rows])
-
-
 class ProjFree:
     """(+)_j eps_j . Alg(-g_j); generator j sits in degree g_j."""
 
@@ -46,24 +31,22 @@ class ProjFree:
     def rank(self) -> int:
         return len(self.summands)
 
-    def subspace(self, j: int, d: int) -> _Subspace:
-        """Basis data of summand j's piece in internal degree d (ambient alg_{d-g_j})."""
+    def subspace(self, j: int, d: int) -> linalg.Echelon:
+        """Echelon basis of summand j's piece in internal degree d, eps_j . alg_{d-g_j}
+        inside alg_{d-g_j}."""
 
         def build():
             eps, g = self.summands[j]
             n = self.alg.dim(d - g) if d >= g else 0
             if n == 0:
-                bas = linalg.zeros(self.field, 0, 0)
-            elif eps is None:
-                bas = linalg.eye(self.field, n)
-            else:
-                bas, _ = linalg.column_space_basis(self.field, self.alg.left_mult_matrix(0, eps, d - g))
-            return _Subspace(self.field, bas)
+                return linalg.Echelon(self.field, 0)
+            return linalg.Echelon.of(self.field, linalg.eye(self.field, n) if eps is None
+                                     else self.alg.left_mult_matrix(0, eps, d - g))
 
         return memo(self, ("sub", j, d), build)
 
     def piece_dims(self, d: int):
-        return [self.subspace(j, d).r for j in range(self.rank)]
+        return [self.subspace(j, d).rank for j in range(self.rank)]
 
     def dim(self, d: int) -> int:
         return sum(self.piece_dims(d))
@@ -109,14 +92,14 @@ class ProjFree:
         sub_in = self.subspace(j, d)
         sub_out = self.subspace(j, d + e)
         ne = self.alg.dim(e)
-        t = linalg.zeros(self.field, sub_in.r, ne, sub_out.r)
-        if sub_in.r == 0 or sub_out.r == 0 or ne == 0:
+        t = linalg.zeros(self.field, sub_in.rank, ne, sub_out.rank)
+        if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
             return t
         mt = self.alg.mult_tensor(d - g, e)  # (dim_{d-g}, ne, dim_{d-g+e})
         amb = linalg.matmul(self.field, sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
         flat = amb.reshape(-1, amb.shape[2]).T  # (dim_out_amb, r_in*ne)
         coords = sub_out.coords(flat)  # (r_out, r_in*ne)
-        return coords.T.reshape(sub_in.r, ne, sub_out.r)
+        return coords.T.reshape(sub_in.rank, ne, sub_out.rank)
 
 
 class Morphism:
@@ -141,21 +124,21 @@ class Morphism:
         for j in range(self.source.rank):
             _, gj = self.source.summands[j]
             sub = self.source.subspace(j, d)
-            if sub.r == 0:
+            if sub.rank == 0:
                 continue
             amb = sub.basis  # columns: ambient elements of alg_{d-gj}
             img = self.images[j]  # target coords at degree gj
             # image of (gen_j . a) = images[j] . a, for each basis column a
             tblocks = self.target.split(img, gj)
-            out = linalg.zeros(field, nrow, sub.r)
+            out = linalg.zeros(field, nrow, sub.rank)
             toffs = self.target.offsets(d)
             for i in range(self.target.rank):
                 _, gi = self.target.summands[i]
                 sub_ti = self.target.subspace(i, gj)
-                if sub_ti.r == 0:
+                if sub_ti.rank == 0:
                     continue
                 sub_to = self.target.subspace(i, d)
-                if sub_to.r == 0:
+                if sub_to.rank == 0:
                     continue
                 a = self.target.ambient(i, gj, tblocks[i])  # alg_{gj-gi}
                 lm = self.target.alg.left_mult_matrix(gj - gi, a, d - gj)  # (dim_{d-gi}, dim_{d-gj})
@@ -205,28 +188,24 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
         kb = piece_basis(d)
         if kb.shape[1] == 0:
             continue
-        span = action_span(container, gens, d)
+        sel = linalg.Echelon.of(field, action_span(container, gens, d))
         if deg0 is None:
-            idxs = linalg.complement_pivots(field, span, kb)
-            for j in idxs:
+            for j in sel.extend(kb):
                 gens.append((None, d, kb[:, j].copy()))
         else:
-            # quotient V = K_d / span, then V/(V.rad) split by idempotents;
+            # quotient V = K_d / sel, then V/(V.rad) split by idempotents;
             # a0[j, :, b] = (kernel vector j) . (degree-0 basis element b)
             a0 = act_rows(field, kb.T, container.act_tensor(d, 0)).transpose(0, 2, 1)
             rad = linalg.matmul(field, a0, deg0.radical_basis)  # (k, n, r)
-            sp = np.concatenate([span, rad.transpose(1, 0, 2).reshape(kb.shape[0], -1)], axis=1)
+            sel.extend(rad.transpose(1, 0, 2).reshape(kb.shape[0], -1))
             for eps in deg0.idempotents:
                 cands = linalg.matmul(field, a0, eps).T  # (n, k)
-                idxs = linalg.complement_pivots(field, sp, cands)
-                for j in idxs:
-                    v = cands[:, j].copy()
-                    gens.append((eps, d, v))
-                    sp = np.concatenate([sp, v.reshape(-1, 1)], axis=1)
-        # consistency: the chosen generators must span the piece
-        full = action_span(container, gens, d)
-        if linalg.rank(field, full) != linalg.rank(
-            field, np.concatenate([full, kb], axis=1)
-        ):
+                for j in sel.extend(cands):
+                    gens.append((eps, d, cands[:, j].copy()))
+        # consistency: the chosen generators must span the piece.  Checked
+        # against their own action span: sel holds the chosen columns (and
+        # the radical part), so reducing against sel would prove nothing
+        span = linalg.Echelon.of(field, action_span(container, gens, d))
+        if np.count_nonzero(span.reduce(kb)):
             raise IncompleteKernel(f"generator extraction failed to span degree {d}")
     return gens

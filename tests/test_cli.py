@@ -92,6 +92,19 @@ def test_unknown_module_is_an_error(tmp_path, capsys):
     assert out["error"] == "UnknownReference"
 
 
+def test_mcm_below_the_window_cap(tmp_path, capsys):
+    """With --max-deg under the window's cap, a free module still resolves
+    (pass), and a module whose resolution needs degrees past the truncation
+    is a typed error, not an internal one."""
+    wsfile = tmp_path / "w.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE)
+    flags = ["--max-deg", "4", "--window=-2,2,2,6", "-w", str(wsfile)]
+    assert main(["mcm", "AF"] + flags) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert main(["mcm", "X1"] + flags) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "DegreeBeyondTruncation"
+
+
 def test_clifford_command(tmp_path, capsys):
     wsfile = tmp_path / "w.nws"
     wsfile.write_text(EXAMPLE_WORKSPACE)

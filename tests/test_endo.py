@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from ncgraded import linalg
 from ncgraded.endo import (
     as_regular_over_R_check,
     b0_module,
@@ -8,7 +10,9 @@ from ncgraded.endo import (
     quiver_of,
     radical_and_idempotents,
 )
-from ncgraded.findim import radical_basis
+from ncgraded.errors import IncompleteKernel
+from ncgraded.findim import Deg0Data, radical_basis
+from ncgraded.projfree import scan_minimal_generators
 
 
 def test_endo_dims_match_series(B, window):
@@ -67,3 +71,16 @@ def test_as_regular_over_degree_zero(B, window):
     assert rep["terminates_at_d"] is True
     ext0 = rep["ext"].get(0, rep["ext"].get("0", {}))
     assert not any(ext0.values())
+
+
+def test_scan_checks_the_chosen_generators_span_the_piece(B):
+    # a "radical" that is all of B_0 leaves no generator to choose, so the
+    # chosen set spans nothing; the scan must report that, not return []
+    M = b0_module(B)
+    field = M.field
+    everything = Deg0Data(linalg.eye(field, 9), [B.algebra.unit])
+    with pytest.raises(IncompleteKernel):
+        scan_minimal_generators(field, M, lambda d: linalg.eye(field, M.dim(d)), range(0, 1), everything)
+    gens = scan_minimal_generators(field, M, lambda d: linalg.eye(field, M.dim(d)), range(0, 1),
+                                   B.algebra.deg0)
+    assert len(gens) == 5

@@ -86,3 +86,15 @@ def test_gabriel_quiver_of_triangular_matrices():
     idems, arrows = gabriel_quiver(alg)
     assert len(idems) == 2
     assert int(np.asarray(arrows).sum()) == 1
+
+
+def test_gabriel_quiver_counts_the_radical_modulo_its_square():
+    # k[x]/(x^3): basis 1, x, x^2; rad = (x, x^2), rad^2 = (x^2), so one loop
+    mult = np.zeros((3, 3, 3), dtype=np.int64)
+    for i in range(3):
+        for j in range(3 - i):
+            mult[i, j, i + j] = 1
+    alg = FinDimAlgebra(F, mult, np.array([1, 0, 0], dtype=np.int64))
+    idems, arrows = gabriel_quiver(alg)
+    assert len(idems) == 1
+    assert arrows == [[1]]

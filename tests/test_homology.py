@@ -42,6 +42,13 @@ def test_residue_field_resolution_shifts(basic_modules, window):
     assert sorted(res.shifts(3)) == [-3, -3, -3, -3]
 
 
+def test_free_module_truncated_below_the_cap_resolves_to_itself(A):
+    # the cover of a free module valid through 4 has no kernel in the degrees
+    # its presentation tabulates; the cap 8 of the window lies beyond them
+    res = free_resolution(free_graded_module(A, [0], 0, 4), 2, Window())
+    assert res.terminated_at == 0
+
+
 def test_hom_space_matches_degree_piece(basic_modules, window):
     free = basic_modules["A"]
     X1 = basic_modules["X1"]

@@ -53,6 +53,13 @@ def test_double_dual_recovers_relations(S):
     assert relation_span_equal(pres, dd)
 
 
+def test_relation_span_equal_compares_spans_not_ranks():
+    xy = _pres(["x*y - y*x", "x*x"], names=("x", "y"))
+    assert relation_span_equal(xy, _pres(["2*x*x + x*y - y*x", "3*x*x"], names=("x", "y")))
+    assert not relation_span_equal(xy, _pres(["x*y + y*x", "x*x"], names=("x", "y")))
+    assert not relation_span_equal(xy, _pres(["x*x"], names=("x", "y")))
+
+
 def test_koszul_pairing_numerical(S):
     # H_S(t) * H_{S!}(-t) = 1 degreewise within the window
     dual = build_presented_algebra(quadratic_dual(S.presentation), 8)

@@ -57,24 +57,74 @@ def test_rational_exactness():
 
 
 def test_complement_pivots():
-    span = linalg.as_matrix(F, [[1], [0], [0]])
-    cands = linalg.eye(F, 3)
-    piv = linalg.complement_pivots(F, span, cands)
+    span = linalg.Echelon.of(F, linalg.as_matrix(F, [[1], [0], [0]]))
+    piv = span.extend(linalg.eye(F, 3))
     assert len(piv) == 2
     assert 0 not in piv
 
 
 def test_in_span():
-    basis = linalg.as_matrix(F, [[1, 0], [0, 1], [0, 0]])
-    assert linalg.in_span(F, basis, linalg.as_matrix(F, [[5], [7], [0]])[:, 0])
-    assert not linalg.in_span(F, basis, linalg.as_matrix(F, [[0], [0], [1]])[:, 0])
+    basis = linalg.Echelon.of(F, linalg.as_matrix(F, [[1, 0], [0, 1], [0, 0]]))
+    assert not basis.reduce(linalg.as_matrix(F, [[5], [7], [0]])[:, 0]).any()
+    assert basis.reduce(linalg.as_matrix(F, [[0], [0], [1]])[:, 0]).any()
 
 
 def test_column_space_basis():
     a = linalg.as_matrix(F, [[1, 2, 0], [2, 4, 1]])
-    basis, piv = linalg.column_space_basis(F, a)
+    ech = linalg.Echelon(F, 2)
+    piv = ech.extend(a)
     assert piv == [0, 2]
-    assert basis.shape == (2, 2)
+    assert ech.basis.shape == (2, 2)
+
+
+ECHELON_FIELDS = [Field(13), Field(2**31 - 1), QQ]
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(field, n x m matrix of low rank plus noise, a vector, a split point)."""
+    field = draw(st.sampled_from(ECHELON_FIELDS))
+    n, m, k = draw(st.integers(0, 6)), draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    small = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        return linalg.as_matrix(field, [[draw(small) for _ in range(cols)] for _ in range(rows)]) \
+            if rows and cols else linalg.zeros(field, rows, cols)
+
+    cols = linalg.matmul(field, matrix(n, k), matrix(k, m))  # rank <= k, with repeats
+    cols = linalg.reduce(field, cols + matrix(n, m) * draw(st.sampled_from([0, 1])))
+    return field, cols, matrix(n, 1).reshape(n), draw(st.integers(0, m))
+
+
+def _rank_increases(field, cols):
+    """Oracle: the columns that raise linalg.rank of the columns before them."""
+    out = []
+    for j in range(cols.shape[1]):
+        if linalg.rank(field, cols[:, out + [j]]) > len(out):
+            out.append(j)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(echelon_inputs())
+def test_echelon_agrees_with_rank(case):
+    field, cols, v, cut = case
+    n = cols.shape[0]
+    accepted = _rank_increases(field, cols)
+    whole = linalg.Echelon(field, n)
+    assert whole.extend(cols) == accepted
+    assert whole.rank == len(accepted) == linalg.rank(field, cols)
+    assert (whole.basis == cols[:, accepted]).all()
+    chunked = linalg.Echelon(field, n)
+    assert chunked.extend(cols[:, :cut]) + [cut + j for j in chunked.extend(cols[:, cut:])] == accepted
+    # reduce is zero exactly on the columns whose rank increase is zero
+    grows = linalg.rank(field, np.column_stack([cols, v])) > whole.rank
+    assert bool(np.count_nonzero(whole.reduce(v))) == grows
+    assert not np.count_nonzero(whole.reduce(cols))
+    # coordinates, of single vectors and of all columns at once
+    assert (linalg.matmul(field, whole.basis, whole.coords(cols)) == cols).all()
+    for j in range(cols.shape[1]):
+        assert (linalg.matmul(field, chunked.basis, chunked.coords(cols[:, j])) == cols[:, j]).all()
 
 
 # largest prime p with (p - 1)^2 <= 2^63 - 1, and the next prime
