@@ -17,6 +17,10 @@ class NoSuchRoot(NcgError):
     pass
 
 
+class NotInField(NcgError):
+    pass
+
+
 class NonHomogeneous(NcgError):
     pass
 

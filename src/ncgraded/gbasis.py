@@ -5,6 +5,14 @@ enumeration.
 Everything is degree-truncated: a TruncatedGB certifies its answers only
 through ``complete_through`` and queries beyond that raise, never return a
 silent partial answer.
+
+Reduction is top down: the largest word still to be processed (in the
+monomial order) is either normal and final, or is rewritten with the
+element whose leading word is the order-largest subword of it, at that
+subword's leftmost occurrence.  The order is admissible and every element
+is monic, so a rewrite only adds words smaller than the one it removes;
+reducing the largest word first therefore does the same reductions, in the
+same sequence, as always reducing the largest reducible term.
 """
 
 from __future__ import annotations
@@ -56,50 +64,87 @@ class TruncatedGB:
         self.field = pres.field
         self.gens = pres.gens
         self.order = pres.order
-        self.elements = list(elements)
         self.complete_through = complete_through
-        self.leading_words = [g.leading_word(self.order) for g in self.elements]
-        self._lw_set = set(self.leading_words)
         self._normal_cache: dict[int, list[Word]] = {}
+        self._neg_rank = tuple(-r for r in self.order.rank)
+        elements = list(elements)
+        self._set_elements(elements, [g.leading_word(self.order) for g in elements])
+
+    def _set_elements(self, elements, leading_words):
+        """Install the elements and rebuild every lookup derived from them:
+        leading word -> (order key, first element listed with it), and the
+        leading-word lengths."""
+        self.elements = list(elements)
+        self.leading_words = list(leading_words)
+        self._lw_index = {}
+        for u, g in zip(self.leading_words, self.elements):
+            self._lw_index.setdefault(u, (self.order.key(u), g))
+        self._lw_lengths = sorted({len(u) for u in self._lw_index})
+        self._normal_cache.clear()
 
     # -- reduction ---------------------------------------------------------
 
-    def _find_reduction(self, w: Word):
-        """(leading word, position) for the order-largest reducible subword of
-        w, leftmost occurrence; None if w is normal."""
-        best = None
-        for u in self._lw_set:
-            lu = len(u)
-            if lu > len(w):
-                continue
-            for pos in range(len(w) - lu + 1):
-                if w[pos : pos + lu] == u:
-                    if best is None or self.order.key(u) > self.order.key(best[0]):
-                        best = (u, pos)
-                    break
+    def _desc_key(self, w: Word):
+        """A key that reverses the monomial order, so that a min-heap pops
+        the order-largest word (words of one degree are never prefixes of
+        each other, so negating the ranks reverses the lexicographic part)."""
+        return (-self.gens.word_degree(w), tuple(map(self._neg_rank.__getitem__, w)))
+
+    def _reducer(self, w: Word):
+        """(element, position, length) of the order-largest leading word that
+        is a subword of w, at its leftmost occurrence; None if w is normal."""
+        best = best_key = None
+        n = len(w)
+        for lu in self._lw_lengths:
+            if lu > n:
+                break
+            for pos in range(n - lu + 1):
+                hit = self._lw_index.get(w[pos : pos + lu])
+                if hit is not None and (best is None or hit[0] > best_key):
+                    best_key, best = hit[0], (hit[1], pos, lu)
         return best
 
+    def _reduce(self, t: dict, keep=None) -> dict:
+        """Reduce the term dict t in place, top down, leaving the word
+        ``keep`` alone; returns t."""
+        field, desc = self.field, self._desc_key
+        heap = [(desc(w), w) for w in t]
+        heapq.heapify(heap)
+        while heap:
+            _, w = heapq.heappop(heap)
+            c = t.get(w)
+            if c is None or w == keep:
+                continue
+            red = self._reducer(w)
+            if red is None:
+                continue
+            g, pos, lu = red
+            left, right = w[:pos], w[pos + lu :]
+            for v, a in g.terms.items():
+                x = left + v + right
+                old = t.get(x)
+                if old is None:
+                    t[x] = field.neg(field.mul(c, a))
+                    heapq.heappush(heap, (desc(x), x))
+                else:
+                    new = field.sub(old, field.mul(c, a))
+                    if field.is_zero(new):
+                        del t[x]
+                    else:
+                        t[x] = new
+        return t
+
     def normal_form(self, f: NcPoly) -> NcPoly:
+        """The normal form of f: the largest word first, each reducible word
+        rewritten with the order-largest leading word it contains, at its
+        leftmost occurrence.  Relies on an admissible order and monic
+        elements (see the module docstring)."""
         d = f.degree()
         if d is not None and d > self.complete_through:
             raise DegreeBeyondTruncation(
                 f"degree {d} exceeds completion bound {self.complete_through}"
             )
-        cur = f
-        while True:
-            target = None
-            for w in cur.terms:
-                red = self._find_reduction(w)
-                if red is not None and (target is None or self.order.key(w) > self.order.key(target[0])):
-                    target = (w, red)
-            if target is None:
-                return cur
-            w, (u, pos) = target
-            g = self.elements[self.leading_words.index(u)]
-            c = cur.terms[w]
-            left = NcPoly.word(self.gens, self.field, w[:pos], c)
-            right = NcPoly.word(self.gens, self.field, w[pos + len(u) :])
-            cur = cur - left * g * right
+        return NcPoly(self.gens, self.field, self._reduce(dict(f.terms)))
 
     def normal_words(self, d: int) -> list[Word]:
         """All degree-d words with no leading word as subword, sorted ascending
@@ -127,7 +172,7 @@ class TruncatedGB:
                         # letter can match a leading word
                         ok = True
                         for start in range(len(w2)):
-                            if w2[start:] in self._lw_set:
+                            if w2[start:] in self._lw_index:
                                 ok = False
                                 break
                         if ok:
@@ -175,10 +220,7 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
             else:
                 keep_e.append(g)
                 keep_l.append(u)
-        gb.elements = keep_e + [h]
-        gb.leading_words = keep_l + [lw]
-        gb._lw_set = set(gb.leading_words)
-        gb._normal_cache.clear()
+        gb._set_elements(keep_e + [h], keep_l + [lw])
         return retired
 
     pending = []  # heap of (degree, seq, payload)
@@ -194,14 +236,10 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
         heapq.heappush(pending, (d, seq, f))
         seq += 1
 
-    def queue_overlaps(h: NcPoly):
+    def queue_overlaps(h: NcPoly, u: Word):
         nonlocal seq
-        u = h.leading_word(order)
-        for g in list(gb.elements):
-            v = g.leading_word(order)
-            for a, b, du in ((h, g, u), (g, h, v)):
-                va = a.leading_word(order)
-                vb = b.leading_word(order)
+        for g, v in zip(gb.elements, gb.leading_words):
+            for a, b, va, vb in ((h, g, u, v), (g, h, v, u)):
                 for k in _overlaps(va, vb):
                     wdeg = gens.word_degree(va) + gens.word_degree(vb) - gens.word_degree(vb[:k])
                     if wdeg > D:
@@ -223,42 +261,30 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
             continue
         h = h.monic(order)
         retired = add_element(h)
-        queue_overlaps(h)
+        queue_overlaps(h, gb.leading_words[-1])
         for g in retired:
             if g is not h:
                 queue_poly(g)
 
-    # final inter-reduction of tails
+    # final inter-reduction of tails.  The leading words form an antichain
+    # under the subword relation and every element is homogeneous, so no
+    # other element touches g's leading word, g never applies to its own
+    # tail, and the reduced element stays monic with the same leading word.
     changed = True
     while changed:
         changed = False
-        for i, g in enumerate(list(gb.elements)):
-            rest = TruncatedGB(
-                pres,
-                [x for j, x in enumerate(gb.elements) if j != i],
-                D,
-            )
-            red = rest.normal_form(g)
+        for i, (g, u) in enumerate(zip(gb.elements, gb.leading_words)):
+            red = NcPoly(gens, field, gb._reduce(dict(g.terms), keep=u))
             if red != g:
                 changed = True
-                if red.is_zero():
-                    gb.elements.pop(i)
-                    gb.leading_words.pop(i)
-                else:
-                    red = red.monic(order)
-                    gb.elements[i] = red
-                    gb.leading_words[i] = red.leading_word(order)
-                gb._lw_set = set(gb.leading_words)
-                gb._normal_cache.clear()
+                gb._set_elements(gb.elements[:i] + [red] + gb.elements[i + 1 :], gb.leading_words)
                 break
     # canonical element order: by (degree, leading word)
     pairs = sorted(
         zip(gb.elements, gb.leading_words),
         key=lambda gl: order.key(gl[1]),
     )
-    gb.elements = [g for g, _ in pairs]
-    gb.leading_words = [l for _, l in pairs]
-    gb._lw_set = set(gb.leading_words)
+    gb._set_elements([g for g, _ in pairs], [l for _, l in pairs])
     return gb
 
 

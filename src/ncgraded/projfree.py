@@ -38,10 +38,11 @@ class ProjFree:
         def build():
             eps, g = self.summands[j]
             n = self.alg.dim(d - g) if d >= g else 0
+            if eps is None:
+                return linalg.Echelon.identity(self.field, n)
             if n == 0:
                 return linalg.Echelon(self.field, 0)
-            return linalg.Echelon.of(self.field, linalg.eye(self.field, n) if eps is None
-                                     else self.alg.left_mult_matrix(0, eps, d - g))
+            return linalg.Echelon.of(self.field, self.alg.left_mult_matrix(0, eps, d - g))
 
         return memo(self, ("sub", j, d), build)
 

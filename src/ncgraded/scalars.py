@@ -7,10 +7,11 @@ package ever touches floating point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NoSuchRoot, ParseError, UnsupportedField
+from .errors import NoSuchRoot, NotInField, ParseError, UnsupportedField
 
 INT64_MAX = 2**63 - 1
 
@@ -52,10 +53,20 @@ class Field:
         return self.p is not None
 
     def __call__(self, v):
-        """Canonicalize an int/Fraction into this field."""
-        if self.p is not None:
-            return int(v) % self.p
-        return Fraction(v)
+        """Canonicalize an int or Fraction into this field; over GF(p) a
+        fraction a/b maps to a * b^-1 mod p.  A float, a value that is not
+        rational, or a fraction whose denominator p divides raises
+        ``NotInField``."""
+        p = self.p
+        if type(v) is not int and not isinstance(v, numbers.Integral):
+            if not isinstance(v, numbers.Rational):
+                raise NotInField(f"{v!r} is not an integer or a fraction")
+            if p is None:
+                return Fraction(v)
+            if v.denominator % p == 0:
+                raise NotInField(f"{v} has no value in GF({p}): {p} divides its denominator")
+            return int(v.numerator) * pow(int(v.denominator), -1, p) % p
+        return int(v) % p if p is not None else Fraction(int(v))
 
     @property
     def zero(self):

@@ -1,5 +1,6 @@
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgraded import linalg
-from ncgraded.errors import UnsupportedField
+from ncgraded.errors import NotInField, UnsupportedField
 from ncgraded.scalars import QQ, Field
 
 F = Field(13)
@@ -125,6 +126,44 @@ def test_echelon_agrees_with_rank(case):
     assert (linalg.matmul(field, whole.basis, whole.coords(cols)) == cols).all()
     for j in range(cols.shape[1]):
         assert (linalg.matmul(field, chunked.basis, chunked.coords(cols[:, j])) == cols[:, j]).all()
+
+
+@pytest.mark.parametrize("field", [F, QQ])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_identity_echelon_equals_eliminated_identity(field, n):
+    fast = linalg.Echelon.identity(field, n)
+    slow = linalg.Echelon.of(field, linalg.eye(field, n))
+    assert fast.pivots == slow.pivots
+    assert fast.basis.dtype == slow.basis.dtype
+    assert fast.basis.shape == slow.basis.shape and (fast.basis == slow.basis).all()
+    v = (linalg.as_matrix(field, [[(5 * i + 3 * j) % 7 - 3 for j in range(3)] for i in range(n)])
+         if n else linalg.zeros(field, 0, 3))
+    for x in (v, v[:, 0]):
+        for got, want in ((fast.coords(x), slow.coords(x)), (fast.reduce(x), slow.reduce(x))):
+            assert got.shape == want.shape and (got == want).all()
+
+
+def test_prime_field_maps_a_fraction_to_a_times_b_inverse():
+    f = Field(13)
+    assert f(Fraction(1, 2)) == 7
+    assert f(Fraction(-5, 3)) == (-5 * 9) % 13  # 3 * 9 = 27 = 1
+    assert f(Fraction(26, 2)) == 0
+    assert f(np.int64(-1)) == 12 and type(f(np.int64(-1))) is int
+    assert QQ(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ(np.int64(5)).numerator) is int
+
+
+@pytest.mark.parametrize("field", [Field(13), QQ])
+@pytest.mark.parametrize("value", [2.7, 2.0, Decimal("2.5"), "3", 1j])
+def test_field_refuses_floats_and_non_rationals(field, value):
+    with pytest.raises(NotInField):
+        field(value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 13), Fraction(5, 26), Fraction(-1, 169)])
+def test_prime_field_refuses_a_denominator_divisible_by_p(value):
+    with pytest.raises(NotInField):
+        Field(13)(value)
 
 
 # largest prime p with (p - 1)^2 <= 2^63 - 1, and the next prime
