@@ -355,7 +355,22 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
 
     In degree d the tensor product is T = (+)_a Hom(X, M(a))_0 (x) X_{d-a}
     (coordinate (a, i, x) at off[a] + i * dim X_{d-a} + x) modulo the
-    relations (f o beta) (x) x - f (x) beta(x) for beta in Hom(X, X(e))_0."""
+    relations (f o beta) (x) y - f (x) beta(y) for beta in Hom(X, X(e))_0,
+    one block of them for each (a, e).  The relation matrix is never built
+    whole, and the report is still exact:
+
+    - Balance, block by block.  The relations die under evaluation ev
+      exactly when, in every block, sum_j C[j, (k, i)] h_j = f_i o beta_k on
+      X_{d-a-e}, where C holds the coordinates of f_i o beta_k in the basis
+      (h_j) of Hom(X, M(a+e))_0; that is ev times the block's columns.
+    - Rank on the free rows.  When every block balances, every relation
+      lies in ker(ev), and a vector of ker(ev) is fixed by its entries off
+      the pivots of rref(ev), so the relations have the rank of their rows
+      at those free positions, and ev has the rank len(pivots).
+    - Early stop.  A rank cannot exceed the number of rows it is taken on,
+      so the blocks stop once it reaches it.  Only when every block
+      balances are these the free rows; otherwise the rank is taken on all
+      rows, and relation_rank and quotient_dim stay exact on that path too."""
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
     a_lo = M.valid_from
@@ -367,31 +382,31 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
         for a in homs:
             off[a] = total
             total += len(homs[a]) * X.dim(d - a)
-        terms = [(a, e, hom_basis(X, X, e, shared=True)) for a in homs for e in range(0, a_hi - a + 1)
-                 if X.valid_from <= d - a - e <= X.valid_to and X.dim(d - a - e)]
-        rel = linalg.zeros(field, total, sum(len(homs[a]) * len(bb) * X.dim(d - a - e)
-                                             for a, e, bb in terms))
-        col = 0
-        for a, e, bb in terms:
-            na, nb = len(homs[a]), X.dim(d - a - e)
-            C = _coords_in_homs(field, homs[a + e],
-                                [compose_hom(beta, f) for beta in bb for f in homs[a]])
-            rows_ae = slice(off[a + e], off[a + e] + len(homs[a + e]) * nb)
-            rows_a = slice(off[a], off[a] + na * X.dim(d - a))
-            for k, beta in enumerate(bb):
-                cols = slice(col, col + na * nb)
-                rel[rows_ae, cols] += np.kron(C[:, k * na : (k + 1) * na], linalg.eye(field, nb))
-                rel[rows_a, cols] -= np.kron(linalg.eye(field, na), beta.matrix(d - a - e))
-                col += na * nb
-        rel = linalg.reduce(field, rel)
         ev = np.concatenate([linalg.zeros(field, M.dim(d), 0)]
                             + [h.matrix(d - a) for a in homs for h in homs[a]], axis=1)
-        rk_rel = linalg.rank(field, rel)
-        rk_ev = linalg.rank(field, ev)
-        # relations must die under evaluation
-        bal = not np.count_nonzero(linalg.matmul(field, ev, rel))
-        surj = rk_ev == M.dim(d)
-        inj = (total - rk_rel) == rk_ev
+        _, ev_pivots = linalg.rref(field, ev)
+        blocks = []
+        for a in homs:
+            for e in range(0, a_hi - a + 1):
+                m = d - a - e
+                if not (homs[a] and X.valid_from <= m <= X.valid_to and X.dim(m)):
+                    continue
+                if bb := hom_basis(X, X, e, shared=True):
+                    blocks.append((slice(off[a], off[a] + len(homs[a]) * X.dim(d - a)),
+                                   slice(off[a + e], off[a + e] + len(homs[a + e]) * X.dim(m)),
+                                   _eval_coords(X, M, a, e, homs[a], homs[a + e], bb),
+                                   [beta.matrix(m) for beta in bb]))
+        bal = all(_block_balances(field, ev, *blk) for blk in blocks)
+        rows = sorted(set(range(total)) - set(ev_pivots)) if bal else list(range(total))
+        span = linalg.zeros(field, len(rows), 0)
+        for blk in blocks:
+            if span.shape[1] == len(rows):
+                break
+            w = np.concatenate([span, _relation_block(field, total, *blk)[rows]], axis=1)
+            span = w[:, linalg.rref(field, w)[1]]
+        rk_rel = span.shape[1]
+        surj = len(ev_pivots) == M.dim(d)
+        inj = (total - rk_rel) == len(ev_pivots)
         ok = bal and surj and inj
         report["degrees"][d] = {
             "tensor_dim": total, "relation_rank": rk_rel,
@@ -400,6 +415,41 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
         if not ok:
             report["verdict"] = False
     return report
+
+
+def _eval_coords(X: GradedModule, M: GradedModule, a: int, e: int, fs, hs, bb) -> np.ndarray:
+    """C: column k * n_a + i holds the coordinates of f_i o beta_k in the
+    basis hs of Hom(X, M(a+e))_0, for f_i in the basis fs of Hom(X, M(a))_0
+    and beta_k in the basis bb of Hom(X, X(e))_0 (the shared hom bases, so
+    X, M, a and e fix them).  It does not depend on the degree, so it is
+    memoized on M."""
+    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(
+        M.field, hs, [compose_hom(beta, f) for beta in bb for f in fs]))
+
+
+def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:
+    """Whether ev kills the relations of one block: rows_a and rows_ae are
+    the coordinates of Hom(X, M(a))_0 (x) X_{d-a} and Hom(X, M(a+e))_0 (x)
+    X_{d-a-e} in T_d, C is the block's _eval_coords and betas holds the
+    maps X_{d-a-e} -> X_{d-a} of the basis of Hom(X, X(e))_0."""
+    md, nj, na = ev.shape[0], C.shape[0], C.shape[1] // len(betas)
+    nx, nb = betas[0].shape
+    h = ev[:, rows_ae].reshape(md, nj, nb)
+    f = ev[:, rows_a].reshape(md, na, nx)
+    lhs = linalg.matmul(field, h, C, axes=(1, 0)).reshape(md, nb, len(betas), na)
+    rhs = linalg.matmul(field, f, np.stack(betas), axes=(2, 1))
+    return np.array_equal(lhs.transpose(0, 3, 2, 1), rhs)
+
+
+def _relation_block(field, total, rows_a, rows_ae, C, betas) -> np.ndarray:
+    """The relations of one block (as in _block_balances) as columns of T_d:
+    column (k * n_a + i) * dim X_{d-a-e} + y is
+    (f_i o beta_k) (x) y - f_i (x) beta_k(y)."""
+    na, nb = C.shape[1] // len(betas), betas[0].shape[1]
+    block = linalg.zeros(field, total, C.shape[1] * nb)
+    block[rows_ae] += np.kron(C, linalg.eye(field, nb))
+    block[rows_a] -= np.concatenate([np.kron(linalg.eye(field, na), b) for b in betas], axis=1)
+    return linalg.reduce(field, block)
 
 
 def _coords_in_homs(field, basis, fs) -> np.ndarray:

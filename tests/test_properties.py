@@ -1,13 +1,17 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from ncgraded import linalg
+from ncgraded.algebra import build_presented_algebra, quotient_algebra
 
 from ncgraded.freealg import Gens, parse_poly, poly_add, poly_mul, NcPoly
 from ncgraded.gbasis import MonomialOrder, Presentation, normal_form, truncated_groebner
-from ncgraded.gmodule import dual_module, hom_basis
+from ncgraded.gmodule import cyclic_module, dual_module, free_graded_module, hom_basis
 from ncgraded.homology import Window, free_resolution, hom_space
 from ncgraded.koszul import quadratic_dual
 from ncgraded.endo import endomorphism_algebra
-from ncgraded.scalars import Field
+from ncgraded.scalars import QQ, Field
 
 F = Field(13)
 GENS = Gens(("x", "y", "z"), (1, 1, 1))
@@ -108,6 +112,42 @@ def test_hom_from_free_equals_degree_piece(basic_modules, window):
     free = basic_modules["A"]
     for name in ("X1", "X2", "k"):
         M = basic_modules[name]
+        for s in range(0, 5):
+            assert hom_space(free, M, s, window).dim == M.dim(s)
+
+
+@pytest.fixture(scope="module")
+def qq_modules():
+    """X1, X2 and k over QQ, with A and its modules truncated at degree 5."""
+    gens = Gens(("x", "y", "z"), (1, 1, 1))
+    rels = tuple(parse_poly(t, gens, QQ)
+                 for t in ("x*y + y*x - z^2", "x*z + z*x", "y*z + z*y"))
+    S = build_presented_algebra(Presentation(QQ, gens, rels, MonomialOrder(gens, (0, 1, 2))), 5)
+    A = quotient_algebra(S, (parse_poly("x^2 + y^2", gens, QQ),), 5)
+    mods = {name: cyclic_module(A, [parse_poly(g, gens, QQ) for g in gs], 5)
+            for name, gs in (("X1", ["x - y + z"]), ("X2", ["x - y - z"]), ("k", "xyz"))}
+    return free_graded_module(A, [0], 0, 5), mods
+
+
+def test_resolutions_d_squared_zero_and_exact_qq(qq_modules):
+    window = Window(0, 2, 3, 4)
+    cap = window.algebra_degree_cap
+    for M in qq_modules[1].values():
+        res = free_resolution(M, 3, window)
+        for i in range(1, len(res.diffs)):
+            f, g = res.diffs[i], res.diffs[i - 1]
+            for d in range(0, cap):
+                mf, mg = f.matrix(d), g.matrix(d)
+                assert not np.count_nonzero(linalg.matmul(QQ, mg, mf))
+            for d in range(0, cap - 1):
+                mg, mf = g.matrix(d), f.matrix(d)
+                assert g.source.dim(d) - linalg.rank(QQ, mg) == linalg.rank(QQ, mf)
+
+
+def test_hom_from_free_equals_degree_piece_qq(qq_modules):
+    free, mods = qq_modules
+    window = Window(0, 2, 3, 4)
+    for M in mods.values():
         for s in range(0, 5):
             assert hom_space(free, M, s, window).dim == M.dim(s)
 
