@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DegreeBeyondTruncation
+from .errors import DegreeBeyondTruncation, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
@@ -204,13 +204,14 @@ def hilbert_series(alg: AlgebraOracle, D: int) -> HilbertSeries:
 
 def expand_rational(num, den, D: int) -> list:
     """Power-series coefficients of num/den through degree D, by exact long
-    division with integer/rational arithmetic.  den[0] must be a unit."""
+    division with integer/rational arithmetic.  den[0] must be a unit; a
+    ParseError says when it is not, since num/den is then no power series."""
     from fractions import Fraction
 
     num = list(num) + [0] * (D + 1 - len(num))
     den = list(den)
     if den[0] == 0:
-        raise ValueError("denominator has zero constant term")
+        raise ParseError("series denominator has zero constant term")
     out = []
     for k in range(D + 1):
         acc = Fraction(num[k])

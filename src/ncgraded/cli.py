@@ -304,7 +304,7 @@ class _RatParser:
     def parse(self):
         v = self.expr()
         if self.peek():
-            raise ParseError(f"trailing input in series expression", column=self.i + 1)
+            raise ParseError("trailing input in series expression", column=self.i + 1)
         return v
 
     def expr(self):
@@ -335,7 +335,7 @@ class _RatParser:
         v = self.atom()
         while self.peek() == "^":
             self.i += 1
-            ch = self.peek()
+            self._skip()
             j = self.i
             while j < len(self.text) and self.text[j].isdigit():
                 j += 1

@@ -20,6 +20,7 @@ from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
     GradedModule,
+    compose_images,
     cyclic_module,
     free_graded_module,
     hom_basis,
@@ -63,23 +64,12 @@ class EndoAlgebra:
 
     def _compose_tensor(self, d1: int, d2: int) -> np.ndarray:
         """tensor[i, j, :] = coords of b_i o b_j (b_j applied first)."""
-        field = self.X.field
         b1, b2, b12 = self.bases[d1], self.bases[d2], self.bases[d1 + d2]
         n1, n2, n12 = len(b1), len(b2), len(b12)
-        t = linalg.zeros(field, n1, n2, n12)
         if not (n1 and n2 and n12):
-            return t
-        cover = self.X.presentation().cover
-        rhs_blocks = []
-        for j in range(cover.rank):
-            gj = cover.summands[j][1]
-            mats = np.stack([b.matrix(gj + d2) for b in b1])      # (n1, out, in)
-            U = np.stack([g.gen_images[j] for g in b2], axis=1)   # (in, n2)
-            rhs_blocks.append(linalg.matmul(field, mats, U))      # (n1, out, n2)
-        R = np.concatenate(rhs_blocks, axis=1)                    # (n1, L, n2)
-        L = R.shape[1]
-        rhs = R.transpose(1, 0, 2).reshape(L, n1 * n2)
-        sol = linalg.solve(field, self._stacks[d1 + d2], rhs)
+            return linalg.zeros(self.X.field, n1, n2, n12)
+        rhs = compose_images(b2, b1).reshape(-1, n1 * n2)
+        sol = linalg.solve(self.X.field, self._stacks[d1 + d2], rhs)
         if sol is None:
             raise ShapeMismatch("composition left the computed hom space")
         return sol.T.reshape(n1, n2, n12)

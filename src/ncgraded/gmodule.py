@@ -7,6 +7,10 @@ used by Hom/Ext computations; over a non-connected algebra the cover
 summands are cut out by the idempotents of the algebra's own `deg0`, so the
 presentation does not depend on who asks for it first.  Derived results
 (shared hom bases, free modules, opposite algebras) are memoized on their owner.
+
+A HomElement is stored by its generator images and evaluated by
+projfree.map_matrix; compose_images is the one place composites are formed
+(compose_hom is its one-pair case).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import (
     WindowExceeded,
 )
 from .freealg import NcPoly
-from .projfree import Morphism, ProjFree, act_rows, scan_minimal_generators
+from .projfree import Morphism, ProjFree, act_rows, map_matrix, scan_minimal_generators
 
 
 class _Presentation:
@@ -253,15 +257,7 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
     cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
     cover_mats, sections = {}, {}
     for d in range(M.valid_from, M.valid_to + 1):
-        cols = []
-        for j, (eps, dg, v) in enumerate(gens):
-            sub = cover.subspace(j, d)
-            if sub.rank == 0:
-                continue
-            w = act_rows(field, v, M.act_tensor(dg, d - dg))  # (ne, dimM_d)
-            cols.append(linalg.matmul(field, w.T, sub.basis))  # (dimM_d, r)
-        cm = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, M.dim(d), 0)
-        cover_mats[d] = cm
+        cm = cover_mats[d] = map_matrix(cover, M, [v for _, _, v in gens], 0, d)
         sec = linalg.solve(field, cm, linalg.eye(field, M.dim(d)))
         if sec is None:
             raise WindowExceeded(f"cover not surjective at degree {d}")
@@ -295,25 +291,10 @@ class HomElement:
         self.gen_images = [np.asarray(u) for u in gen_images]
 
     def matrix(self, d: int) -> np.ndarray:
-        """f_d: M_d -> N_{d+s}  (shape out x in)."""
-        return memo(self, ("matrix", d), lambda: self._matrix(d))
-
-    def _matrix(self, d: int) -> np.ndarray:
-        field = self.M.field
+        """f_d: M_d -> N_{d+s}  (shape out x in), through the cover's section."""
         P = self.M.presentation()
-        cover = P.cover
-        nout = self.N.dim(d + self.s)
-        cols = []
-        for j in range(cover.rank):
-            _, gj = cover.summands[j]
-            sub = cover.subspace(j, d)
-            if sub.rank == 0:
-                continue
-            u = self.gen_images[j]
-            w = act_rows(field, u, self.N.act_tensor(gj + self.s, d - gj))
-            cols.append(linalg.matmul(field, w.T, sub.basis))  # (nout, r)
-        f0 = np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nout, 0)
-        return linalg.matmul(field, f0, P.sections[d])
+        return memo(self, ("matrix", d), lambda: linalg.matmul(
+            self.M.field, map_matrix(P.cover, self.N, self.gen_images, self.s, d), P.sections[d]))
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([u for u in self.gen_images]) if self.gen_images else np.zeros(0, dtype=np.int64)
@@ -353,12 +334,17 @@ def hom_basis(M: GradedModule, N: GradedModule, s: int, *, shared: bool = False)
 def _hom_basis(M: GradedModule, N: GradedModule, s: int):
     field = M.field
     P = M.presentation()
-    cover = P.cover
-    Ws = hom_block_bases(cover, N, s)  # unknown parametrization per generator
-    offs = np.cumsum([0] + [w.shape[1] for w in Ws])
+    Ws = hom_block_bases(P.cover, N, s)  # unknown parametrization per generator
     null = linalg.nullspace(field, precomposition_matrix(P.rel, N, s, Ws))
-    images = [linalg.matmul(field, Ws[j], null[offs[j] : offs[j + 1]]) for j in range(cover.rank)]
-    return [HomElement(M, N, s, [im[:, c].copy() for im in images]) for c in range(null.shape[1])]
+    return homs_from_stacked(M, N, s, linalg.matmul(field, _block_diag(field, Ws), null))
+
+
+def homs_from_stacked(M: GradedModule, N: GradedModule, s: int, stacked: np.ndarray):
+    """The HomElements M -> N(s) whose stacked generator images (as in
+    HomElement.stacked) are the columns of stacked."""
+    offs = np.cumsum([0] + [N.dim(g + s) for _, g in M.presentation().cover.summands])
+    return [HomElement(M, N, s, [col[offs[j] : offs[j + 1]] for j in range(len(offs) - 1)])
+            for col in np.ascontiguousarray(stacked.T)]
 
 
 def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) -> np.ndarray:
@@ -387,17 +373,29 @@ def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) ->
     return np.concatenate(rows, axis=0)
 
 
+def compose_images(fs, gs) -> np.ndarray:
+    """Stacked generator images (as in HomElement.stacked) of every composite
+    g o f, f in fs and g in gs: column [:, i, k] is gs[i] o fs[k].  The fs
+    are maps M -> N(s) of one M, N and s, and each g starts at N; both lists
+    are nonempty.  The image of generator j of M under g o f is
+    g.matrix(g_j + s) f(gen_j), so every composite is one contraction per
+    summand of M's cover."""
+    M, N, s = fs[0].M, fs[0].N, fs[0].s
+    if any(f.M is not M or f.N is not N or f.s != s for f in fs) or any(g.M is not N for g in gs):
+        raise AlgebraMismatch("compose: the fs must share source, target and degree, "
+                              "and every g must start at that target")
+    field = M.field
+    blocks = [linalg.zeros(field, 0, len(gs), len(fs))]
+    for j, (_, gj) in enumerate(M.presentation().cover.summands):
+        mats = np.stack([g.matrix(gj + s) for g in gs], axis=1)  # (out, n_g, in)
+        U = np.stack([f.gen_images[j] for f in fs], axis=1)      # (in, n_f)
+        blocks.append(linalg.matmul(field, mats, U))             # (out, n_g, n_f)
+    return np.concatenate(blocks)
+
+
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:
     """g o f: M -> P(s+t) for f: M -> N(s), g: N -> P(t)."""
-    if f.N is not g.M:
-        raise AlgebraMismatch("compose: target of f must be source of g")
-    gen_images = []
-    cover = f.M.presentation().cover
-    for j in range(cover.rank):
-        _, gj = cover.summands[j]
-        u = f.gen_images[j]  # in N_{gj+s}
-        gen_images.append(linalg.matmul(f.M.field, g.matrix(gj + f.s), u))
-    return HomElement(f.M, g.N, f.s + g.s, gen_images)
+    return homs_from_stacked(f.M, g.N, f.s + g.s, compose_images([f], [g])[:, 0])[0]
 
 
 def identity_hom(M: GradedModule) -> HomElement:

@@ -26,10 +26,11 @@ from .errors import (
 from .findim import FinDimAlgebra, is_local, primitive_idempotents
 from .gmodule import (
     GradedModule,
-    compose_hom,
+    compose_images,
     free_graded_module,
     hom_basis,
     hom_block_bases,
+    homs_from_stacked,
     identity_hom,
     precomposition_matrix,
     twist_module,
@@ -203,7 +204,7 @@ def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
     field = M.field
     basis = hom_basis(M, M, 0)
     n = len(basis)
-    prods = [compose_hom(basis[j], basis[i]) for i in range(n) for j in range(n)]
+    prods = homs_from_stacked(M, M, 0, compose_images(basis, basis).reshape(-1, n * n)) if n else []
     sol = _coords_in_homs(field, basis, prods + [identity_hom(M)])
     mult = sol[:, : n * n].T.reshape(n, n, n)
     return FinDimAlgebra(field, mult, sol[:, n * n], check=False), basis
@@ -299,10 +300,11 @@ def in_add_of(X: GradedModule, M: GradedModule, window: Window) -> tuple[bool, s
             up = hom_basis(X, M, -s)     # X(s) -> M, shifted view
         except WindowExceeded:
             continue
-        cols += [compose_hom(g, f).stacked() for g in down for f in up]  # M -> X(s) -> M
+        if down and up:  # every composite M -> X(s) -> M
+            cols.append(compose_images(down, up).reshape(len(ident), -1))
     if not cols:
         return False, "no maps through add{X(i)} at all"
-    tr = np.stack(cols, axis=1)
+    tr = np.concatenate(cols, axis=1)
     ok = linalg.solve(field, tr, ident) is not None
     return ok, ("identity realized through add{X(i)}" if ok
                 else "identity not in the trace ideal within the window")
@@ -423,8 +425,8 @@ def _eval_coords(X: GradedModule, M: GradedModule, a: int, e: int, fs, hs, bb) -
     and beta_k in the basis bb of Hom(X, X(e))_0 (the shared hom bases, so
     X, M, a and e fix them).  It does not depend on the degree, so it is
     memoized on M."""
-    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(
-        M.field, hs, [compose_hom(beta, f) for beta in bb for f in fs]))
+    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(M.field, hs, homs_from_stacked(
+        X, M, a + e, compose_images(bb, fs).transpose(0, 2, 1).reshape(-1, len(bb) * len(fs)))))
 
 
 def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:

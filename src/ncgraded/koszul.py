@@ -12,7 +12,8 @@ import numpy as np
 
 from . import linalg
 from .algebra import PresentedAlgebra, is_central
-from .errors import NotCentral, NotCommutative, NotQuadratic, NotSemisimple, NotStabilized
+from .errors import (NotCentral, NotCommutative, NotQuadratic, NotSemisimple, NotStabilized,
+                     ShapeMismatch, UnsupportedField)
 from .findim import FinDimAlgebra, primitive_idempotents, radical_basis
 from .freealg import Gens, NcPoly
 from .gbasis import Presentation
@@ -146,9 +147,9 @@ def enumerate_projective_points(polys, gens: Gens, field: Field) -> list:
     """All common zeros in P^2(GF(p)), canonical representatives with last
     nonzero coordinate 1, ordered by the enumeration (a,b,1), (a,1,0), (1,0,0)."""
     if not field.is_prime_field:
-        raise NotImplementedError("point enumeration needs a prime field")
+        raise UnsupportedField("point enumeration needs a prime field")
     if len(gens) != 3:
-        raise ValueError("expected exactly 3 variables")
+        raise ShapeMismatch(f"point enumeration needs exactly 3 variables, not {len(gens)}")
     p = field.p
 
     def evaluate(f: NcPoly, pt) -> int:

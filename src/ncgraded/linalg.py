@@ -225,6 +225,12 @@ class Echelon:
     def rank(self) -> int:
         return self.basis.shape[1]
 
+    def copy(self) -> "Echelon":
+        """An Echelon of the same span; extending either leaves the other as it is."""
+        ech = Echelon(self.field, self.basis.shape[0])
+        ech.basis, ech.pivots, ech._inv = self.basis, list(self.pivots), self._inv
+        return ech
+
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates on ``basis`` of v (a vector or a matrix of columns)
         lying in the span."""

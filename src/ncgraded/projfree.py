@@ -6,6 +6,9 @@ usual shifted free modules.  Over an algebra with a nontrivial degree-0
 part (an endomorphism algebra), summands may be cut out by an idempotent
 eps of the degree-0 part; that is what makes minimal resolutions terminate
 when the relevant projectives are not free.
+
+map_matrix is the one place a map out of a cover, given by its generator
+images, is evaluated in a degree (Morphism, HomElement and cover maps alike).
 """
 
 from __future__ import annotations
@@ -116,39 +119,25 @@ class Morphism:
 
     def matrix(self, d: int) -> np.ndarray:
         """Degreewise matrix F'_d -> F_d (target coords x source coords)."""
-        return memo(self, ("matrix", d), lambda: self._matrix(d))
-
-    def _matrix(self, d: int) -> np.ndarray:
-        field = self.source.field
-        nrow = self.target.dim(d)
-        cols = []
-        for j in range(self.source.rank):
-            _, gj = self.source.summands[j]
-            sub = self.source.subspace(j, d)
-            if sub.rank == 0:
-                continue
-            amb = sub.basis  # columns: ambient elements of alg_{d-gj}
-            img = self.images[j]  # target coords at degree gj
-            # image of (gen_j . a) = images[j] . a, for each basis column a
-            tblocks = self.target.split(img, gj)
-            out = linalg.zeros(field, nrow, sub.rank)
-            toffs = self.target.offsets(d)
-            for i in range(self.target.rank):
-                _, gi = self.target.summands[i]
-                sub_ti = self.target.subspace(i, gj)
-                if sub_ti.rank == 0:
-                    continue
-                sub_to = self.target.subspace(i, d)
-                if sub_to.rank == 0:
-                    continue
-                a = self.target.ambient(i, gj, tblocks[i])  # alg_{gj-gi}
-                lm = self.target.alg.left_mult_matrix(gj - gi, a, d - gj)  # (dim_{d-gi}, dim_{d-gj})
-                out[toffs[i] : toffs[i + 1], :] = sub_to.coords(linalg.matmul(field, lm, amb))
-            cols.append(out)
-        return np.concatenate(cols, axis=1) if cols else linalg.zeros(field, nrow, 0)
+        return memo(self, ("matrix", d), lambda: map_matrix(self.source, self.target, self.images, 0, d))
 
     def kernel_basis(self, d: int) -> np.ndarray:
         return linalg.nullspace(self.source.field, self.matrix(d))
+
+
+def map_matrix(cover: ProjFree, target, images, s: int, d: int) -> np.ndarray:
+    """Degree-d matrix (target degree d+s x cover degree d) of the map out of
+    cover that sends generator j to images[j], given in target's degree
+    g_j + s.  target is a ProjFree or a GradedModule (anything with dim and
+    act_tensor): generator j times a in alg_{d-g_j} goes to images[j] . a."""
+    field = cover.field
+    cols = [linalg.zeros(field, target.dim(d + s), 0)]
+    for j, (_, gj) in enumerate(cover.summands):
+        sub = cover.subspace(j, d)
+        if sub.rank:
+            w = act_rows(field, images[j], target.act_tensor(gj + s, d - gj))  # (dim alg_{d-gj}, out)
+            cols.append(linalg.matmul(field, w.T, sub.basis))
+    return np.concatenate(cols, axis=1)
 
 
 def act_rows(field, V: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -189,7 +178,9 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
         kb = piece_basis(d)
         if kb.shape[1] == 0:
             continue
-        sel = linalg.Echelon.of(field, action_span(container, gens, d))
+        known = len(gens)
+        span = linalg.Echelon.of(field, action_span(container, gens, d))
+        sel = span.copy()
         if deg0 is None:
             for j in sel.extend(kb):
                 gens.append((None, d, kb[:, j].copy()))
@@ -206,7 +197,7 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
         # consistency: the chosen generators must span the piece.  Checked
         # against their own action span: sel holds the chosen columns (and
         # the radical part), so reducing against sel would prove nothing
-        span = linalg.Echelon.of(field, action_span(container, gens, d))
+        span.extend(action_span(container, gens[known:], d))
         if np.count_nonzero(span.reduce(kb)):
             raise IncompleteKernel(f"generator extraction failed to span degree {d}")
     return gens

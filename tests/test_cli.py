@@ -186,6 +186,21 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     assert "IndexError" in out["message"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["hilbert", "T", "--match", "1/t"], "ParseError"),
+    (["points", "T", "x"], "ShapeMismatch"),
+    (["points", "P", "x", "--field", "QQ"], "UnsupportedField"),
+], ids=["no-power-series", "two-variables", "points-over-QQ"])
+def test_unanswerable_queries_are_typed_errors(tmp_path, capsys, argv, error):
+    """A series with no expansion at t = 0, and point enumeration outside
+    P^2 over a prime field, exit 3 with their own error, not internal-error."""
+    wsfile = tmp_path / "p.nws"
+    wsfile.write_text(SMALL_WORKSPACE + '[algebra P]\ngenerators = "x, y, z"\n')
+    code = main(argv + ["-w", str(wsfile)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == error
+
+
 @pytest.mark.parametrize("internal", ["3, 1", "1"])
 def test_window_section_errors_are_parse_errors(internal):
     text = f'[field]\nname = "GF(13)"\n[window]\ninternal = "{internal}"\n'
