@@ -17,18 +17,8 @@ from .errors import DegreeBeyondTruncation, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
+from .memo import memo
 from .scalars import Field
-
-
-def memo(owner, key, build):
-    """build(), computed on the first call for (owner, key) and kept in one
-    dict on owner, so it lives as long as owner does.  A key holds every
-    object whose identity it uses, which keeps that object alive; callers
-    never mutate the result."""
-    table = vars(owner).setdefault("_memo", {})
-    if key not in table:
-        table[key] = build()
-    return table[key]
 
 
 class AlgebraOracle:
@@ -69,8 +59,10 @@ class AlgebraOracle:
                     else radical_and_idempotents(self.degree_zero()))
 
     def degree_zero(self) -> FinDimAlgebra:
-        """The degree-0 part as a finite-dimensional algebra."""
-        return FinDimAlgebra(self.field, np.asarray(self.mult_tensor(0, 0)), self.unit, check=False)
+        """The degree-0 part as a finite-dimensional algebra, one per algebra,
+        so that what is memoized on it (its radical and idempotents) is shared."""
+        return memo(self, "degree_zero", lambda: FinDimAlgebra(
+            self.field, np.asarray(self.mult_tensor(0, 0)), self.unit, check=False))
 
     # -- coordinate helpers ------------------------------------------------
 
@@ -147,24 +139,27 @@ class PresentedAlgebra(AlgebraOracle):
 
 
 class TabulatedAlgebra(AlgebraOracle):
-    """Algebra given by per-degree dimensions, labels, and structure tensors."""
+    """Algebra given by per-degree dimensions and structure tensors.
 
-    def __init__(self, field: Field, dims: dict, tensors: dict, unit: np.ndarray,
-                 valid_through: int, labels: dict | None = None, valid_from: int = 0):
+    The tensor of (d1, d2) is build(d1, d2), called on its first read and
+    memoized; a pair with a zero dimension among d1, d2 and d1 + d2
+    (d1 + d2 below valid_from included) reads zeros and never calls build."""
+
+    def __init__(self, field: Field, dims: dict, build, unit: np.ndarray,
+                 valid_through: int, valid_from: int = 0):
         self.field = field
         self._dims = dict(dims)
-        self._tensors = dict(tensors)
+        self._build = build
         self._unit = unit
         self.valid_through = valid_through
         self.valid_from = valid_from
-        self._labels = labels or {}
 
     def dim(self, d: int) -> int:
         self._check_degree(d)
         return self._dims.get(d, 0)
 
     def basis_labels(self, d: int):
-        return self._labels.get(d, [f"b{d}_{i}" for i in range(self.dim(d))])
+        return [f"b{d}_{i}" for i in range(self.dim(d))]
 
     @property
     def unit(self) -> np.ndarray:
@@ -172,11 +167,12 @@ class TabulatedAlgebra(AlgebraOracle):
 
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         self._check_degree(d1 + d2)
-        key = (d1, d2)
-        if key not in self._tensors:
-            self._tensors[key] = linalg.zeros(
-                self.field, self.dim(d1), self.dim(d2), self.dim(d1 + d2))
-        return self._tensors[key]
+
+        def build():
+            shape = (self.dim(d1), self.dim(d2), self.dim(d1 + d2))
+            return self._build(d1, d2) if all(shape) else linalg.zeros(self.field, *shape)
+
+        return memo(self, ("mult", d1, d2), build)
 
 
 # ---------------------------------------------------------------------------

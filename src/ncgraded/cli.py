@@ -553,9 +553,8 @@ def cmd_endo(args) -> dict:
 
 def cmd_quiver(args) -> dict:
     ws = args.ws
-    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
-    B0 = endo_mod.degree_zero_algebra(B)
-    rad, idems = B.algebra.deg0
+    B0, _ = homology.end0_algebra(ws.module(args.X))
+    rad, idems = endo_mod.radical_and_idempotents(B0)
     Q = endo_mod.quiver_of(B0)
     rep = make_report("quiver", {"X": args.X}, ws.window, [])
     rep["degree_zero_dim"] = B0.n

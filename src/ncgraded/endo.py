@@ -1,10 +1,12 @@
 """Graded endomorphism algebras B = End(X) = (+)_i Hom(X, X(i)).
 
-B is materialized as a TabulatedAlgebra within a window (negative pieces
-included so that B_{<0} = 0 can be verified rather than assumed), its
-degree-0 part is analyzed as a finite-dimensional algebra, and the
-regularity checks for B over B_0 and Gorensteinness for a connected
-algebra are run from resolutions.
+B is a TabulatedAlgebra within a window (negative pieces included so that
+B_{<0} = 0 can be verified rather than assumed): its hom bases, and so its
+dimensions, are computed when B is, and each structure tensor when it is
+first read.  Its degree-0 part is analyzed as a finite-dimensional algebra
+(the Gabriel quiver needs no more than End(X)_0, which
+homology.end0_algebra computes alone), and the regularity checks for B over
+B_0 and Gorensteinness for a connected algebra are run from resolutions.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import PresentedAlgebra, TabulatedAlgebra, memo
-from .errors import NotConnected, ShapeMismatch
+from .algebra import PresentedAlgebra, TabulatedAlgebra
+from .errors import InvalidWindow, NotConnected, ShapeMismatch
 from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
@@ -28,46 +30,41 @@ from .gmodule import (
     opposite_algebra,
 )
 from .homology import Window, ext_graded_dims, free_resolution
+from .memo import memo
 
 
 class EndoAlgebra:
-    """B = End(X) with its hom bases kept for composition and module transport."""
+    """B = End(X) with its hom bases kept for composition and module transport.
+
+    The bases cover degrees min(internal_lo, 0) through the window's cap, so
+    B_0, which holds the unit, is always among them.  They are computed
+    here, since every reader needs the dimensions; each structure tensor is
+    solved by _compose_tensor on its first read."""
 
     def __init__(self, X: GradedModule, window: Window):
         self.X = X
         self.window = window
-        field = X.field
-        lo = window.internal_lo
+        lo = min(window.internal_lo, 0)
         hi = window.algebra_degree_cap
-        self.bases = {}
-        dims = {}
-        for d in range(lo, hi + 1):
-            self.bases[d] = hom_basis(X, X, d, shared=True)
-            dims[d] = len(self.bases[d])
+        if hi < 0:
+            raise InvalidWindow(f"End(X) needs algebra_degree_cap >= 0 for its unit; got {hi}")
+        self.bases = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
         self._stacks = {
             d: (np.stack([b.stacked() for b in bs], axis=1) if bs else None)
             for d, bs in self.bases.items()
         }
-        tensors = {}
-        for d1 in range(lo, hi + 1):
-            for d2 in range(lo, min(hi, hi - d1) + 1):
-                if d1 + d2 < lo:
-                    continue
-                tensors[(d1, d2)] = self._compose_tensor(d1, d2)
-        ident = identity_hom(X)
-        unit = linalg.solve(field, self._stacks[0], ident.stacked())
+        unit = linalg.solve(X.field, self._stacks[0], identity_hom(X).stacked())
         if unit is None:
             raise ShapeMismatch("identity endomorphism missing from Hom(X, X)_0")
         self.algebra = TabulatedAlgebra(
-            field, dims, tensors, unit[:, 0], valid_through=hi, valid_from=lo
-        )
+            X.field, {d: len(bs) for d, bs in self.bases.items()}, self._compose_tensor,
+            unit[:, 0], valid_through=hi, valid_from=lo)
 
     def _compose_tensor(self, d1: int, d2: int) -> np.ndarray:
-        """tensor[i, j, :] = coords of b_i o b_j (b_j applied first)."""
+        """tensor[i, j, :] = coords of b_i o b_j (b_j applied first); the
+        three degrees' bases are nonempty."""
         b1, b2, b12 = self.bases[d1], self.bases[d2], self.bases[d1 + d2]
         n1, n2, n12 = len(b1), len(b2), len(b12)
-        if not (n1 and n2 and n12):
-            return linalg.zeros(self.X.field, n1, n2, n12)
         rhs = compose_images(b2, b1).reshape(-1, n1 * n2)
         sol = linalg.solve(self.X.field, self._stacks[d1 + d2], rhs)
         if sol is None:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import FieldTooSmall, NonSplit, NotSemisimple
+from .memo import memo
 from .scalars import Field
 
 
@@ -231,10 +232,21 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
     return [e]
 
 
+def _radical_and_primitives(F: FinDimAlgebra):
+    """Radical basis and primitive idempotents (in the order
+    primitive_idempotents finds them), computed once per F and shared by
+    radical_and_idempotents and gabriel_quiver."""
+    def build():
+        rad = radical_basis(F)
+        return rad, primitive_idempotents(F, rad)
+
+    return memo(F, "primitives", build)
+
+
 def radical_and_idempotents(F: FinDimAlgebra) -> Deg0Data:
     """Radical basis and primitive idempotents, the latter sorted by support."""
-    rad = radical_basis(F)
-    return Deg0Data(rad, sorted(primitive_idempotents(F, rad), key=lambda e: _support_key(F.field, e)))
+    rad, idems = _radical_and_primitives(F)
+    return Deg0Data(rad, sorted(idems, key=lambda e: _support_key(F.field, e)))
 
 
 def _support_key(field, v):
@@ -262,8 +274,7 @@ def gabriel_quiver(alg: FinDimAlgebra):
 
     arrows[i][j] = dim e_j (rad / rad^2) e_i  (an arrow vertex_i -> vertex_j)."""
     f = alg.field
-    rad = radical_basis(alg)
-    idems = primitive_idempotents(alg, rad)
+    rad, idems = _radical_and_primitives(alg)
     # basicness check: distinct idempotents should not be linked by inverse pairs
     rad2 = []
     for a in range(rad.shape[1]):

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle, PresentedAlgebra, memo, opposite_presentation
+from .algebra import AlgebraOracle, PresentedAlgebra, opposite_presentation
 from .errors import (
     AlgebraMismatch,
     DegreeBeyondTruncation,
@@ -31,6 +31,7 @@ from .errors import (
     WindowExceeded,
 )
 from .freealg import NcPoly
+from .memo import memo
 from .projfree import Morphism, ProjFree, act_rows, map_matrix, scan_minimal_generators
 
 

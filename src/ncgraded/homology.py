@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import memo
 from .errors import (
     IncompleteKernel,
     InvalidWindow,
@@ -30,11 +29,11 @@ from .gmodule import (
     free_graded_module,
     hom_basis,
     hom_block_bases,
-    homs_from_stacked,
     identity_hom,
     precomposition_matrix,
     twist_module,
 )
+from .memo import memo
 from .projfree import Morphism, ProjFree, scan_minimal_generators
 
 
@@ -204,8 +203,9 @@ def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
     field = M.field
     basis = hom_basis(M, M, 0)
     n = len(basis)
-    prods = homs_from_stacked(M, M, 0, compose_images(basis, basis).reshape(-1, n * n)) if n else []
-    sol = _coords_in_homs(field, basis, prods + [identity_hom(M)])
+    ident = identity_hom(M).stacked()[:, None]
+    rhs = np.concatenate([compose_images(basis, basis).reshape(-1, n * n), ident], axis=1) if n else ident
+    sol = _coords_in_homs(field, basis, rhs)
     mult = sol[:, : n * n].T.reshape(n, n, n)
     return FinDimAlgebra(field, mult, sol[:, n * n], check=False), basis
 
@@ -425,8 +425,8 @@ def _eval_coords(X: GradedModule, M: GradedModule, a: int, e: int, fs, hs, bb) -
     and beta_k in the basis bb of Hom(X, X(e))_0 (the shared hom bases, so
     X, M, a and e fix them).  It does not depend on the degree, so it is
     memoized on M."""
-    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(M.field, hs, homs_from_stacked(
-        X, M, a + e, compose_images(bb, fs).transpose(0, 2, 1).reshape(-1, len(bb) * len(fs)))))
+    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(
+        M.field, hs, compose_images(bb, fs).transpose(0, 2, 1).reshape(-1, len(bb) * len(fs))))
 
 
 def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:
@@ -454,15 +454,15 @@ def _relation_block(field, total, rows_a, rows_ae, C, betas) -> np.ndarray:
     return linalg.reduce(field, block)
 
 
-def _coords_in_homs(field, basis, fs) -> np.ndarray:
-    """Coordinates of the homs fs in a hom basis, one column per element of fs."""
-    if not fs:
+def _coords_in_homs(field, basis, rhs) -> np.ndarray:
+    """Coordinates in a hom basis of the homs whose stacked generator images
+    (as in HomElement.stacked) are the columns of rhs, one column each."""
+    if not rhs.shape[1]:
         return linalg.zeros(field, len(basis), 0)
-    rhs = np.stack([f.stacked() for f in fs], axis=1)
     if not basis:
         if np.count_nonzero(rhs):
             raise ShapeMismatch("nonzero composite hom missing from the computed block")
-        return linalg.zeros(field, 0, len(fs))
+        return linalg.zeros(field, 0, rhs.shape[1])
     sol = linalg.solve(field, np.stack([b.stacked() for b in basis], axis=1), rhs)
     if sol is None:
         raise ShapeMismatch("composite hom not in the computed basis")

@@ -201,6 +201,38 @@ def test_unanswerable_queries_are_typed_errors(tmp_path, capsys, argv, error):
     assert code == 3 and out["error"] == error
 
 
+def _run_example(tmp_path, capsys, argv):
+    wsfile = tmp_path / "w.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE)
+    code = main(argv + ["-w", str(wsfile)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_end_x_over_a_window_above_degree_zero(tmp_path, capsys):
+    """End(X) keeps its degree-0 piece, which holds the unit, when the
+    window's internal range starts above 0."""
+    code, out = _run_example(tmp_path, capsys, ["endo", "X", "--window=1,3,2,4"])
+    assert code == 0 and out["dims"] == {"1": 27, "2": 45, "3": 63, "4": 81}
+    code, out = _run_example(tmp_path, capsys,
+                             ["asregular", "X", "--d", "2", "--ell", "1", "--window=1,3,2,4"])
+    assert code != 3 and "error" not in out
+    assert out["checks"][0]["evidence"]["resolution_shifts"] == [[0] * 5, [-1] * 16, [-1] * 5]
+
+
+@pytest.mark.parametrize("command", [["endo", "X"], ["asregular", "X", "--d", "2", "--ell", "1"]])
+def test_end_x_below_degree_zero_is_an_invalid_window(tmp_path, capsys, command):
+    code, out = _run_example(tmp_path, capsys, command + ["--window=-2,2,2,-1"])
+    assert code == 3 and out["error"] == "InvalidWindow"
+
+
+def test_quiver_does_not_depend_on_the_window(tmp_path, capsys):
+    """quiver reads End(X)_0 alone, which no window cuts."""
+    _, default = _run_example(tmp_path, capsys, ["quiver", "X"])
+    code, shifted = _run_example(tmp_path, capsys, ["quiver", "X", "--window=1,3,2,4"])
+    assert code == 0 and shifted.pop("window") != default.pop("window")
+    assert shifted == default and len(default["quiver"]["arrows"]) == 4
+
+
 @pytest.mark.parametrize("internal", ["3, 1", "1"])
 def test_window_section_errors_are_parse_errors(internal):
     text = f'[field]\nname = "GF(13)"\n[window]\ninternal = "{internal}"\n'

@@ -16,6 +16,11 @@ from ncgraded.homology import Window, eval_iso_check
 WINDOWS = (Window(0, 2, 2, 4), Window(-2, 2, 2, 4))
 
 
+def _stacked(field, homs):
+    """The stacked generator images of the homs, one column each."""
+    return np.stack([h.stacked() for h in homs], axis=1) if homs else linalg.zeros(field, 0, 0)
+
+
 def oracle_eval_iso(X, M, window):
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
@@ -35,8 +40,8 @@ def oracle_eval_iso(X, M, window):
         col = 0
         for a, e, bb in terms:
             na, nb = len(homs[a]), X.dim(d - a - e)
-            C = homology._coords_in_homs(field, homs[a + e],
-                                         [compose_hom(beta, f) for beta in bb for f in homs[a]])
+            C = homology._coords_in_homs(field, homs[a + e], _stacked(
+                field, [compose_hom(beta, f) for beta in bb for f in homs[a]]))
             rows_ae = slice(off[a + e], off[a + e] + len(homs[a + e]) * nb)
             rows_a = slice(off[a], off[a] + na * X.dim(d - a))
             for k, beta in enumerate(bb):
@@ -128,9 +133,9 @@ def test_unbalanced_relations_match_oracle(monkeypatch):
 
     coords = homology._coords_in_homs
 
-    def corrupted(field, basis, fs):
-        out = coords(field, basis, fs)
-        if out.size and fs[0].s == 2:
+    def corrupted(field, basis, rhs):
+        out = coords(field, basis, rhs)
+        if out.size and basis[0].s == 2:  # the composites lie where the basis does
             out = out.copy()
             out[0, 0] = field.add(out[0, 0], field.one)
         return out

@@ -68,6 +68,11 @@ def _modules(field, max_deg):
     return mods
 
 
+def coords_of(field, basis, homs):
+    """Coordinates of the homs in the hom basis, one column each."""
+    return homology._coords_in_homs(field, basis, np.stack([h.stacked() for h in homs], axis=1))
+
+
 def assert_composites_match_compose_hom(X, M, a, e):
     """end0_algebra(X) and _eval_coords(X, M, a, e) against per-pair composites;
     X, M, a and e are chosen so that End(X)_0 is not commutative and both
@@ -76,12 +81,12 @@ def assert_composites_match_compose_hom(X, M, a, e):
     field = X.field
     E, basis = end0_algebra(X)
     n = len(basis)
-    want = homology._coords_in_homs(
+    want = coords_of(
         field, basis, [compose_hom(basis[j], basis[i]) for i in range(n) for j in range(n)])
     assert np.array_equal(E.mult, want.T.reshape(n, n, n))
     fs, hs, bb = hom_basis(X, M, a), hom_basis(X, M, a + e), hom_basis(X, X, e)
     assert len(fs) > 1 and len(bb) > 1 and hs
-    want = homology._coords_in_homs(field, hs, [compose_hom(beta, f) for beta in bb for f in fs])
+    want = coords_of(field, hs, [compose_hom(beta, f) for beta in bb for f in fs])
     assert np.array_equal(homology._eval_coords(X, M, a, e, fs, hs, bb), want)
 
 
@@ -107,7 +112,7 @@ def test_end_X_products_match_compose_hom(B):
     """B's structure tensors: tensor[i, j] holds the coordinates of b_i o b_j."""
     for d1, d2 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         b1, b2, b12 = B.bases[d1], B.bases[d2], B.bases[d1 + d2]
-        want = homology._coords_in_homs(B.X.field, b12, [compose_hom(bj, bi) for bi in b1 for bj in b2])
+        want = coords_of(B.X.field, b12, [compose_hom(bj, bi) for bi in b1 for bj in b2])
         assert np.array_equal(B.algebra.mult_tensor(d1, d2), want.T.reshape(len(b1), len(b2), -1))
 
 
