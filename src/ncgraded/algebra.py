@@ -22,15 +22,12 @@ from .scalars import Field
 
 
 class AlgebraOracle:
-    """Interface: dim(d), basis_labels(d), mult_tensor(d1, d2), unit."""
+    """Interface: dim(d), mult_tensor(d1, d2), unit."""
 
     field: Field
     valid_through: int
 
     def dim(self, d: int) -> int:
-        raise NotImplementedError
-
-    def basis_labels(self, d: int):
         raise NotImplementedError
 
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
@@ -105,9 +102,6 @@ class PresentedAlgebra(AlgebraOracle):
         self._check_degree(d)
         return len(self.basis_words(d))
 
-    def basis_labels(self, d: int):
-        return [self.gens.word_str(w) for w in self.basis_words(d)]
-
     @property
     def unit(self) -> np.ndarray:
         v = linalg.zeros(self.field, 1)
@@ -158,9 +152,6 @@ class TabulatedAlgebra(AlgebraOracle):
         self._check_degree(d)
         return self._dims.get(d, 0)
 
-    def basis_labels(self, d: int):
-        return [f"b{d}_{i}" for i in range(self.dim(d))]
-
     @property
     def unit(self) -> np.ndarray:
         return self._unit
@@ -183,8 +174,6 @@ class TabulatedAlgebra(AlgebraOracle):
 @dataclass
 class HilbertSeries:
     coeffs: tuple
-    numerator: tuple | None = None
-    denominator: tuple | None = None
 
     def __post_init__(self):
         self.coeffs = tuple(int(c) for c in self.coeffs)
@@ -220,11 +209,7 @@ def expand_rational(num, den, D: int) -> list:
 def match_rational(series: HilbertSeries, num, den) -> bool:
     """True iff the expansion of num/den agrees with every stored coefficient."""
     exp = expand_rational(num, den, len(series.coeffs) - 1)
-    if all(e == c for e, c in zip(exp, series.coeffs)):
-        series.numerator = tuple(num)
-        series.denominator = tuple(den)
-        return True
-    return False
+    return all(e == c for e, c in zip(exp, series.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import PresentedAlgebra, TabulatedAlgebra
-from .errors import InvalidWindow, NotConnected, ShapeMismatch
+from .errors import InvalidWindow, NotConnected, ShapeMismatch, ZeroAlgebra
 from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
@@ -49,11 +49,11 @@ class EndoAlgebra:
         if hi < 0:
             raise InvalidWindow(f"End(X) needs algebra_degree_cap >= 0 for its unit; got {hi}")
         self.bases = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
-        self._stacks = {
-            d: (np.stack([b.stacked() for b in bs], axis=1) if bs else None)
-            for d, bs in self.bases.items()
-        }
-        unit = linalg.solve(X.field, self._stacks[0], identity_hom(X).stacked())
+        self._stacks = {d: np.stack([b.stacked() for b in bs], axis=1)
+                        for d, bs in self.bases.items() if bs}
+        ident = identity_hom(X).stacked()
+        # Hom(X, X)_0 = 0 only for X = 0, whose End is the zero algebra
+        unit = linalg.solve(X.field, self._stacks.get(0, linalg.zeros(X.field, len(ident), 0)), ident)
         if unit is None:
             raise ShapeMismatch("identity endomorphism missing from Hom(X, X)_0")
         self.algebra = TabulatedAlgebra(
@@ -125,9 +125,14 @@ def b0_module(B: EndoAlgebra) -> GradedModule:
 def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) -> dict:
     """AS-regularity of B over R = B_0: Ext^i_B(B_0, B) = 0 for i < d,
     Ext^d concentrated in internal degree -ell with dim = dim B_0, and the
-    minimal resolution of B_0 terminating at step d (within the window)."""
-    M = b0_module(B)
+    minimal resolution of B_0 terminating at step d (within the window).
+    The verdict is "inconclusive" when nothing fails but the window's
+    internal range leaves out -ell."""
     alg = B.algebra
+    if not alg.dim(0):
+        raise ZeroAlgebra("End(X) of the zero module is the zero algebra: no B_0 to be regular over")
+    M = b0_module(B)
+    seen = window.internal_lo <= -ell <= window.internal_hi
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
     report = {"window": window.tag(), "d": d, "ell": ell}
     steps = min(d + 1, window.homological_max + 1)
@@ -142,19 +147,22 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
         ext_rep[i] = nz
         if i < d and nz:
             ok = False
-        if i == d and nz != {-ell: alg.dim(0)}:
+        if i == d and nz != ({-ell: alg.dim(0)} if seen else {}):
             ok = False
     report["ext"] = ext_rep
     report["expected_top"] = {-ell: alg.dim(0)}
-    report["verdict"] = ok
+    report["verdict"] = "inconclusive" if ok and not seen else ok
     return report
 
 
 def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -> dict:
     """AS-Gorenstein test for a connected algebra: Ext^i(k, A) on both sides
-    vanishes for i != d within the window and is k(ell) for i = d."""
+    vanishes for i != d within the window and is k(ell) for i = d.  The
+    verdict is "inconclusive" when nothing fails but the window's internal
+    range leaves out -ell."""
     if A.dim(0) != 1:
         raise NotConnected("Gorenstein test requires a connected algebra")
+    seen = window.internal_lo <= -ell <= window.internal_hi
     report = {"window": window.tag(), "d": d, "ell": ell, "sides": {}}
     ok = True
     top = min(d + 1, window.homological_max)
@@ -169,9 +177,9 @@ def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -
             dims = ext_graded_dims(k, NA, i, window)
             nz = {s: v for s, v in dims.items() if v}
             side_rep[i] = nz
-            want = {-ell: 1} if i == d else {}
+            want = {-ell: 1} if i == d and seen else {}
             if nz != want:
                 ok = False
         report["sides"][side] = side_rep
-    report["verdict"] = ok
+    report["verdict"] = "inconclusive" if ok and not seen else ok
     return report

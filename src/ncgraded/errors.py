@@ -93,6 +93,10 @@ class NotConnected(NcgError):
     pass
 
 
+class ZeroAlgebra(NcgError):
+    pass
+
+
 class ParseError(NcgError):
     def __init__(self, message, line=None, column=None):
         self.line = line

@@ -23,13 +23,11 @@ class FinDimAlgebra:
     """Associative unital algebra on basis e_0..e_{n-1} with structure tensor
     mult[i, j, :] = coords of e_i e_j."""
 
-    def __init__(self, field: Field, mult: np.ndarray, unit: np.ndarray, labels=None,
-                 check: bool = True):
+    def __init__(self, field: Field, mult: np.ndarray, unit: np.ndarray, check: bool = True):
         self.field = field
         self.mult = mult
         self.unit = np.asarray(unit)
         self.n = mult.shape[0]
-        self.labels = list(labels) if labels is not None else [f"b{i}" for i in range(self.n)]
         if check:
             self._check_axioms()
 
@@ -136,7 +134,7 @@ def primitive_idempotents(alg: FinDimAlgebra, rad: np.ndarray | None = None):
     f = alg.field
     if rad is None:
         rad = radical_basis(alg)
-    idems = [alg.unit.copy()]
+    idems = [alg.unit.copy()] if alg.n else []  # the zero algebra has no nonzero idempotent
     done = False
     guard = 0
     while not done:

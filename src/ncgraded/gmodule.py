@@ -1,12 +1,7 @@
-"""Finitely generated graded right modules over an algebra oracle.
-
-A GradedModule is tabulated: per-degree dimensions plus right-action
-tensors, each computed on first use and cached.  Every module also carries
-(or lazily extracts) a minimal projective presentation  F1 -> F0 -> M -> 0
-used by Hom/Ext computations; over a non-connected algebra the cover
-summands are cut out by the idempotents of the algebra's own `deg0`, so the
-presentation does not depend on who asks for it first.  Derived results
-(shared hom bases, free modules, opposite algebras) are memoized on their owner.
+"""Graded right modules (GradedModule, re-exported from projfree): their
+constructors, homomorphisms, twists and duals.  A free module is a ProjFree,
+its own cover.  Derived results (shared hom bases, free modules, opposite
+algebras) are memoized on their owner.
 
 A HomElement is stored by its generator images and evaluated by
 projfree.map_matrix; compose_images is the one place composites are formed
@@ -15,15 +10,12 @@ projfree.map_matrix; compose_images is the one place composites are formed
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import linalg
 from .algebra import AlgebraOracle, PresentedAlgebra, opposite_presentation
 from .errors import (
     AlgebraMismatch,
-    DegreeBeyondTruncation,
     InvalidAutomorphism,
     NcgError,
     NonHomogeneous,
@@ -32,75 +24,8 @@ from .errors import (
 )
 from .freealg import NcPoly
 from .memo import memo
-from .projfree import Morphism, ProjFree, act_rows, map_matrix, scan_minimal_generators
-
-
-class _Presentation:
-    """Cover data: surjections F0_d ->> M_d with sections, plus relation
-    generators (a morphism onto the kernel)."""
-
-    def __init__(self, cover: ProjFree, cover_mats: dict, sections: dict, rel: Morphism,
-                 complete_through: int):
-        self.cover = cover
-        self.cover_mats = cover_mats
-        self.sections = sections
-        self.rel = rel
-        self.complete_through = complete_through
-
-
-class GradedModule:
-    """Degreewise dimensions on [valid_from, valid_to] and a right action.
-
-    action(d, e) builds the (dim M_d, dim alg_e, dim M_{d+e}) action tensor;
-    act_tensor calls it once per (d, e), and never when a dimension is 0.
-    """
-
-    def __init__(self, algebra: AlgebraOracle, dims: dict, action: Callable[[int, int], np.ndarray],
-                 valid_from: int, valid_to: int, pres: _Presentation | None = None):
-        self.algebra = algebra
-        self.field = algebra.field
-        self._dims = {d: int(n) for d, n in dims.items() if n}
-        self._action = action
-        self.valid_from = valid_from
-        self.valid_to = valid_to
-        self._pres = pres
-
-    # -- pieces ------------------------------------------------------------
-
-    def dim(self, d: int) -> int:
-        if d < self.valid_from:
-            return 0
-        if d > self.valid_to:
-            raise DegreeBeyondTruncation(f"degree {d} beyond module validity {self.valid_to}")
-        return self._dims.get(d, 0)
-
-    def act_tensor(self, d: int, e: int) -> np.ndarray:
-        """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
-
-        def build():
-            shape = (self.dim(d), self.algebra.dim(e), self.dim(d + e))
-            return self._action(d, e) if all(shape) else linalg.zeros(self.field, *shape)
-
-        return memo(self, ("act", d, e), build)
-
-    def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
-        """(v at degree d) . (algebra vector w at degree e)."""
-        return linalg.matmul(self.field, w, act_rows(self.field, v, self.act_tensor(d, e)))
-
-    def act_matrix(self, d: int, e: int, w: np.ndarray) -> np.ndarray:
-        """Matrix of (- . w): M_d -> M_{d+e}  (shape out x in)."""
-        return linalg.matmul(self.field, self.act_tensor(d, e), w, axes=(1, 0)).T
-
-    # -- presentation ------------------------------------------------------
-
-    def presentation(self) -> _Presentation:
-        if self._pres is None:
-            self._pres = _extract_presentation(self)
-        return self._pres
-
-    def __repr__(self):
-        ds = ", ".join(f"{d}:{self.dim(d)}" for d in range(self.valid_from, min(self.valid_to, self.valid_from + 8) + 1))
-        return f"GradedModule(dims {{{ds}}})"
+from .projfree import (GradedModule, Morphism, ProjFree, _Presentation, act_rows, block_diag,
+                       map_matrix, summand_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +35,7 @@ class GradedModule:
 
 def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -> GradedModule:
     """Cokernel of rel: F1 -> F0 as a tabulated module with known presentation."""
-    alg = cover.alg
+    alg = cover.algebra
     field = cover.field
     dims, cover_mats, sections = {}, {}, {}
     for d in range(lo, hi + 1):
@@ -130,14 +55,14 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
     return GradedModule(alg, dims, action, lo, hi, pres)
 
 
-def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None = None) -> GradedModule:
-    """(+)_i Alg(s_i): zero relation matrix.  Memoized on alg, so equal
-    arguments give the same module."""
+def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None = None) -> ProjFree:
+    """(+)_i Alg(s_i), its own cover.  Memoized on alg, so equal arguments
+    give the same module."""
     if hi is None:
         hi = alg.valid_through
     gdegs = [-s for s in shifts]
-    return memo(alg, ("free", tuple(shifts), lo, hi), lambda: module_from_cover(
-        ProjFree(alg, [(None, g) for g in gdegs]), None, min([lo] + gdegs), hi))
+    return memo(alg, ("free", tuple(shifts), lo, hi), lambda: ProjFree(
+        alg, [(None, g) for g in gdegs], min([lo] + gdegs), hi))
 
 
 def cyclic_cover(alg: PresentedAlgebra, gens) -> tuple[ProjFree, Morphism | None]:
@@ -165,8 +90,7 @@ def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedM
 
 def shift_module(M: GradedModule, n: int) -> GradedModule:
     """M(n)_i = M_{n+i}."""
-    dims = {d - n: k for d, k in M._dims.items()}
-    return GradedModule(M.algebra, dims, lambda d, e: M.act_tensor(d + n, e),
+    return GradedModule(M.algebra, lambda d: M.dim(d + n), lambda d, e: M.act_tensor(d + n, e),
                         M.valid_from - n, M.valid_to - n)
 
 
@@ -184,15 +108,7 @@ def direct_sum(mods) -> GradedModule:
     dims = {d: sum(m.dim(d) for m in mods) for d in range(lo, hi + 1)}
 
     def action(d, e):
-        t = linalg.zeros(field, dims[d], alg.dim(e), dims[d + e])
-        o_in = o_out = 0
-        for m in mods:
-            a, b = m.dim(d), m.dim(d + e)
-            if a and b:
-                t[o_in : o_in + a, :, o_out : o_out + b] = m.act_tensor(d, e)
-            o_in += a
-            o_out += b
-        return t
+        return block_diag(field, [m.act_tensor(d, e) for m in mods])
 
     # merge presentations when every summand has one with the same kind of cover
     pres = None
@@ -206,10 +122,10 @@ def direct_sum(mods) -> GradedModule:
         for d in range(lo, hi + 1):
             cms = [p.cover_mats.get(d, linalg.zeros(field, mods[i].dim(d), p.cover.dim(d)))
                    for i, p in enumerate(parts)]
-            cover_mats[d] = _block_diag(field, cms)
+            cover_mats[d] = block_diag(field, cms)
             scs = [p.sections.get(d, linalg.zeros(field, p.cover.dim(d), mods[i].dim(d)))
                    for i, p in enumerate(parts)]
-            sections[d] = _block_diag(field, scs)
+            sections[d] = block_diag(field, scs)
         rel_summands = []
         rel_images = []
         for i, p in enumerate(parts):
@@ -226,55 +142,6 @@ def direct_sum(mods) -> GradedModule:
         rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
         pres = _Presentation(cover, cover_mats, sections, rel, hi)
     return GradedModule(alg, dims, action, lo, hi, pres)
-
-
-def _block_diag(field, mats):
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = linalg.zeros(field, rows, cols)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# presentation extraction for tabulated modules
-# ---------------------------------------------------------------------------
-
-
-def _extract_presentation(M: GradedModule) -> _Presentation:
-    field = M.field
-    alg = M.algebra
-
-    def piece_basis(d):
-        return linalg.eye(field, M.dim(d))
-
-    gens = scan_minimal_generators(
-        field, M, piece_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
-    )
-    cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
-    cover_mats, sections = {}, {}
-    for d in range(M.valid_from, M.valid_to + 1):
-        cm = cover_mats[d] = map_matrix(cover, M, [v for _, _, v in gens], 0, d)
-        sec = linalg.solve(field, cm, linalg.eye(field, M.dim(d)))
-        if sec is None:
-            raise WindowExceeded(f"cover not surjective at degree {d}")
-        sections[d] = sec
-
-    def ker_basis(d):
-        return linalg.nullspace(field, cover_mats[d])
-
-    kgens = scan_minimal_generators(
-        field, cover, ker_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
-    )
-    rel = None
-    if kgens:
-        src = ProjFree(alg, [(eps, d) for eps, d, _ in kgens])
-        rel = Morphism(src, cover, [v for _, _, v in kgens])
-    return _Presentation(cover, cover_mats, sections, rel, M.valid_to)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +182,8 @@ def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
         elif eps is None:
             Ws.append(linalg.eye(field, n))
         else:
-            Ws.append(linalg.Echelon.of(field, N.act_matrix(dN, 0, eps)).basis)
+            Ws.append(linalg.Echelon.of(field, linalg.matmul(
+                field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis)
     return Ws
 
 
@@ -337,7 +205,7 @@ def _hom_basis(M: GradedModule, N: GradedModule, s: int):
     P = M.presentation()
     Ws = hom_block_bases(P.cover, N, s)  # unknown parametrization per generator
     null = linalg.nullspace(field, precomposition_matrix(P.rel, N, s, Ws))
-    return homs_from_stacked(M, N, s, linalg.matmul(field, _block_diag(field, Ws), null))
+    return homs_from_stacked(M, N, s, linalg.matmul(field, block_diag(field, Ws), null))
 
 
 def homs_from_stacked(M: GradedModule, N: GradedModule, s: int, stacked: np.ndarray):
@@ -351,27 +219,32 @@ def homs_from_stacked(M: GradedModule, N: GradedModule, s: int, stacked: np.ndar
 def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) -> np.ndarray:
     """Matrix of f -> f o diff, from Hom(diff.target, N(s)) in the coordinates
     of its block bases Ws (see hom_block_bases) to the values of f o diff on
-    the generators of diff.source, stacked; no rows when diff is None."""
+    the generators of diff.source, stacked; no rows when diff is None.  For
+    each cover summand j and source degree h, one summand_matrices call
+    evaluates the maps sending generator j to the columns of Ws[j], for all
+    generators of degree h at once."""
     field = N.field
     offs = np.cumsum([0] + [w.shape[1] for w in Ws])
-    rows = [linalg.zeros(field, 0, offs[-1])]
     if diff is None:
-        return rows[0]
+        return linalg.zeros(field, 0, offs[-1])
     cover = diff.target
-    for m in range(diff.source.rank):
-        _, h = diff.source.summands[m]
+    degs = [h for _, h in diff.source.summands]
+    for h in degs:
         if h + s > N.valid_to:
             raise WindowExceeded(f"need N at degree {h + s} beyond validity {N.valid_to}")
-        blocks = cover.split(diff.images[m], h)
-        row = linalg.zeros(field, N.dim(h + s), offs[-1])
+    rows = np.cumsum([0] + [N.dim(h + s) for h in degs])
+    out = linalg.zeros(field, rows[-1], offs[-1])
+    for h in sorted(set(degs)):
+        ms = [m for m, hm in enumerate(degs) if hm == h]
+        images = np.stack([diff.images[m] for m in ms], axis=1)  # cover coords at h
+        coffs = cover.offsets(h)
         for j in range(cover.rank):
-            _, gj = cover.summands[j]
-            if offs[j] < offs[j + 1]:
-                amb = cover.ambient(j, h, blocks[j])  # alg_{h-gj} ambient
-                am = N.act_matrix(gj + s, h - gj, amb)  # (nrow, n_j)
-                row[:, offs[j] : offs[j + 1]] = linalg.matmul(field, am, Ws[j])
-        rows.append(row)
-    return np.concatenate(rows, axis=0)
+            if offs[j] < offs[j + 1] and coffs[j] < coffs[j + 1]:
+                vals = linalg.matmul(field, summand_matrices(cover, N, j, Ws[j], s, h),
+                                     images[coffs[j] : coffs[j + 1]])  # (n_j, out, len(ms))
+                for i, m in enumerate(ms):
+                    out[rows[m] : rows[m + 1], offs[j] : offs[j + 1]] = vals[:, :, i].T
+    return out
 
 
 def compose_images(fs, gs) -> np.ndarray:
@@ -478,7 +351,7 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
         return linalg.matmul(M.field, M.act_tensor(d, e), sigma.matrix(e),
                              axes=(1, 0)).transpose(0, 2, 1)
 
-    return GradedModule(M.algebra, dict(M._dims), action, M.valid_from, M.valid_to)
+    return GradedModule(M.algebra, M.dim, action, M.valid_from, M.valid_to)
 
 
 # ---------------------------------------------------------------------------

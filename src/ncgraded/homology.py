@@ -74,7 +74,7 @@ class FreeResolution:
     """... -> F2 -> F1 -> F0 -> M -> 0 by projective covers within a window.
 
     steps[i] is the ProjFree F_i; diffs[i] is the differential F_{i+1} -> F_i
-    (diffs[0] = relation map).  terminated_at = i means the kernel at F_i was
+    (diffs[0] = relation map).  A free module is its own cover, so F_0 = M.  terminated_at = i means the kernel at F_i was
     zero through the cap, so the resolution is complete with length i.
     extend() only appends steps, so earlier steps never change.
     """
@@ -89,7 +89,7 @@ class FreeResolution:
         if P.rel is not None:
             self.diffs.append(P.rel)
             self.steps.append(P.rel.source)
-        elif P.cover.rank == 0 or _kernel_vanishes(M.field, P, cap):
+        elif P.cover is M or P.cover.rank == 0 or _kernel_vanishes(M.field, P, cap):
             self.terminated_at = 0
         else:
             raise IncompleteKernel("presentation lacks a relation map but the cover has a kernel")

@@ -119,7 +119,7 @@ def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tup
     for _ in range(half):
         wpow = wpow * w
     unit = Adual.poly_to_vec(stable, wpow)
-    C = FinDimAlgebra(field, mult, unit, labels=Adual.basis_labels(stable))
+    C = FinDimAlgebra(field, mult, unit)
     report["dim"] = C.n
     return C, report
 

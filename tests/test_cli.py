@@ -7,12 +7,15 @@ import pytest
 from ncgraded import cli
 from ncgraded.cli import (
     EXAMPLE_WORKSPACE,
+    example_workspace,
     main,
     parse_rational,
     parse_workspace,
     serialize_workspace,
+    verify_example,
 )
 from ncgraded.errors import NonHomogeneous, ParseError, UnknownReference
+from ncgraded.homology import Window
 
 
 def test_example_workspace_parses():
@@ -233,6 +236,53 @@ def test_quiver_does_not_depend_on_the_window(tmp_path, capsys):
     assert shifted == default and len(default["quiver"]["arrows"]) == 4
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["asregular", "X", "--d", "2", "--ell", "1", "--window=1,3,2,4"], 2),
+    (["asgorenstein", "A", "--d", "2", "--ell", "1", "--window=1,3,2,4"], 2),
+    (["asregular", "X", "--d", "2", "--ell", "3", "--window=-2,2,2,4"], 1),
+    (["asgorenstein", "A", "--d", "2", "--ell", "5", "--window=-3,3,2,4"], 1),
+], ids=["asregular-unseen", "asgorenstein-unseen", "asregular-seen-ext", "asgorenstein-seen-ext"])
+def test_a_window_without_minus_ell_can_only_be_inconclusive(tmp_path, capsys, argv, code):
+    """Ext^d must sit in internal degree -ell.  A window whose internal range
+    leaves -ell out gives inconclusive, unless a nonzero Ext shows in a
+    degree where none may be (here Ext^2 in degree -1), which stays fail."""
+    got, out = _run_example(tmp_path, capsys, argv)
+    assert got == code and out["checks"][0]["verdict"] == ["pass", "fail", "inconclusive"][code]
+
+
+def test_verify_example_checks_that_cannot_see_minus_ell_are_inconclusive():
+    rep = verify_example(example_workspace(13, window=Window(1, 3, 2, 4)))
+    verdicts = {c["check"]: c["verdict"] for c in rep["checks"]}
+    assert verdicts.pop("as-gorenstein") == verdicts.pop("as-regular-over-degree-zero") == "inconclusive"
+    assert set(verdicts.values()) == {"pass"} and rep["verdict"] == "inconclusive"
+
+
+def _run_with_zero_module(tmp_path, capsys, argv):
+    """argv on the example workspace plus the zero module Z = A/(1)."""
+    wsfile = tmp_path / "z.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE + '\n[module Z]\nkind = "cyclic"\nof = "A"\ngenerators = "1"\n')
+    code = main(argv + ["--window=-2,2,2,4", "-w", str(wsfile)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_endo_of_the_zero_module_is_the_zero_algebra(tmp_path, capsys):
+    code, out = _run_with_zero_module(tmp_path, capsys, ["endo", "Z"])
+    assert code == 0 and list(out["dims"]) == [str(d) for d in range(-2, 5)]
+    assert set(out["dims"].values()) == {0}
+
+
+def test_quiver_of_the_zero_module_has_no_vertex(tmp_path, capsys):
+    code, out = _run_with_zero_module(tmp_path, capsys, ["quiver", "Z"])
+    assert code == 0 and out["quiver"] == {"vertices": [], "arrows": []}
+    assert out["degree_zero_dim"] == out["radical_dim"] == out["idempotents"] == 0
+
+
+def test_asregular_of_the_zero_module_is_a_typed_error(tmp_path, capsys):
+    """End(0) = 0 has no degree-0 part to be regular over."""
+    code, out = _run_with_zero_module(tmp_path, capsys, ["asregular", "Z", "--d", "2", "--ell", "1"])
+    assert code == 3 and out["error"] == "ZeroAlgebra"
+
+
 @pytest.mark.parametrize("internal", ["3, 1", "1"])
 def test_window_section_errors_are_parse_errors(internal):
     text = f'[field]\nname = "GF(13)"\n[window]\ninternal = "{internal}"\n'
@@ -250,6 +300,15 @@ def test_workspace_command_report_matches_golden(tmp_path, capsys, command):
     wsfile.write_text(EXAMPLE_WORKSPACE + '\n[automorphism sw]\nof = "A"\nimages = "y; x; z"\n')
     main(shlex.split(command) + ["-w", str(wsfile)])
     assert capsys.readouterr().out == GOLDEN[command]
+
+
+def test_verify_example_report_matches_golden():
+    """verify_example for p = 13 and 53 on Window(-3, 3, 2, 4), seed 0, byte
+    for byte: the reports keyed by p, dumped as here."""
+    window = Window(-3, 3, 2, 4)
+    reports = {str(p): verify_example(example_workspace(p, window=window), seed=0) for p in (13, 53)}
+    golden = pathlib.Path(__file__).parent / "data" / "verify_example_golden.json"
+    assert json.dumps(reports, indent=2, default=str) + "\n" == golden.read_text()
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,14 @@ def test_free_module_dims(A):
         assert M.dim(d) == A.dim(d) + A.dim(d - 1)
 
 
+def test_free_module_with_a_positive_shift_stops_where_the_algebra_does(A):
+    F = free_graded_module(A, [1])  # A(1): its generator sits in degree -1
+    assert F.valid_from == -1 and F.valid_to == A.valid_through - 1
+    assert [F.dim(d) for d in range(-2, 4)] == [A.dim(d + 1) for d in range(-2, 4)]
+    with pytest.raises(DegreeBeyondTruncation):
+        F.dim(A.valid_through)
+
+
 def test_cyclic_quotient_dims(A, basic_modules):
     # A/gA for g of degree 1 with g^2 = 0 in A: matrix factorization gives
     # dims 1, 2, 3, 4, ... (one less than A in each positive degree)
