@@ -35,7 +35,7 @@ from .algebra import (
     quotient_algebra,
 )
 from .errors import AlgebraMismatch, InvalidWindow, NcgError, ParseError, UnknownReference
-from .freealg import Gens, parse_poly
+from .freealg import Gens, NcPoly, parse_expr, parse_poly
 from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
     GradedAutomorphism,
@@ -47,7 +47,7 @@ from .gmodule import (
     shift_module,
 )
 from .homology import Window
-from .scalars import Field, root_of_unity
+from .scalars import QQ, Field, root_of_unity
 
 DEFAULT_MAX_DEG = 12
 
@@ -265,120 +265,48 @@ def serialize_workspace(ws: Workspace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rational-function parsing for --match (single variable t, integer coeffs)
+# rational functions for --match: the expression grammar over num/den pairs
+# of polynomials in one variable t
 # ---------------------------------------------------------------------------
 
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+_T = Gens(("t",), (1,))
 
 
-def _poly_neg(a):
-    return [-c for c in a]
+class _Ratio:
+    """num/den with num, den polynomials in t over QQ."""
 
+    def __init__(self, num, den):
+        self.num, self.den = num, den
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    def __add__(self, o):
+        return _Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
 
+    def __sub__(self, o):
+        return self + -o
 
-class _RatParser:
-    """num/den pairs of integer polynomials in t; grammar: + - * / ^ ( ) int t."""
+    def __neg__(self):
+        return _Ratio(-self.num, self.den)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
+    def __mul__(self, o):
+        return _Ratio(self.num * o.num, self.den * o.den)
 
-    def _skip(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        self._skip()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def parse(self):
-        v = self.expr()
-        if self.peek():
-            raise ParseError("trailing input in series expression", column=self.i + 1)
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.i += 1
-            w = self.term()
-            if op == "-":
-                w = (_poly_neg(w[0]), w[1])
-            v = (_poly_add(_poly_mul(v[0], w[1]), _poly_mul(w[0], v[1])),
-                 _poly_mul(v[1], w[1]))
-        return v
-
-    def term(self):
-        v = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.peek()
-            self.i += 1
-            w = self.factor()
-            if op == "*":
-                v = (_poly_mul(v[0], w[0]), _poly_mul(v[1], w[1]))
-            else:
-                v = (_poly_mul(v[0], w[1]), _poly_mul(v[1], w[0]))
-        return v
-
-    def factor(self):
-        v = self.atom()
-        while self.peek() == "^":
-            self.i += 1
-            self._skip()
-            j = self.i
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            if j == self.i:
-                raise ParseError("expected integer exponent", column=self.i + 1)
-            e = int(self.text[self.i : j])
-            self.i = j
-            num, den = [1], [1]
-            for _ in range(e):
-                num = _poly_mul(num, v[0])
-                den = _poly_mul(den, v[1])
-            v = (num, den)
-        return v
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.i += 1
-            v = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", column=self.i + 1)
-            self.i += 1
-            return v
-        if ch == "-":
-            self.i += 1
-            v = self.atom()
-            return (_poly_neg(v[0]), v[1])
-        if ch == "t":
-            self.i += 1
-            return ([0, 1], [1])
-        if ch.isdigit():
-            j = self.i
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            v = int(self.text[self.i : j])
-            self.i = j
-            return ([v], [1])
-        raise ParseError(f"unexpected character {ch!r} in series expression",
-                         column=self.i + 1)
+    def __truediv__(self, o):
+        return _Ratio(self.num * o.den, self.den * o.num)
 
 
 def parse_rational(text: str):
-    return _RatParser(text).parse()
+    """(num, den): integer coefficient lists, constant term first, of the
+    rational function of t that text spells."""
+    one = NcPoly.one(_T, QQ)
+
+    def var(name, column):
+        if name != "t":
+            raise ParseError(f"unknown variable {name!r} in series expression", column=column)
+        return _Ratio(NcPoly.gen(_T, QQ, 0), one)
+
+    r = parse_expr(text, lambda n: _Ratio(one.scale(n), one), var)
+    return tuple([int(p.terms.get((0,) * k, 0)) for k in range((p.degree() or 0) + 1)]
+                 for p in (r.num, r.den))
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +605,8 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     # (1) Hilbert series of S and A
     hs = hilbert_series(S, min(8, S.valid_through))
     ha = hilbert_series(A, min(8, A.valid_through))
-    ok1 = match_rational(hs, [1], _poly_mul(_poly_mul([1, -1], [1, -1]), [1, -1]))
-    ok1 = ok1 and match_rational(ha, [1, 1], _poly_mul([1, -1], [1, -1]))
+    ok1 = match_rational(hs, *parse_rational("1/(1-t)^3"))
+    ok1 = ok1 and match_rational(ha, *parse_rational("(1+t)/(1-t)^2"))
     checks.append(_check("hilbert-series", ok1,
                          {"S": list(hs.coeffs), "A": list(ha.coeffs)}))
 
@@ -736,7 +664,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     checks.append(_check("endo-nonnegative", endo_mod.check_nonnegative(B),
                          {str(d): B.algebra.dim(d) for d in range(window.internal_lo, 0)}))
     hb = _endo_series(B, window)
-    ok8 = match_rational(hb, [9, 9], _poly_mul([1, -1], [1, -1]))
+    ok8 = match_rational(hb, *parse_rational("9*(1+t)/(1-t)^2"))
     checks.append(_check("endo-hilbert-series", ok8, {"coeffs": list(hb.coeffs)}))
 
     # (9) B0: dimension 9, radical of dim 4 squaring to zero, quiver 4 -> 1

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import PresentedAlgebra, TabulatedAlgebra
-from .errors import InvalidWindow, NotConnected, ShapeMismatch, ZeroAlgebra
+from .errors import InvalidDimension, InvalidWindow, NotConnected, ShapeMismatch, ZeroAlgebra
 from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
@@ -128,6 +128,8 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
     minimal resolution of B_0 terminating at step d (within the window).
     The verdict is "inconclusive" when nothing fails but the window's
     internal range leaves out -ell."""
+    if d < 0:
+        raise InvalidDimension(f"homological dimension d = {d} is negative")
     alg = B.algebra
     if not alg.dim(0):
         raise ZeroAlgebra("End(X) of the zero module is the zero algebra: no B_0 to be regular over")
@@ -160,6 +162,8 @@ def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -
     vanishes for i != d within the window and is k(ell) for i = d.  The
     verdict is "inconclusive" when nothing fails but the window's internal
     range leaves out -ell."""
+    if d < 0:
+        raise InvalidDimension(f"homological dimension d = {d} is negative")
     if A.dim(0) != 1:
         raise NotConnected("Gorenstein test requires a connected algebra")
     seen = window.internal_lo <= -ell <= window.internal_hi

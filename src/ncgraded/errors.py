@@ -41,6 +41,10 @@ class InvalidWindow(NcgError):
     pass
 
 
+class InvalidDimension(NcgError):
+    """A homological dimension d < 0, or a cluster-tilting order n < 1."""
+
+
 class IncompleteKernel(NcgError):
     pass
 

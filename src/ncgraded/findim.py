@@ -33,17 +33,16 @@ class FinDimAlgebra:
 
     def _check_axioms(self):
         f = self.field
-        n = self.n
         # (e_i e_j) e_k = e_i (e_j e_k), checked as one tensor identity
         left = linalg.matmul(f, self.mult, self.mult)  # (i, j, k, l)
         right = linalg.matmul(f, self.mult, self.mult, axes=(2, 1)).transpose(2, 0, 1, 3)
         if not (left == right).all():
             raise ValueError("structure constants are not associative")
-        for i in range(n):
-            v = linalg.zeros(f, n)
-            v[i] = f.one
-            if not _veq(f, self.mul(self.unit, v), v) or not _veq(f, self.mul(v, self.unit), v):
-                raise ValueError("unit vector fails the unit law")
+        # unit . e_i = e_i . unit = e_i for every i
+        eye = linalg.eye(f, self.n)
+        if not (_veq(f, self.left_mult(self.unit), eye)
+                and _veq(f, linalg.matmul(f, self.mult, self.unit, axes=(1, 0)), eye)):
+            raise ValueError("unit vector fails the unit law")
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return linalg.matmul(self.field, self.left_mult(a), b)
@@ -61,6 +60,18 @@ def _veq(field, a, b) -> bool:
     return not linalg.reduce(field, a - b).any()
 
 
+def _products(alg: FinDimAlgebra, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Columns A[:, i] . B[:, j], ordered by i, then j."""
+    left = linalg.matmul(alg.field, A, alg.mult, axes=(0, 0))  # (i, n, n)
+    prods = linalg.matmul(alg.field, left, B, axes=(1, 0))  # (i, n, j)
+    return prods.transpose(1, 0, 2).reshape(alg.n, A.shape[1] * B.shape[1])
+
+
+def _sandwich(alg: FinDimAlgebra, a: np.ndarray, X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns (a . X[:, c]) . b."""
+    return _products(alg, _products(alg, a[:, None], X), b[:, None])
+
+
 def radical_basis(alg: FinDimAlgebra) -> np.ndarray:
     """Columns = basis of the Jacobson radical, via the trace form
     G_{ij} = tr(L_{e_i} L_{e_j}); its kernel is rad when char 0 or p > dim."""
@@ -76,12 +87,7 @@ def radical_basis(alg: FinDimAlgebra) -> np.ndarray:
     for _ in range(n):
         if span.shape[1] == 0:
             return rad
-        prods = []
-        for a in range(span.shape[1]):
-            for b in range(rad.shape[1]):
-                prods.append(alg.mul(span[:, a], rad[:, b]))
-        span = np.stack(prods, axis=1) if prods else linalg.zeros(f, n, 0)
-        span = linalg.Echelon.of(f, span).basis
+        span = linalg.Echelon.of(f, _products(alg, span, rad)).basis
     if span.shape[1]:
         raise NotSemisimple("trace-form kernel is not nilpotent")
     return rad
@@ -153,11 +159,7 @@ def primitive_idempotents(alg: FinDimAlgebra, rad: np.ndarray | None = None):
 
 
 def _corner_basis(alg: FinDimAlgebra, e: np.ndarray) -> np.ndarray:
-    cols = []
-    for i in range(alg.n):
-        v = alg.mul(alg.mul(e, alg.element(i)), e)
-        cols.append(v)
-    return linalg.Echelon.of(alg.field, np.stack(cols, axis=1)).basis
+    return linalg.Echelon.of(alg.field, _sandwich(alg, e, linalg.eye(alg.field, alg.n), e)).basis
 
 
 def _lift_idempotent(alg: FinDimAlgebra, e: np.ndarray) -> np.ndarray:
@@ -181,11 +183,7 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
     k = corner.shape[1]
     if k <= 1:
         return [e]
-    rad_corner = []
-    for c in range(rad.shape[1]):
-        rad_corner.append(alg.mul(alg.mul(e, rad[:, c]), e))
-    radm = np.stack(rad_corner, axis=1) if rad_corner else linalg.zeros(f, alg.n, 0)
-    span = linalg.Echelon.of(f, radm)
+    span = linalg.Echelon.of(f, _sandwich(alg, e, rad, e))
     r = span.rank
     rep_idx = span.extend(corner)
     if len(rep_idx) <= 1:
@@ -198,16 +196,9 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
         return span.coords(v)[r:]
 
     q = len(rep_idx)
-    qmult = linalg.zeros(f, q, q, q)
-    for i in range(q):
-        for j in range(q):
-            qmult[i, j, :] = qcoords(alg.mul(reps[:, i], reps[:, j]))
-    for i in range(q):
-        for j in range(i + 1, q):
-            a = np.asarray(qmult[i, j, :])
-            b = np.asarray(qmult[j, i, :])
-            if not _veq(f, a, b):
-                raise NonSplit("non-commutative semisimple corner (matrix block)")
+    qmult = qcoords(_products(alg, reps, reps)).T.reshape(q, q, q)
+    if not _veq(f, qmult, qmult.transpose(1, 0, 2)):
+        raise NonSplit("non-commutative semisimple corner (matrix block)")
     qalg = FinDimAlgebra(f, qmult, qcoords(e), check=False)
     for c in range(q):
         coeffs = _min_poly(f, qalg, qalg.element(c))
@@ -274,18 +265,11 @@ def gabriel_quiver(alg: FinDimAlgebra):
     f = alg.field
     rad, idems = _radical_and_primitives(alg)
     # basicness check: distinct idempotents should not be linked by inverse pairs
-    rad2 = []
-    for a in range(rad.shape[1]):
-        for b in range(rad.shape[1]):
-            rad2.append(alg.mul(rad[:, a], rad[:, b]))
-    rad2_span = linalg.Echelon.of(f, np.stack(rad2, axis=1) if rad2 else linalg.zeros(f, alg.n, 0))
+    rad2_span = linalg.Echelon.of(f, _products(alg, rad, rad))
     m = len(idems)
     arrows = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            cols = []
-            for c in range(rad.shape[1]):
-                cols.append(alg.mul(alg.mul(idems[j], rad[:, c]), idems[i]))
-            mat = np.stack(cols, axis=1) if cols else linalg.zeros(f, alg.n, 0)
+            mat = _sandwich(alg, idems[j], rad, idems[i])
             arrows[i][j] = linalg.rank(f, rad2_span.reduce(mat))
     return idems, arrows

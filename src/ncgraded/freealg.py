@@ -187,20 +187,14 @@ class NcPoly:
         return " + ".join(parts)
 
 
-def poly_add(f: NcPoly, g: NcPoly) -> NcPoly:
-    return f + g
-
-
-def poly_mul(f: NcPoly, g: NcPoly) -> NcPoly:
-    return f * g
-
-
 # ---------------------------------------------------------------------------
-# Expression grammar: integers, generator names, + - * ^ and parentheses.
-# Juxtaposition is not multiplication; no commutation is assumed.
+# Expression grammar: integers, names, + - * / ^ and parentheses, evaluated
+# over any values with + - * (and / where the values divide).  Unary signs
+# bind looser than ^, as in Python: -x^2 = -(x^2).  Juxtaposition is not
+# multiplication; no commutation is assumed.
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*^()")
+_TOKEN_CHARS = set("+-*/^()")
 
 
 def _tokenize(text: str):
@@ -233,10 +227,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, gens: Gens, field: Field):
+    """expr := term (('+' | '-') term)*;  term := power (('*' | '/') power)*;
+    power := ('+' | '-') power | atom ('^' int)*;  atom := int | name | '(' expr ')'."""
+
+    def __init__(self, text: str, const, var):
         self.text = text
-        self.gens = gens
-        self.field = field
+        self.const = const
+        self.var = var
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -244,72 +241,88 @@ class _Parser:
         return self.toks[self.pos]
 
     def next(self):
+        """The current token, then move on; the `end` token is never passed."""
         t = self.toks[self.pos]
-        self.pos += 1
+        if t[0] != "end":
+            self.pos += 1
         return t
 
-    def fail(self, msg):
-        tok = self.peek()
+    def fail(self, msg, tok):
         raise ParseError(f"{msg} (near offset {tok[1]} in {self.text!r})", column=tok[1])
 
-    def parse(self) -> NcPoly:
+    def parse(self):
         p = self.expr()
         if self.peek()[0] != "end":
-            self.fail("trailing input")
+            self.fail("trailing input", self.peek())
         return p
 
-    def expr(self) -> NcPoly:
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.next()[0] == "-":
-                sign = -sign
+    def expr(self):
         p = self.term()
-        if sign < 0:
-            p = -p
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             q = self.term()
             p = p + q if op == "+" else p - q
         return p
 
-    def term(self) -> NcPoly:
+    def term(self):
         p = self.power()
-        while self.peek()[0] == "*":
-            self.next()
-            p = p * self.power()
+        while self.peek()[0] in ("*", "/"):
+            tok = self.next()
+            q = self.power()
+            if tok[0] == "*":
+                p = p * q
+            elif hasattr(p, "__truediv__"):
+                p = p / q
+            else:
+                self.fail("'/' is not allowed here", tok)
         return p
 
-    def power(self) -> NcPoly:
+    def power(self):
+        if self.peek()[0] in ("+", "-"):
+            sign = self.next()[0]
+            p = self.power()
+            return -p if sign == "-" else p
         p = self.atom()
         while self.peek()[0] == "^":
             self.next()
             tok = self.next()
             if tok[0] != "int":
-                self.fail("expected nonnegative integer exponent")
-            n = tok[2]
-            q = NcPoly.one(self.gens, self.field)
-            for _ in range(n):
+                self.fail("expected nonnegative integer exponent", tok)
+            q = self.const(1)
+            for _ in range(tok[2]):
                 q = q * p
             p = q
         return p
 
-    def atom(self) -> NcPoly:
+    def atom(self):
         tok = self.next()
         if tok[0] == "int":
-            return NcPoly(self.gens, self.field, {(): tok[2]})
+            return self.const(tok[2])
         if tok[0] == "name":
-            if tok[2] not in self.gens.names:
-                raise ParseError(f"unknown generator {tok[2]!r}", column=tok[1])
-            return NcPoly.gen(self.gens, self.field, self.gens.index(tok[2]))
+            return self.var(tok[2], tok[1])
         if tok[0] == "(":
             p = self.expr()
-            if self.next()[0] != ")":
-                self.fail("expected ')'")
+            if self.peek()[0] != ")":
+                self.fail("expected ')'", self.peek())
+            self.next()
             return p
-        if tok[0] == "-":
-            return -self.atom()
-        self.fail("expected integer, generator, or '('")
+        self.fail("expected integer, name, or '('", tok)
+
+
+def parse_expr(text: str, const, var):
+    """Evaluate the expression grammar: const(n) gives the value of the
+    integer literal n, var(name, column) the value of a name (raising
+    ParseError for an unknown one).  '/' needs values that divide."""
+    try:
+        return _Parser(text, const, var).parse()
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply ({len(text)} characters)") from None
 
 
 def parse_poly(text: str, gens: Gens, field: Field) -> NcPoly:
-    return _Parser(text, gens, field).parse()
+    def var(name, column):
+        if name not in gens.names:
+            raise ParseError(f"unknown generator {name!r}", column=column)
+        return NcPoly.gen(gens, field, gens.index(name))
+
+    return parse_expr(text, lambda n: NcPoly(gens, field, {(): n}), var)

@@ -16,6 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     IncompleteKernel,
+    InvalidDimension,
     InvalidWindow,
     NonSplitResidue,
     NonSplit,
@@ -34,7 +35,7 @@ from .gmodule import (
     twist_module,
 )
 from .memo import memo
-from .projfree import Morphism, ProjFree, scan_minimal_generators
+from .projfree import syzygy
 
 
 @dataclass(frozen=True)
@@ -106,22 +107,18 @@ class FreeResolution:
 
     def extend(self, steps: int):
         """Resolve until F_steps is known or the resolution terminates."""
-        alg = self.M.algebra
         while self.terminated_at is None and self.length < steps:
             prev = self.diffs[-1]
             lo = min([g for _, g in prev.source.summands], default=0)
-            kgens = scan_minimal_generators(
-                self.M.field, prev.source, prev.kernel_basis, range(lo, self.cap + 1), alg.deg0
-            )
-            if not kgens:
+            diff = syzygy(prev.source, prev.kernel_basis, range(lo, self.cap + 1))
+            if diff is None:
                 self.terminated_at = self.length
                 break
-            if any(dg >= self.cap for _, dg, _ in kgens):
+            if any(g >= self.cap for _, g in diff.source.summands):
                 raise IncompleteKernel(
                     f"kernel generators found at the degree cap {self.cap}; raise the cap")
-            src = ProjFree(alg, [(eps, dg) for eps, dg, _ in kgens])
-            self.diffs.append(Morphism(src, prev.source, [v for _, _, v in kgens]))
-            self.steps.append(src)
+            self.diffs.append(diff)
+            self.steps.append(diff.source)
 
     def blocks(self, N: GradedModule, j: int, s: int) -> list:
         """hom_block_bases(F_j, N, s), the parametrisation of Hom(F_j, N(s)), memoized."""
@@ -311,6 +308,8 @@ def in_add_of(X: GradedModule, M: GradedModule, window: Window) -> tuple[bool, s
 
 
 def check_cluster_tilting(X: GradedModule, n: int, candidates, window: Window) -> dict:
+    if n < 1:
+        raise InvalidDimension(f"cluster tilting needs n >= 1; got n = {n}")
     report = {"window": window.tag(), "n": n}
     ok_mcm, mcm_rep = is_mcm(X, window)
     report["X_mcm"] = ok_mcm

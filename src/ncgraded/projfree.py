@@ -304,11 +304,18 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
     def ker_basis(d):
         return linalg.nullspace(field, cover_mats[d])
 
-    kgens = scan_minimal_generators(
-        field, cover, ker_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
-    )
-    rel = None
-    if kgens:
-        src = ProjFree(alg, [(eps, d) for eps, d, _ in kgens])
-        rel = Morphism(src, cover, [v for _, _, v in kgens])
+    rel = syzygy(cover, ker_basis, range(M.valid_from, M.valid_to + 1))
     return _Presentation(cover, cover_mats, sections, rel, M.valid_to)
+
+
+def syzygy(target: ProjFree, kernel_basis, deg_range) -> Morphism | None:
+    """One resolution step: the map from a new ProjFree onto the kernel of a
+    map into target, on minimal generators scanned over deg_range;
+    kernel_basis(d) spans the kernel in target's degree d.  None when the
+    kernel has no generator there."""
+    alg = target.algebra
+    kgens = scan_minimal_generators(target.field, target, kernel_basis, deg_range, alg.deg0)
+    if not kgens:
+        return None
+    src = ProjFree(alg, [(eps, d) for eps, d, _ in kgens])
+    return Morphism(src, target, [v for _, _, v in kgens])

@@ -393,3 +393,34 @@ def test_command_help_lists_its_options(capsys):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert "--window" in out and "--field" in out
+
+
+_DEEP = "(" * 400 + "x*y" + ")" * 400
+
+
+@pytest.mark.parametrize("relations, match", [
+    ("x*y +", None),
+    (_DEEP, None),
+    ("3*x*y", "(1+t)/(1-t)^2 -"),
+    ("3*x*y", _DEEP.replace("x*y", "t")),
+], ids=["truncated-relation", "deep-relation", "truncated-match", "deep-match"])
+def test_malformed_expressions_are_parse_errors(tmp_path, capsys, relations, match):
+    """A truncated or deeply nested expression, in a workspace relation or in
+    --match, exits 3 with ParseError, not internal-error."""
+    wsfile = tmp_path / "e.nws"
+    wsfile.write_text(SMALL_WORKSPACE.replace('"3*x*y"', f'"{relations}"'))
+    code = main(["hilbert", "T", "--max-deg", "3", "-w", str(wsfile)]
+                + (["--match", match] if match else []))
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["asgorenstein", "A", "--d", "-1", "--ell", "1"],
+    ["asregular", "X", "--d", "-1", "--ell", "1"],
+    ["cluster", "X", "--n", "0"],
+    ["cluster", "X", "--n", "-2"],
+], ids=["asgorenstein-d", "asregular-d", "cluster-n0", "cluster-n-2"])
+def test_meaningless_dimensions_are_typed_errors(tmp_path, capsys, argv):
+    code, out = _run_example(tmp_path, capsys, argv + ["--max-deg", "6", "--window=-2,2,2,4"])
+    assert code == 3 and out["error"] == "InvalidDimension"

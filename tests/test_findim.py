@@ -4,6 +4,8 @@ import pytest
 from ncgraded.errors import FieldTooSmall, NonSplit
 from ncgraded.findim import (
     FinDimAlgebra,
+    _products,
+    _sandwich,
     gabriel_quiver,
     is_local,
     primitive_idempotents,
@@ -98,3 +100,16 @@ def test_gabriel_quiver_counts_the_radical_modulo_its_square():
     idems, arrows = gabriel_quiver(alg)
     assert len(idems) == 1
     assert arrows == [[1]]
+
+
+def test_product_contractions_match_one_product_at_a_time():
+    """_products and _sandwich, which replace per-pair alg.mul loops, give
+    the loops' columns in the loops' order."""
+    alg = _mat2()
+    rng = np.random.default_rng(3)
+    A, B = rng.integers(0, 13, (4, 3)), rng.integers(0, 13, (4, 2))
+    a, b = rng.integers(0, 13, 4), rng.integers(0, 13, 4)
+    loop = np.stack([alg.mul(A[:, i], B[:, j]) for i in range(3) for j in range(2)], axis=1)
+    assert (_products(alg, A, B) == loop).all()
+    loop = np.stack([alg.mul(alg.mul(a, A[:, c]), b) for c in range(3)], axis=1)
+    assert (_sandwich(alg, a, A, b) == loop).all()

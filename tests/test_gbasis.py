@@ -1,6 +1,6 @@
 import pytest
 
-from ncgraded.freealg import Gens, parse_poly, poly_mul
+from ncgraded.freealg import Gens, parse_poly
 from ncgraded.gbasis import (
     MonomialOrder,
     NonHomogeneousRelation,
@@ -42,8 +42,8 @@ def test_normal_form_idempotent_and_multiplicative():
     nf = normal_form(gb, f)
     assert normal_form(gb, nf).terms == nf.terms
     g = parse_poly("z*y", pres.gens, F)
-    lhs = normal_form(gb, poly_mul(f, g))
-    rhs = normal_form(gb, poly_mul(normal_form(gb, f), normal_form(gb, g)))
+    lhs = normal_form(gb, f * g)
+    rhs = normal_form(gb, normal_form(gb, f) * normal_form(gb, g))
     assert lhs.terms == rhs.terms
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ncgraded import linalg
 from ncgraded.algebra import build_presented_algebra, quotient_algebra
 
-from ncgraded.freealg import Gens, parse_poly, poly_add, poly_mul, NcPoly
+from ncgraded.freealg import Gens, parse_poly, NcPoly
 from ncgraded.gbasis import MonomialOrder, Presentation, normal_form, truncated_groebner
 from ncgraded.gmodule import cyclic_module, dual_module, free_graded_module, hom_basis
 from ncgraded.homology import Window, free_resolution, hom_space
@@ -24,7 +24,7 @@ GB = truncated_groebner(Presentation(F, GENS, RELS, ORDER), 8)
 def _word_poly(idxs, coeff):
     p = NcPoly.one(GENS, F)
     for i in idxs:
-        p = poly_mul(p, NcPoly.gen(GENS, F, i))
+        p = p * NcPoly.gen(GENS, F, i)
     return p.scale(coeff % 13)
 
 
@@ -40,7 +40,7 @@ def homogeneous_poly(draw):
     terms = draw(homog)
     p = NcPoly.zero(GENS, F)
     for idxs, c in terms:
-        p = poly_add(p, _word_poly(idxs, c))
+        p = p + _word_poly(idxs, c)
     return p
 
 
@@ -54,8 +54,8 @@ def test_normal_form_idempotent(f):
 @given(homogeneous_poly(), homogeneous_poly())
 @settings(max_examples=40, deadline=None)
 def test_normal_form_multiplicative(f, g):
-    lhs = normal_form(GB, poly_mul(f, g))
-    rhs = normal_form(GB, poly_mul(normal_form(GB, f), normal_form(GB, g)))
+    lhs = normal_form(GB, f * g)
+    rhs = normal_form(GB, normal_form(GB, f) * normal_form(GB, g))
     assert lhs.terms == rhs.terms
 
 
