@@ -16,7 +16,7 @@ from . import linalg
 from .errors import DegreeBeyondTruncation, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
-from .gbasis import Presentation, TruncatedGB, truncated_groebner
+from .gbasis import Presentation, truncated_groebner
 from .memo import memo
 from .scalars import Field
 
@@ -78,12 +78,12 @@ class PresentedAlgebra(AlgebraOracle):
     sorted descending by the monomial order (fixed so matrices reproduce
     across runs)."""
 
-    def __init__(self, pres: Presentation, D: int, gb: TruncatedGB | None = None):
+    def __init__(self, pres: Presentation, D: int):
         self.presentation = pres
         self.field = pres.field
         self.gens = pres.gens
         self.order = pres.order
-        self.gb = gb if gb is not None else truncated_groebner(pres, D)
+        self.gb = truncated_groebner(pres, D)
         self.valid_through = self.gb.complete_through
 
     def basis_words(self, d: int) -> list:

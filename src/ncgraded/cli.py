@@ -384,10 +384,6 @@ def _series_match(series: HilbertSeries, expression: str) -> dict:
                   {"coeffs": list(series.coeffs), "expression": expression})
 
 
-def _unreachable(window: Window, d: int) -> dict:
-    return {"reason": f"window homological_max {window.homological_max} cannot reach Ext^{d}"}
-
-
 def cmd_gb(args) -> dict:
     ws = args.ws
     alg = ws.algebra(args.name)
@@ -538,27 +534,17 @@ def cmd_points(args) -> dict:
 
 def cmd_asgorenstein(args) -> dict:
     ws = args.ws
-    alg = ws.algebra(args.name)
-    if ws.window.homological_max < args.d:
-        check = _check("gorenstein", "inconclusive", _unreachable(ws.window, args.d))
-    else:
-        detail = endo_mod.as_gorenstein_check(alg, args.d, args.ell, ws.window)
-        check = _check("gorenstein", detail["verdict"], detail["sides"])
+    detail = endo_mod.as_gorenstein_check(ws.algebra(args.name), args.d, args.ell, ws.window)
     return make_report("asgorenstein", {"algebra": args.name, "d": args.d, "ell": args.ell},
-                       ws.window, [check])
+                       ws.window, [_check("gorenstein", detail["verdict"], detail["sides"])])
 
 
 def cmd_asregular(args) -> dict:
     ws = args.ws
-    if ws.window.homological_max < args.d:
-        check = _check("as-regular-over-degree-zero", "inconclusive",
-                       _unreachable(ws.window, args.d))
-    else:
-        B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
-        detail = endo_mod.as_regular_over_R_check(B, args.d, args.ell, ws.window)
-        check = _check("as-regular-over-degree-zero", detail["verdict"], detail)
+    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
+    detail = endo_mod.as_regular_over_R_check(B, args.d, args.ell, ws.window)
     return make_report("asregular", {"X": args.X, "d": args.d, "ell": args.ell}, ws.window,
-                       [check])
+                       [_check("as-regular-over-degree-zero", detail["verdict"], detail)])
 
 
 def cmd_eval_iso(args) -> dict:
@@ -616,12 +602,8 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     checks.append(_check("central-regular-quadric", ok2, {"element": "x^2 + y^2"}))
 
     # (3) A is AS-Gorenstein of dimension 2, parameter 1
-    if window.homological_max < 2:
-        checks.append(_check("as-gorenstein", "inconclusive",
-                             {"reason": "homological_max too small for Ext^2"}))
-    else:
-        g = endo_mod.as_gorenstein_check(A, 2, 1, window)
-        checks.append(_check("as-gorenstein", g["verdict"], g["sides"]))
+    g = endo_mod.as_gorenstein_check(A, 2, 1, window)
+    checks.append(_check("as-gorenstein", g["verdict"], g["sides"]))
 
     # (4) quadratic dual and the Clifford-type algebra C(A) = k^4
     dual = build_presented_algebra(koszul.quadratic_dual(A.presentation), 10)
@@ -687,13 +669,9 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
                           "idempotents": len(idems), "quiver": Q.to_json()}))
 
     # (10) B is AS-regular over B0 of dimension 2, parameter 1
-    if window.homological_max < 2:
-        checks.append(_check("as-regular-over-degree-zero", "inconclusive",
-                             {"reason": "homological_max too small for Ext^2"}))
-    else:
-        reg = endo_mod.as_regular_over_R_check(B, 2, 1, window)
-        checks.append(_check("as-regular-over-degree-zero", reg["verdict"],
-                             {"ext": reg["ext"], "terminates_at_d": reg["terminates_at_d"]}))
+    reg = endo_mod.as_regular_over_R_check(B, 2, 1, window)
+    checks.append(_check("as-regular-over-degree-zero", reg["verdict"],
+                         {"ext": reg["ext"], "terminates_at_d": reg["terminates_at_d"]}))
 
     # (11) evaluation isomorphism for A, X1, k
     wd = Window(0, 4, window.homological_max, window.algebra_degree_cap)

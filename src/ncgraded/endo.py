@@ -15,17 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .algebra import PresentedAlgebra, TabulatedAlgebra
-from .errors import InvalidDimension, InvalidWindow, NotConnected, ShapeMismatch, ZeroAlgebra
-from .findim import FinDimAlgebra, _support_key, radical_and_idempotents
+from .errors import InvalidDimension, InvalidWindow, NotConnected, ZeroAlgebra
+from .findim import FinDimAlgebra, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
     GradedModule,
-    compose_images,
+    composition_tensor,
     cyclic_module,
     free_graded_module,
     hom_basis,
+    hom_coords,
     identity_hom,
     opposite_algebra,
 )
@@ -49,13 +49,7 @@ class EndoAlgebra:
         if hi < 0:
             raise InvalidWindow(f"End(X) needs algebra_degree_cap >= 0 for its unit; got {hi}")
         self.bases = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
-        self._stacks = {d: np.stack([b.stacked() for b in bs], axis=1)
-                        for d, bs in self.bases.items() if bs}
-        ident = identity_hom(X).stacked()
-        # Hom(X, X)_0 = 0 only for X = 0, whose End is the zero algebra
-        unit = linalg.solve(X.field, self._stacks.get(0, linalg.zeros(X.field, len(ident), 0)), ident)
-        if unit is None:
-            raise ShapeMismatch("identity endomorphism missing from Hom(X, X)_0")
+        unit = hom_coords(X.field, self.bases[0], identity_hom(X).stacked()[:, None])
         self.algebra = TabulatedAlgebra(
             X.field, {d: len(bs) for d, bs in self.bases.items()}, self._compose_tensor,
             unit[:, 0], valid_through=hi, valid_from=lo)
@@ -63,13 +57,7 @@ class EndoAlgebra:
     def _compose_tensor(self, d1: int, d2: int) -> np.ndarray:
         """tensor[i, j, :] = coords of b_i o b_j (b_j applied first); the
         three degrees' bases are nonempty."""
-        b1, b2, b12 = self.bases[d1], self.bases[d2], self.bases[d1 + d2]
-        n1, n2, n12 = len(b1), len(b2), len(b12)
-        rhs = compose_images(b2, b1).reshape(-1, n1 * n2)
-        sol = linalg.solve(self.X.field, self._stacks[d1 + d2], rhs)
-        if sol is None:
-            raise ShapeMismatch("composition left the computed hom space")
-        return sol.T.reshape(n1, n2, n12)
+        return composition_tensor(self.bases[d1], self.bases[d2], self.bases[d1 + d2])
 
 
 def endomorphism_algebra(X: GradedModule, window: Window) -> EndoAlgebra:
@@ -101,16 +89,9 @@ def quiver_of(F: FinDimAlgebra) -> Quiver:
     """Gabriel quiver with the right-module path convention: an arrow
     u -> v for each basis element of e_u (rad/rad^2) e_v."""
     idems, arrows = _findim_quiver(F)
-    order = sorted(range(len(idems)), key=lambda i: _support_key(F.field, idems[i]))
     names = [f"v{k}" for k in range(len(idems))]
-    arr = []
-    for a, i in enumerate(order):
-        for b, j in enumerate(order):
-            m = arrows[i][j]
-            if m:
-                arr.append((names[b], names[a], m))
-    arr.sort()
-    return Quiver(names, arr)
+    return Quiver(names, sorted((names[j], names[i], m) for i, row in enumerate(arrows)
+                                for j, m in enumerate(row) if m))
 
 
 def b0_module(B: EndoAlgebra) -> GradedModule:
@@ -126,24 +107,25 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
     """AS-regularity of B over R = B_0: Ext^i_B(B_0, B) = 0 for i < d,
     Ext^d concentrated in internal degree -ell with dim = dim B_0, and the
     minimal resolution of B_0 terminating at step d (within the window).
-    The verdict is "inconclusive" when nothing fails but the window's
-    internal range leaves out -ell."""
+    The verdict is "inconclusive" when nothing fails but the window leaves
+    out -ell or Ext^d; a resolution that has not ended is then no failure."""
     if d < 0:
         raise InvalidDimension(f"homological dimension d = {d} is negative")
     alg = B.algebra
     if not alg.dim(0):
         raise ZeroAlgebra("End(X) of the zero module is the zero algebra: no B_0 to be regular over")
     M = b0_module(B)
-    seen = window.internal_lo <= -ell <= window.internal_hi
+    reach = d <= window.homological_max
+    seen = reach and window.internal_lo <= -ell <= window.internal_hi
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
     report = {"window": window.tag(), "d": d, "ell": ell}
-    steps = min(d + 1, window.homological_max + 1)
-    res = free_resolution(M, steps, window)
-    report["resolution_shifts"] = [res.shifts(i) for i in range(min(res.length, steps) + 1)]
+    top = min(d, window.homological_max)
+    res = free_resolution(M, top + 1, window)
+    report["resolution_shifts"] = [res.shifts(i) for i in range(min(res.length, top + 1) + 1)]
     report["terminates_at_d"] = res.terminated_at == d
-    ok = res.terminated_at == d
+    ok = res.terminated_at == d or (res.terminated_at is None and not reach)
     ext_rep = {}
-    for i in range(0, d + 1):
+    for i in range(0, top + 1):
         dims = ext_graded_dims(M, NB, i, window)
         nz = {s: v for s, v in dims.items() if v}
         ext_rep[i] = nz
@@ -160,13 +142,13 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
 def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -> dict:
     """AS-Gorenstein test for a connected algebra: Ext^i(k, A) on both sides
     vanishes for i != d within the window and is k(ell) for i = d.  The
-    verdict is "inconclusive" when nothing fails but the window's internal
-    range leaves out -ell."""
+    verdict is "inconclusive" when nothing fails but the window leaves out
+    -ell or Ext^d."""
     if d < 0:
         raise InvalidDimension(f"homological dimension d = {d} is negative")
     if A.dim(0) != 1:
         raise NotConnected("Gorenstein test requires a connected algebra")
-    seen = window.internal_lo <= -ell <= window.internal_hi
+    seen = d <= window.homological_max and window.internal_lo <= -ell <= window.internal_hi
     report = {"window": window.tag(), "d": d, "ell": ell, "sides": {}}
     ok = True
     top = min(d + 1, window.homological_max)

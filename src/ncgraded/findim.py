@@ -221,21 +221,15 @@ def _split_corner(alg: FinDimAlgebra, e: np.ndarray, rad: np.ndarray):
     return [e]
 
 
-def _radical_and_primitives(F: FinDimAlgebra):
-    """Radical basis and primitive idempotents (in the order
-    primitive_idempotents finds them), computed once per F and shared by
-    radical_and_idempotents and gabriel_quiver."""
+def radical_and_idempotents(F: FinDimAlgebra) -> Deg0Data:
+    """Radical basis and primitive idempotents, the latter sorted by support:
+    computed once per F, so gabriel_quiver and an algebra's deg0 read the same."""
     def build():
         rad = radical_basis(F)
-        return rad, primitive_idempotents(F, rad)
+        idems = primitive_idempotents(F, rad)
+        return Deg0Data(rad, sorted(idems, key=lambda e: _support_key(F.field, e)))
 
-    return memo(F, "primitives", build)
-
-
-def radical_and_idempotents(F: FinDimAlgebra) -> Deg0Data:
-    """Radical basis and primitive idempotents, the latter sorted by support."""
-    rad, idems = _radical_and_primitives(F)
-    return Deg0Data(rad, sorted(idems, key=lambda e: _support_key(F.field, e)))
+    return memo(F, "deg0", build)
 
 
 def _support_key(field, v):
@@ -252,18 +246,13 @@ class Deg0Data(NamedTuple):
     idempotents: list              # primitive orthogonal idempotent vectors
 
 
-def is_local(alg: FinDimAlgebra) -> bool:
-    """True when alg / rad is one-dimensional (so 0, 1 are the only idempotents)."""
-    rad = radical_basis(alg)
-    return rad.shape[1] == alg.n - 1
-
-
 def gabriel_quiver(alg: FinDimAlgebra):
-    """(idempotents, arrow multiplicity matrix) of a split basic algebra.
+    """(idempotents, arrow multiplicity matrix) of a split basic algebra, the
+    idempotents in the order of radical_and_idempotents.
 
     arrows[i][j] = dim e_j (rad / rad^2) e_i  (an arrow vertex_i -> vertex_j)."""
     f = alg.field
-    rad, idems = _radical_and_primitives(alg)
+    rad, idems = radical_and_idempotents(alg)
     # basicness check: distinct idempotents should not be linked by inverse pairs
     rad2_span = linalg.Echelon.of(f, _products(alg, rad, rad))
     m = len(idems)

@@ -5,7 +5,8 @@ algebras) are memoized on their owner.
 
 A HomElement is stored by its generator images and evaluated by
 projfree.map_matrix; compose_images is the one place composites are formed
-(compose_hom is its one-pair case).
+(compose_hom is its one-pair case), and hom_coords the one solve for
+coordinates in a hom basis (composition_tensor joins the two).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
         u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
         return linalg.matmul(field, u, cover_mats[d + e].T)  # (k, ne, k')
 
-    pres = _Presentation(cover, cover_mats, sections, rel, hi)
+    pres = _Presentation(cover, cover_mats, sections, rel)
     return GradedModule(alg, dims, action, lo, hi, pres)
 
 
@@ -140,7 +141,7 @@ def direct_sum(mods) -> GradedModule:
                 full[off : off + parts[i].cover.dim(g)] = img
                 rel_images.append(full)
         rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
-        pres = _Presentation(cover, cover_mats, sections, rel, hi)
+        pres = _Presentation(cover, cover_mats, sections, rel)
     return GradedModule(alg, dims, action, lo, hi, pres)
 
 
@@ -267,6 +268,26 @@ def compose_images(fs, gs) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def hom_coords(field, basis, rhs) -> np.ndarray:
+    """Coordinates in a hom basis of the homs whose stacked generator images
+    (as in HomElement.stacked) are the columns of rhs, one column each;
+    ShapeMismatch when one of them is not in the basis' span."""
+    if not rhs.shape[1]:
+        return linalg.zeros(field, len(basis), 0)
+    stack = np.stack([b.stacked() for b in basis], axis=1) if basis else linalg.zeros(field, len(rhs), 0)
+    sol = linalg.solve(field, stack, rhs)
+    if sol is None:
+        raise ShapeMismatch("a hom left the computed hom space")
+    return sol
+
+
+def composition_tensor(b1, b2, b12) -> np.ndarray:
+    """tensor[i, j] = coordinates in the basis b12 of b1[i] o b2[j] (b2[j]
+    applied first); b1 and b2 are nonempty."""
+    rhs = compose_images(b2, b1).reshape(-1, len(b1) * len(b2))
+    return hom_coords(b1[0].M.field, b12, rhs).T.reshape(len(b1), len(b2), len(b12))
+
+
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:
     """g o f: M -> P(s+t) for f: M -> N(s), g: N -> P(t)."""
     return homs_from_stacked(f.M, g.N, f.s + g.s, compose_images([f], [g])[:, 0])[0]
@@ -293,11 +314,14 @@ def identity_hom(M: GradedModule) -> HomElement:
 # ---------------------------------------------------------------------------
 
 
+_AUTOMORPHISM_CHECK_THROUGH = 4  # degrees 0..4 are checked invertible
+
+
 class GradedAutomorphism:
     """Degree-preserving algebra automorphism of a presented algebra, given by
     generator images; validated on relations and per-degree invertibility."""
 
-    def __init__(self, alg: PresentedAlgebra, images, check_through: int = 4):
+    def __init__(self, alg: PresentedAlgebra, images):
         self.alg = alg
         self.images = list(images)
         if len(self.images) != len(alg.gens):
@@ -309,7 +333,7 @@ class GradedAutomorphism:
             img = self._apply_poly(r)
             if not alg.gb.normal_form(img).is_zero():
                 raise InvalidAutomorphism(f"relation {r} not preserved")
-        for d in range(0, check_through + 1):
+        for d in range(0, _AUTOMORPHISM_CHECK_THROUGH + 1):
             m = self.matrix(d)
             if m.shape[0] and linalg.inverse(alg.field, m) is None:
                 raise InvalidAutomorphism(f"not invertible in degree {d}")
@@ -335,11 +359,6 @@ class GradedAutomorphism:
             return m
 
         return memo(self, ("matrix", d), build)
-
-    @staticmethod
-    def identity(alg: PresentedAlgebra) -> "GradedAutomorphism":
-        gens = alg.gens
-        return GradedAutomorphism(alg, [NcPoly.gen(gens, alg.field, i) for i in range(len(gens))])
 
 
 def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
@@ -400,9 +419,6 @@ def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -
         # rows: stacked generator images; columns: (word, f), word-major
         rhs = np.concatenate(rhs, axis=0).reshape(op.dim(e), -1, len(hb))
         rhs = rhs.transpose(1, 0, 2).reshape(-1, op.dim(e) * len(hb))
-        sol = linalg.solve(field, np.stack([b.stacked() for b in tb], axis=1), rhs)
-        if sol is None:
-            raise WindowExceeded("dual action left the computed window")
-        return sol.T.reshape(op.dim(e), len(hb), len(tb)).transpose(1, 0, 2)
+        return hom_coords(field, tb, rhs).T.reshape(op.dim(e), len(hb), len(tb)).transpose(1, 0, 2)
 
     return GradedModule(op, dims, action, lo, hi)

@@ -20,16 +20,17 @@ from .errors import (
     InvalidWindow,
     NonSplitResidue,
     NonSplit,
-    ShapeMismatch,
     WindowExceeded,
 )
-from .findim import FinDimAlgebra, is_local, primitive_idempotents
+from .findim import FinDimAlgebra, radical_and_idempotents
 from .gmodule import (
     GradedModule,
     compose_images,
+    composition_tensor,
     free_graded_module,
     hom_basis,
     hom_block_bases,
+    hom_coords,
     identity_hom,
     precomposition_matrix,
     twist_module,
@@ -90,7 +91,7 @@ class FreeResolution:
         if P.rel is not None:
             self.diffs.append(P.rel)
             self.steps.append(P.rel.source)
-        elif P.cover is M or P.cover.rank == 0 or _kernel_vanishes(M.field, P, cap):
+        elif P.cover is M or P.cover.rank == 0 or _kernel_vanishes(M, cap):
             self.terminated_at = 0
         else:
             raise IncompleteKernel("presentation lacks a relation map but the cover has a kernel")
@@ -149,12 +150,13 @@ def free_resolution(M: GradedModule, steps: int, window: Window) -> FreeResoluti
     return res
 
 
-def _kernel_vanishes(field, P, cap) -> bool:
-    """Whether the cover has no kernel through the cap, in the degrees the
+def _kernel_vanishes(M: GradedModule, cap: int) -> bool:
+    """Whether M's cover has no kernel through the cap, in the degrees the
     presentation tabulates (the ones its relations were scanned in)."""
+    P = M.presentation()
     lo = min([g for _, g in P.cover.summands], default=0)
-    for d in range(lo, min(cap, P.complete_through) + 1):
-        if linalg.nullspace(field, P.cover_mats[d]).shape[1]:
+    for d in range(lo, min(cap, M.valid_to) + 1):
+        if linalg.nullspace(M.field, P.cover_mats[d]).shape[1]:
             return False
     return True
 
@@ -199,25 +201,19 @@ def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
     (b_i * b_j means apply b_j first)."""
     field = M.field
     basis = hom_basis(M, M, 0)
-    n = len(basis)
-    ident = identity_hom(M).stacked()[:, None]
-    rhs = np.concatenate([compose_images(basis, basis).reshape(-1, n * n), ident], axis=1) if n else ident
-    sol = _coords_in_homs(field, basis, rhs)
-    mult = sol[:, : n * n].T.reshape(n, n, n)
-    return FinDimAlgebra(field, mult, sol[:, n * n], check=False), basis
+    mult = composition_tensor(basis, basis, basis) if basis else linalg.zeros(field, 0, 0, 0)
+    unit = hom_coords(field, basis, identity_hom(M).stacked()[:, None])[:, 0]
+    return FinDimAlgebra(field, mult, unit, check=False), basis
 
 
 def is_indecomposable(M: GradedModule, window: Window) -> bool:
+    """Whether End(M)_0 has exactly one primitive idempotent (the zero
+    module, whose End(M)_0 has none, is not indecomposable)."""
     E, _ = end0_algebra(M)
-    if E.n == 0:
-        return False  # zero module
-    if is_local(E):
-        return True
     try:
-        idems = primitive_idempotents(E)
+        return len(radical_and_idempotents(E).idempotents) == 1
     except NonSplit as exc:
         raise NonSplitResidue(str(exc))
-    return len(idems) == 1
 
 
 @dataclass
@@ -285,11 +281,9 @@ def nu_stability_check(M: GradedModule, sigma, window: Window,
 def in_add_of(X: GradedModule, M: GradedModule, window: Window) -> tuple[bool, str]:
     """Whether M lies in add{X(i)}: id_M must be a sum of compositions
     M -> X(s) -> M, i.e. the trace ideal of X in End(M)_0 is the whole algebra."""
-    field = M.field
-    E, _ = end0_algebra(M)
-    if E.n == 0:
-        return True, "zero module"
     ident = identity_hom(M).stacked()
+    if not ident.any():
+        return True, "zero module"
     cols = []
     for s in range(window.internal_lo, window.internal_hi + 1):
         try:
@@ -302,7 +296,7 @@ def in_add_of(X: GradedModule, M: GradedModule, window: Window) -> tuple[bool, s
     if not cols:
         return False, "no maps through add{X(i)} at all"
     tr = np.concatenate(cols, axis=1)
-    ok = linalg.solve(field, tr, ident) is not None
+    ok = linalg.solve(M.field, tr, ident) is not None
     return ok, ("identity realized through add{X(i)}" if ok
                 else "identity not in the trace ideal within the window")
 
@@ -422,10 +416,10 @@ def _eval_coords(X: GradedModule, M: GradedModule, a: int, e: int, fs, hs, bb) -
     """C: column k * n_a + i holds the coordinates of f_i o beta_k in the
     basis hs of Hom(X, M(a+e))_0, for f_i in the basis fs of Hom(X, M(a))_0
     and beta_k in the basis bb of Hom(X, X(e))_0 (the shared hom bases, so
-    X, M, a and e fix them).  It does not depend on the degree, so it is
-    memoized on M."""
-    return memo(M, ("eval_coords", X, a, e), lambda: _coords_in_homs(
-        M.field, hs, compose_images(bb, fs).transpose(0, 2, 1).reshape(-1, len(bb) * len(fs))))
+    X, M, a and e fix them): the transpose of composition_tensor.  It does
+    not depend on the degree, so it is memoized on M."""
+    return memo(M, ("eval_coords", X, a, e), lambda: composition_tensor(
+        fs, bb, hs).transpose(2, 1, 0).reshape(len(hs), len(bb) * len(fs)))
 
 
 def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:
@@ -452,17 +446,3 @@ def _relation_block(field, total, rows_a, rows_ae, C, betas) -> np.ndarray:
     block[rows_a] -= np.concatenate([np.kron(linalg.eye(field, na), b) for b in betas], axis=1)
     return linalg.reduce(field, block)
 
-
-def _coords_in_homs(field, basis, rhs) -> np.ndarray:
-    """Coordinates in a hom basis of the homs whose stacked generator images
-    (as in HomElement.stacked) are the columns of rhs, one column each."""
-    if not rhs.shape[1]:
-        return linalg.zeros(field, len(basis), 0)
-    if not basis:
-        if np.count_nonzero(rhs):
-            raise ShapeMismatch("nonzero composite hom missing from the computed block")
-        return linalg.zeros(field, 0, rhs.shape[1])
-    sol = linalg.solve(field, np.stack([b.stacked() for b in basis], axis=1), rhs)
-    if sol is None:
-        raise ShapeMismatch("composite hom not in the computed basis")
-    return sol

@@ -33,13 +33,11 @@ class _Presentation:
     """Cover data: surjections F0_d ->> M_d with sections, plus relation
     generators (a morphism onto the kernel)."""
 
-    def __init__(self, cover: ProjFree, cover_mats: dict, sections: dict, rel: Morphism | None,
-                 complete_through: int):
+    def __init__(self, cover: ProjFree, cover_mats: dict, sections: dict, rel: Morphism | None):
         self.cover = cover
         self.cover_mats = cover_mats
         self.sections = sections
         self.rel = rel
-        self.complete_through = complete_through
 
 
 class GradedModule:
@@ -145,7 +143,7 @@ class ProjFree(GradedModule):
         if self._pres is None:
             eyes = {d: linalg.eye(self.field, self.dim(d))
                     for d in range(self.valid_from, self.valid_to + 1)}
-            self._pres = _Presentation(self, eyes, eyes, None, self.valid_to)
+            self._pres = _Presentation(self, eyes, eyes, None)
         return self._pres
 
     def action_block(self, j: int, d: int, e: int) -> np.ndarray:
@@ -305,7 +303,7 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
         return linalg.nullspace(field, cover_mats[d])
 
     rel = syzygy(cover, ker_basis, range(M.valid_from, M.valid_to + 1))
-    return _Presentation(cover, cover_mats, sections, rel, M.valid_to)
+    return _Presentation(cover, cover_mats, sections, rel)
 
 
 def syzygy(target: ProjFree, kernel_basis, deg_range) -> Morphism | None:

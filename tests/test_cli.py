@@ -241,11 +241,18 @@ def test_quiver_does_not_depend_on_the_window(tmp_path, capsys):
     (["asgorenstein", "A", "--d", "2", "--ell", "1", "--window=1,3,2,4"], 2),
     (["asregular", "X", "--d", "2", "--ell", "3", "--window=-2,2,2,4"], 1),
     (["asgorenstein", "A", "--d", "2", "--ell", "5", "--window=-3,3,2,4"], 1),
-], ids=["asregular-unseen", "asgorenstein-unseen", "asregular-seen-ext", "asgorenstein-seen-ext"])
+    (["asregular", "X", "--d", "2", "--ell", "1", "--window=-3,3,1,4"], 2),
+    (["asgorenstein", "A", "--d", "2", "--ell", "1", "--window=-3,3,1,4"], 2),
+    (["asregular", "X", "--d", "3", "--ell", "1", "--window=-3,3,2,4"], 1),
+    (["asgorenstein", "A", "--d", "3", "--ell", "1", "--window=-3,3,2,4"], 1),
+], ids=["asregular-unseen", "asgorenstein-unseen", "asregular-seen-ext", "asgorenstein-seen-ext",
+        "asregular-unreached", "asgorenstein-unreached", "asregular-unreached-ext",
+        "asgorenstein-unreached-ext"])
 def test_a_window_without_minus_ell_can_only_be_inconclusive(tmp_path, capsys, argv, code):
     """Ext^d must sit in internal degree -ell.  A window whose internal range
-    leaves -ell out gives inconclusive, unless a nonzero Ext shows in a
-    degree where none may be (here Ext^2 in degree -1), which stays fail."""
+    leaves -ell out, or whose homological_max stops below d, gives
+    inconclusive, unless a nonzero Ext shows in a degree where none may be
+    (here Ext^2 in degree -1, also when d = 3), which stays fail."""
     got, out = _run_example(tmp_path, capsys, argv)
     assert got == code and out["checks"][0]["verdict"] == ["pass", "fail", "inconclusive"][code]
 

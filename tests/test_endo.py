@@ -3,15 +3,18 @@ import pytest
 
 from ncgraded import linalg
 from ncgraded.endo import (
+    as_gorenstein_check,
     as_regular_over_R_check,
     b0_module,
     check_nonnegative,
     degree_zero_algebra,
+    endomorphism_algebra,
     quiver_of,
     radical_and_idempotents,
 )
 from ncgraded.errors import IncompleteKernel
 from ncgraded.findim import Deg0Data, radical_basis
+from ncgraded.homology import Window
 from ncgraded.projfree import scan_minimal_generators
 
 
@@ -71,6 +74,19 @@ def test_as_regular_over_degree_zero(B, window):
     assert rep["terminates_at_d"] is True
     ext0 = rep["ext"].get(0, rep["ext"].get("0", {}))
     assert not any(ext0.values())
+
+
+def test_a_window_that_cannot_reach_ext_d_decides_from_the_lower_exts(A, X):
+    """With homological_max < d, Ext^d is never computed: vanishing lower Exts
+    give inconclusive, a nonzero one (Ext^2 when d = 3) gives fail."""
+    low, high = Window(-3, 3, 1, 4), Window(-3, 3, 2, 4)
+    assert as_gorenstein_check(A, 2, 1, low)["verdict"] == "inconclusive"
+    assert as_gorenstein_check(A, 3, 1, high)["verdict"] is False
+    B = endomorphism_algebra(X, high)
+    rep = as_regular_over_R_check(B, 2, 1, low)
+    assert rep["verdict"] == "inconclusive" and list(rep["ext"]) == [0, 1]
+    rep = as_regular_over_R_check(B, 3, 1, high)
+    assert rep["verdict"] is False and rep["ext"][2] == {-1: 9}
 
 
 def test_scan_checks_the_chosen_generators_span_the_piece(B):

@@ -4,7 +4,7 @@ eager loop that solved every one of them when End(X) was built."""
 import numpy as np
 import pytest
 
-from ncgraded import endo, linalg
+from ncgraded import gmodule, linalg
 from ncgraded.cli import EXAMPLE_WORKSPACE, main
 from ncgraded.endo import EndoAlgebra, endomorphism_algebra
 from ncgraded.errors import ShapeMismatch
@@ -74,7 +74,7 @@ def test_only_a_read_tensor_is_solved(X, tmp_path, capsys, monkeypatch):
 
 
 def test_a_composite_outside_the_hom_space_fails_when_read(X, monkeypatch):
-    compose = endo.compose_images
+    compose = gmodule.compose_images
 
     def corrupted(fs, gs):
         # the last rows image the generator of X4 = A / gA, which must kill g
@@ -82,7 +82,7 @@ def test_a_composite_outside_the_hom_space_fails_when_read(X, monkeypatch):
         out[-1, 0, 0] = X.field.add(out[-1, 0, 0], X.field.one)
         return out
 
-    monkeypatch.setattr(endo, "compose_images", corrupted)
+    monkeypatch.setattr(gmodule, "compose_images", corrupted)
     B = endomorphism_algebra(X, SMALL)
     with pytest.raises(ShapeMismatch, match="left the computed hom space"):
         B.algebra.mult_tensor(1, 1)

@@ -7,8 +7,8 @@ from ncgraded.findim import (
     _products,
     _sandwich,
     gabriel_quiver,
-    is_local,
     primitive_idempotents,
+    radical_and_idempotents,
     radical_basis,
 )
 from ncgraded.scalars import Field
@@ -59,7 +59,6 @@ def test_semisimple_group_algebra():
 def test_dual_numbers_local():
     alg = _dual_numbers()
     assert radical_basis(alg).shape[1] == 1
-    assert is_local(alg)
     assert len(primitive_idempotents(alg)) == 1
 
 
@@ -76,7 +75,7 @@ def test_field_too_small_guard():
         radical_basis(small)
 
 
-def test_gabriel_quiver_of_triangular_matrices():
+def _triangular():
     # upper triangular 2x2 matrices: basis e11, e22, e12
     mult = np.zeros((3, 3, 3), dtype=np.int64)
     mult[0, 0, 0] = 1  # e11 e11
@@ -84,10 +83,25 @@ def test_gabriel_quiver_of_triangular_matrices():
     mult[0, 2, 2] = 1  # e11 e12
     mult[2, 1, 2] = 1  # e12 e22
     unit = np.array([1, 1, 0], dtype=np.int64)
-    alg = FinDimAlgebra(F, mult, unit)
-    idems, arrows = gabriel_quiver(alg)
+    return FinDimAlgebra(F, mult, unit)
+
+
+def test_gabriel_quiver_of_triangular_matrices():
+    idems, arrows = gabriel_quiver(_triangular())
     assert len(idems) == 2
     assert int(np.asarray(arrows).sum()) == 1
+
+
+def test_gabriel_quiver_reads_the_sorted_idempotents():
+    """primitive_idempotents finds e22 before e11; the quiver's vertices come
+    in radical_and_idempotents' order, sorted by support, and its one arrow
+    (e11 rad e22 = k e12) runs between them in that order."""
+    alg = _triangular()
+    assert [list(e) for e in primitive_idempotents(alg)] == [[0, 1, 0], [1, 0, 0]]
+    idems, arrows = gabriel_quiver(alg)
+    assert idems is radical_and_idempotents(alg).idempotents
+    assert [list(e) for e in idems] == [[1, 0, 0], [0, 1, 0]]
+    assert arrows == [[0, 0], [1, 0]]
 
 
 def test_gabriel_quiver_counts_the_radical_modulo_its_square():

@@ -27,6 +27,7 @@ from ncgraded.gmodule import (
     free_graded_module,
     hom_basis,
     hom_block_bases,
+    hom_coords,
     precomposition_matrix,
 )
 from ncgraded.homology import Window, end0_algebra, free_resolution
@@ -143,7 +144,7 @@ def _modules(field, max_deg):
 
 def coords_of(field, basis, homs):
     """Coordinates of the homs in the hom basis, one column each."""
-    return homology._coords_in_homs(field, basis, np.stack([h.stacked() for h in homs], axis=1))
+    return hom_coords(field, basis, np.stack([h.stacked() for h in homs], axis=1))
 
 
 def assert_composites_match_compose_hom(X, M, a, e):

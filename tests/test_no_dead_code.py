@@ -3,7 +3,12 @@ somewhere in src/, tests/ or bench/: by name, as an attribute, in an import,
 or as a word in a string (bench/tracer.py wraps functions by name).
 
 Dunders are exempt (Python calls them), and so are the `cmd_*` functions,
-which `cli.main` dispatches by name."""
+which `cli.main` dispatches by name.
+
+Every parameter with a default is passed by some call in src/, tests/ or
+bench/, matched by the callee's name (a class's name calls its __init__):
+by keyword, or positionally, or through *args or **kwargs.  A default that
+no call overrides is a constant."""
 
 import ast
 import pathlib
@@ -47,3 +52,49 @@ def test_every_definition_in_src_is_referenced():
                     and not _exempt(node.name) and node.name not in refs):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never referenced:\n" + "\n".join(unused)
+
+
+def _calls(trees) -> dict:
+    """Callee name -> [(positional count, keyword names, splat)] of every call."""
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            splat = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((len(node.args), keywords, splat))
+    return calls
+
+
+def _defaulted(tree):
+    """(line, callee name, parameter, positional index or None if keyword-only)
+    for every parameter with a default; the index leaves out a method's self."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            method = isinstance(parent, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            name = parent.name if method and node.name == "__init__" else node.name
+            positional = a.posonlyargs + a.args
+            skip = 1 if method else 0
+            for k in range(len(positional) - len(a.defaults), len(positional)):
+                yield node.lineno, name, positional[k].arg, k - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield node.lineno, name, arg.arg, None
+
+
+def test_every_default_in_src_is_overridden_by_some_call():
+    calls = _calls(_trees("src", "tests", "bench"))
+    constant = []
+    for path, tree in _trees("src/ncgraded"):
+        for lineno, name, param, index in _defaulted(tree):
+            if not any(param in kws or splat or (index is not None and n > index)
+                       for n, kws, splat in calls.get(name, [])):
+                constant.append(f"{path.relative_to(ROOT)}:{lineno} {name}({param}=)")
+    assert not constant, "default never overridden by a call:\n" + "\n".join(constant)
