@@ -204,7 +204,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                 if base not in ws.algebras:
                     raise UnknownReference(f"algebra {name!r}: unknown base {base!r}")
                 b = ws.algebras[base]
-                extra = tuple(parse_poly(e, b.gens, ws.field)
+                extra = tuple(parse_poly(e, b.gens, ws.field, max_deg)
                               for e in _exprs(kv.get("extra_relations", "")))
                 ws.algebras[name] = quotient_algebra(b, extra, max_deg)
                 continue
@@ -214,7 +214,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             degrees = tuple(_ints(kv.get("degrees", ", ".join("1" for _ in gnames)), lineno))
             gens = Gens(gnames, degrees)
             order = MonomialOrder(gens, tuple(range(len(gens))))
-            rels = tuple(parse_poly(e, gens, ws.field)
+            rels = tuple(parse_poly(e, gens, ws.field, max_deg)
                          for e in _exprs(kv.get("relations", "")))
             ws.algebras[name] = build_presented_algebra(Presentation(ws.field, gens, rels, order),
                                                         max_deg)
@@ -248,7 +248,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             defined[name] = (alg, ws.modules.define(name, build))
         elif kind == "automorphism":
             alg = ws.algebra(str(kv.get("of", "")))
-            images = [parse_poly(e, alg.gens, ws.field)
+            images = [parse_poly(e, alg.gens, ws.field, max_deg)
                       for e in _exprs(kv.get("images", ""))]
             ws.automorphisms[name] = GradedAutomorphism(alg, images)
     return ws
@@ -293,10 +293,14 @@ class _Ratio:
     def __truediv__(self, o):
         return _Ratio(self.num * o.den, self.den * o.num)
 
+    def degree(self):
+        return max(self.num.degree() or 0, self.den.degree() or 0)
 
-def parse_rational(text: str):
+
+def parse_rational(text: str, max_degree: int):
     """(num, den): integer coefficient lists, constant term first, of the
-    rational function of t that text spells."""
+    rational function of t that text spells; max_degree bounds its powers
+    as in parse_expr."""
     one = NcPoly.one(_T, QQ)
 
     def var(name, column):
@@ -304,7 +308,7 @@ def parse_rational(text: str):
             raise ParseError(f"unknown variable {name!r} in series expression", column=column)
         return _Ratio(NcPoly.gen(_T, QQ, 0), one)
 
-    r = parse_expr(text, lambda n: _Ratio(one.scale(n), one), var)
+    r = parse_expr(text, lambda n: _Ratio(one.scale(n), one), var, max_degree)
     return tuple([int(p.terms.get((0,) * k, 0)) for k in range((p.degree() or 0) + 1)]
                  for p in (r.num, r.den))
 
@@ -378,9 +382,14 @@ def _endo_series(B, window: Window) -> HilbertSeries:
     return HilbertSeries(tuple(B.algebra.dim(d) for d in range(0, window.algebra_degree_cap + 1)))
 
 
+def _matches(series: HilbertSeries, expression: str) -> bool:
+    """Whether the rational function expression spells expands to series;
+    its powers may reach the last degree the series shows."""
+    return match_rational(series, *parse_rational(expression, len(series.coeffs) - 1))
+
+
 def _series_match(series: HilbertSeries, expression: str) -> dict:
-    num, den = parse_rational(expression)
-    return _check("series-match", match_rational(series, num, den),
+    return _check("series-match", _matches(series, expression),
                   {"coeffs": list(series.coeffs), "expression": expression})
 
 
@@ -434,7 +443,7 @@ def cmd_mcm(args) -> dict:
 
 def cmd_indec(args) -> dict:
     ws = args.ws
-    ok = homology.is_indecomposable(ws.module(args.M), ws.window)
+    ok = homology.is_indecomposable(ws.module(args.M))
     return make_report("indec", {"M": args.M}, ws.window,
                        [_check("endomorphism-local", ok, {})])
 
@@ -507,7 +516,7 @@ def cmd_clifford(args) -> dict:
     ws = args.ws
     alg = ws.algebra(args.name)
     dual = build_presented_algebra(koszul.quadratic_dual(alg.presentation), args.max_deg)
-    w = parse_poly(args.central, dual.gens, ws.field)
+    w = parse_poly(args.central, dual.gens, ws.field, args.max_deg)
     C, detail = koszul.clifford_algebra(dual, w, ws.window.algebra_degree_cap + 2)
     checks = [_check("stabilized", True, detail)]
     if koszul.is_commutative(C):
@@ -524,7 +533,7 @@ def cmd_clifford(args) -> dict:
 def cmd_points(args) -> dict:
     ws = args.ws
     alg = ws.algebra(args.name)
-    polys = [parse_poly(e, alg.gens, ws.field) for e in _exprs(args.polys)]
+    polys = [parse_poly(e, alg.gens, ws.field, args.max_deg) for e in _exprs(args.polys)]
     pts = koszul.enumerate_projective_points(polys, alg.gens, ws.field)
     rep = make_report("points", {"algebra": args.name, "polys": args.polys}, ws.window, [])
     rep["count"] = len(pts)
@@ -591,8 +600,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     # (1) Hilbert series of S and A
     hs = hilbert_series(S, min(8, S.valid_through))
     ha = hilbert_series(A, min(8, A.valid_through))
-    ok1 = match_rational(hs, *parse_rational("1/(1-t)^3"))
-    ok1 = ok1 and match_rational(ha, *parse_rational("(1+t)/(1-t)^2"))
+    ok1 = _matches(hs, "1/(1-t)^3") and _matches(ha, "(1+t)/(1-t)^2")
     checks.append(_check("hilbert-series", ok1,
                          {"S": list(hs.coeffs), "A": list(ha.coeffs)}))
 
@@ -630,7 +638,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     for n in names:
         if not homology.is_mcm(mods[n], window)[0]:
             pair_evidence[n + ":mcm"] = False
-        if not homology.is_indecomposable(mods[n], window):
+        if not homology.is_indecomposable(mods[n]):
             pair_evidence[n + ":indec"] = False
     for a, b in itertools.permutations(names, 2):
         for s in range(-3, 4):
@@ -646,7 +654,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     checks.append(_check("endo-nonnegative", endo_mod.check_nonnegative(B),
                          {str(d): B.algebra.dim(d) for d in range(window.internal_lo, 0)}))
     hb = _endo_series(B, window)
-    ok8 = match_rational(hb, *parse_rational("9*(1+t)/(1-t)^2"))
+    ok8 = _matches(hb, "9*(1+t)/(1-t)^2")
     checks.append(_check("endo-hilbert-series", ok8, {"coeffs": list(hb.coeffs)}))
 
     # (9) B0: dimension 9, radical of dim 4 squaring to zero, quiver 4 -> 1

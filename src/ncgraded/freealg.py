@@ -189,9 +189,9 @@ class NcPoly:
 
 # ---------------------------------------------------------------------------
 # Expression grammar: integers, names, + - * / ^ and parentheses, evaluated
-# over any values with + - * (and / where the values divide).  Unary signs
-# bind looser than ^, as in Python: -x^2 = -(x^2).  Juxtaposition is not
-# multiplication; no commutation is assumed.
+# over any values with + - *, degree() (and / where the values divide).
+# Unary signs bind looser than ^, as in Python: -x^2 = -(x^2).  Juxtaposition
+# is not multiplication; no commutation is assumed.
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = set("+-*/^()")
@@ -230,10 +230,11 @@ class _Parser:
     """expr := term (('+' | '-') term)*;  term := power (('*' | '/') power)*;
     power := ('+' | '-') power | atom ('^' int)*;  atom := int | name | '(' expr ')'."""
 
-    def __init__(self, text: str, const, var):
+    def __init__(self, text: str, const, var, max_degree):
         self.text = text
         self.const = const
         self.var = var
+        self.max_degree = max_degree
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -288,8 +289,13 @@ class _Parser:
             tok = self.next()
             if tok[0] != "int":
                 self.fail("expected nonnegative integer exponent", tok)
+            n, bound = tok[2], self.max_degree
+            # checked before expanding: an exponent past the bound makes a
+            # power of degree past it, or a constant power too large to form
+            if bound is not None and n * max(p.degree() or 0, 1) > bound:
+                self.fail(f"exponent {n} takes the degree past {bound}", tok)
             q = self.const(1)
-            for _ in range(tok[2]):
+            for _ in range(n):
                 q = q * p
             p = q
         return p
@@ -309,20 +315,25 @@ class _Parser:
         self.fail("expected integer, name, or '('", tok)
 
 
-def parse_expr(text: str, const, var):
+def parse_expr(text: str, const, var, max_degree):
     """Evaluate the expression grammar: const(n) gives the value of the
     integer literal n, var(name, column) the value of a name (raising
-    ParseError for an unknown one).  '/' needs values that divide."""
+    ParseError for an unknown one).  '/' needs values that divide.
+
+    Unless max_degree is None, a power base^n with n, or n times the degree
+    of base, above max_degree is a ParseError, raised before it is expanded."""
     try:
-        return _Parser(text, const, var).parse()
+        return _Parser(text, const, var, max_degree).parse()
     except RecursionError:
         raise ParseError(f"expression nested too deeply ({len(text)} characters)") from None
 
 
-def parse_poly(text: str, gens: Gens, field: Field) -> NcPoly:
+def parse_poly(text: str, gens: Gens, field: Field, max_degree: int | None = None) -> NcPoly:
+    """The polynomial text spells; a text from outside the program passes the
+    degree bound of the algebra it belongs to (see parse_expr)."""
     def var(name, column):
         if name not in gens.names:
             raise ParseError(f"unknown generator {name!r}", column=column)
         return NcPoly.gen(gens, field, gens.index(name))
 
-    return parse_expr(text, lambda n: NcPoly(gens, field, {(): n}), var)
+    return parse_expr(text, lambda n: NcPoly(gens, field, {(): n}), var, max_degree)

@@ -206,7 +206,7 @@ def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
     return FinDimAlgebra(field, mult, unit, check=False), basis
 
 
-def is_indecomposable(M: GradedModule, window: Window) -> bool:
+def is_indecomposable(M: GradedModule) -> bool:
     """Whether End(M)_0 has exactly one primitive idempotent (the zero
     module, whose End(M)_0 has none, is not indecomposable)."""
     E, _ = end0_algebra(M)

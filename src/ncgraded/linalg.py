@@ -3,12 +3,17 @@
 Arrays over GF(p) are numpy int64 arrays kept reduced mod p, so that row
 operations vectorize.  This module is the one place that reduces them:
 every product of field arrays goes through ``matmul``, every elementwise
-result (sums, scalings) through ``reduce``.  ``matmul`` sums the terms of
-a contraction in blocks of floor((2**63 - 1) / (p - 1)**2), each of which
-fits in int64, and reduces after each block; ``Field`` refuses primes with
-(p - 1)**2 > 2**63 - 1, which also keeps the elimination step of ``rref``
-in range.  (For p up to 32003 a block holds more than 10**9 terms, so
-one block covers any contraction.)  Arrays over QQ are object arrays of Fractions; that path is
+result (sums, scalings) through ``reduce``.  ``matmul`` takes one of two
+exact paths.  A product of at least ``FLOAT_MIN_MULADDS`` multiply-adds
+whose contraction length k has k * (p - 1)**2 < 2**53 runs in float64 on
+BLAS: every partial sum is then an integer below 2**53, which float64
+holds exactly, so the result equals the integer one.  Every other product
+runs in int64, summing the terms of a contraction in blocks of
+floor((2**63 - 1) / (p - 1)**2), each of which fits in int64, and reducing
+after each block; ``Field`` refuses primes with (p - 1)**2 > 2**63 - 1,
+which also keeps the elimination step of ``rref`` in range.  (For p up to
+32003 a block holds more than 10**9 terms, so one block covers any
+contraction.)  Arrays over QQ are object arrays of Fractions; that path is
 slower and only exercised by small inputs.
 """
 
@@ -20,6 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from .scalars import INT64_MAX, Field
+
+# Smallest product, in multiply-adds, sent to float64 BLAS; below it the
+# casts cost more than BLAS saves.  Timed on the shapes of every GF(13)
+# product of one paper-example verify-example run (2-vCPU Xeon, OpenBLAS on
+# one thread): float64 is slower below 10**3 multiply-adds, even up to
+# 10**4, 1.5x faster up to 10**5, 3x up to 10**6 and 8x above.
+FLOAT_MIN_MULADDS = 10**4
 
 
 def zeros(field: Field, *shape: int) -> np.ndarray:
@@ -61,7 +73,12 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
     b (what ``@`` does for 1-D and 2-D operands, and for a 3-D a against a
     2-D b); otherwise axes = (axes of a, axes of b), each an int or a
     sequence, as in np.tensordot.  An empty contraction gives field zeros
-    of the result shape."""
+    of the result shape.
+
+    Over GF(p) a product of contraction length k and at least
+    FLOAT_MIN_MULADDS multiply-adds runs in float64 (BLAS) when
+    k * (p - 1)**2 < 2**53, so that every partial sum is an exact integer;
+    any other runs in int64.  Both give the same reduced array."""
     if axes is not None or b.ndim > 2:
         # move the contracted axes together and contract two matrices
         ax_a, ax_b = (a.ndim - 1, 0) if axes is None else axes
@@ -82,6 +99,12 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray, axes=None) -> np.ndarray:
     if not field.is_prime_field:
         return np.asarray(np.dot(a, b))
     p = field.p
+    if k * (p - 1) ** 2 < 2**53 and a.size * (b.size // k) >= FLOAT_MIN_MULADDS:
+        # a as a matrix: np.dot calls BLAS only on 1-D and 2-D operands
+        c = np.dot(a.reshape(-1, k).astype(np.float64), b.astype(np.float64))
+        c = c.astype(np.int64).reshape(a.shape[:-1] + b.shape[1:])
+        c %= p
+        return c
     step = INT64_MAX // (p - 1) ** 2
     c = np.dot(a, b) if k <= step else np.dot(a[..., :step], b[:step])
     c %= p

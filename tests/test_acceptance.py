@@ -144,7 +144,7 @@ def test_criterion_04_mcm_basic(basic_modules):
     mods = basic_modules
     names = ["X1", "X2", "X3", "X4"]
     ok = all(is_mcm(mods[n], WINDOW)[0] for n in names)
-    ok = ok and all(is_indecomposable(mods[n], WINDOW) for n in names)
+    ok = ok and all(is_indecomposable(mods[n]) for n in names)
     for a, b in itertools.permutations(names, 2):
         for s in range(-3, 4):
             r = are_isomorphic_graded(mods[a], shift_module(mods[b], s), WINDOW)

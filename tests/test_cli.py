@@ -1,6 +1,7 @@
 import json
 import pathlib
 import shlex
+import time
 
 import pytest
 
@@ -54,11 +55,14 @@ def test_parse_error_carries_position():
 
 
 def test_rational_parser():
-    assert parse_rational("(1+t)/(1-t)^2") == ([1, 1], [1, -2, 1])
-    assert parse_rational("9*(1+t)/(1-t)^2") == ([9, 9], [1, -2, 1])
-    assert parse_rational("1/(1-t)^3") == ([1], [1, -3, 3, -1])
+    assert parse_rational("(1+t)/(1-t)^2", 8) == ([1, 1], [1, -2, 1])
+    assert parse_rational("9*(1+t)/(1-t)^2", 8) == ([9, 9], [1, -2, 1])
+    assert parse_rational("1/(1-t)^3", 8) == ([1], [1, -3, 3, -1])
     with pytest.raises(ParseError):
-        parse_rational("t +")
+        parse_rational("t +", 8)
+    assert parse_rational("(1/(1-t))^8", 8)[1][-1] == 1
+    with pytest.raises(ParseError, match="exponent"):
+        parse_rational("1/(1-t)^9", 8)
 
 
 def test_hilbert_command_exit_codes(tmp_path, capsys):
@@ -408,16 +412,22 @@ _DEEP = "(" * 400 + "x*y" + ")" * 400
 @pytest.mark.parametrize("relations, match", [
     ("x*y +", None),
     (_DEEP, None),
+    ("x^1000000", None),
     ("3*x*y", "(1+t)/(1-t)^2 -"),
     ("3*x*y", _DEEP.replace("x*y", "t")),
-], ids=["truncated-relation", "deep-relation", "truncated-match", "deep-match"])
+    ("3*x*y", "(1+t)^1000000"),
+], ids=["truncated-relation", "deep-relation", "huge-power-relation",
+        "truncated-match", "deep-match", "huge-power-match"])
 def test_malformed_expressions_are_parse_errors(tmp_path, capsys, relations, match):
-    """A truncated or deeply nested expression, in a workspace relation or in
-    --match, exits 3 with ParseError, not internal-error."""
+    """A truncated or deeply nested expression, or a power far past the degree
+    bound, in a workspace relation or in --match, exits 3 with ParseError,
+    not internal-error, and at once."""
     wsfile = tmp_path / "e.nws"
     wsfile.write_text(SMALL_WORKSPACE.replace('"3*x*y"', f'"{relations}"'))
+    t0 = time.perf_counter()
     code = main(["hilbert", "T", "--max-deg", "3", "-w", str(wsfile)]
                 + (["--match", match] if match else []))
+    assert time.perf_counter() - t0 < 1.0
     out = json.loads(capsys.readouterr().out)
     assert code == 3 and out["error"] == "ParseError"
 

@@ -139,13 +139,16 @@ def _expansion(num, den):
         return ParseError
 
 
+_NO_BOUND = 10**6  # a degree bound that no power in these expressions reaches
+
+
 def test_series_expansions_match_the_former_parser():
     rng = random.Random(7)
     checked = 0
     for _ in range(600):
         text = _random_expr(rng, 3)
         want = _expansion(*_OracleParser(text).parse())
-        got = _expansion(*parse_rational(text))
+        got = _expansion(*parse_rational(text, _NO_BOUND))
         assert got == want, text
         checked += want is not ParseError
     assert checked > 300
@@ -156,12 +159,12 @@ def test_malformed_series_are_parse_errors(text):
     with pytest.raises(ParseError):
         _OracleParser(text).parse()
     with pytest.raises(ParseError):
-        parse_rational(text)
+        parse_rational(text, _NO_BOUND)
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert parse_rational("-t^2") == ([0, 0, -1], [1])
-    assert parse_rational("-(1+t)^2") == ([-1, -2, -1], [1])
+    assert parse_rational("-t^2", 8) == ([0, 0, -1], [1])
+    assert parse_rational("-(1+t)^2", 8) == ([-1, -2, -1], [1])
     x2 = NcPoly.word(G, F, (0, 0))
     assert parse_poly("-x^2", G, F) == -x2
     assert parse_poly("2*-x^2", G, F) == x2.scale(-2)
@@ -173,3 +176,24 @@ def test_unary_minus_binds_looser_than_power():
 def test_malformed_polynomials_are_parse_errors(text):
     with pytest.raises(ParseError):
         parse_poly(text, G, F)
+
+
+@pytest.mark.parametrize("text, bound, ok", [
+    ("x^8", 8, True),
+    ("x^9", 8, False),
+    ("(x*y)^4", 8, True),
+    ("(x*y)^5", 8, False),
+    ("((x + y)^4)^2", 8, True),
+    ("((x + y)^4)^4", 8, False),
+    ("2^8 * x", 8, True),
+    ("2^9", 8, False),
+    ("x^1000000", 12, False),
+])
+def test_powers_past_the_degree_bound_are_parse_errors(text, bound, ok):
+    """A power whose degree, or whose exponent, passes the bound is refused
+    before it is expanded."""
+    if ok:
+        assert parse_poly(text, G, F, bound).degree() <= bound
+    else:
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly(text, G, F, bound)

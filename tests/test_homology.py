@@ -71,16 +71,16 @@ def test_mcm_modules(basic_modules, window):
     assert not ok  # the residue field has infinite projective dimension
 
 
-def test_indecomposability(basic_modules, window):
+def test_indecomposability(basic_modules):
     for n in ("X1", "X2", "X3", "X4", "A"):
-        assert is_indecomposable(basic_modules[n], window)
+        assert is_indecomposable(basic_modules[n])
 
 
-def test_end0_of_zero_module(A, window):
+def test_end0_of_zero_module(A):
     zero = free_graded_module(A, [], 0, 4)
     E, basis = end0_algebra(zero)
     assert E.n == 0 and basis == []
-    assert not is_indecomposable(zero, window)
+    assert not is_indecomposable(zero)
 
 
 def test_isomorphism_positive_and_negative(basic_modules, window):

@@ -223,6 +223,43 @@ def test_matmul_does_not_overflow_near_the_prime_bound():
         assert (linalg.matmul(Field(p), a, a) == 4).all()  # 4 * (-1)^2
 
 
+# For contractions of K = 50 terms: the largest prime p with K * (p - 1)^2 < 2^53,
+# whose products above the size threshold run in float64, and the next prime,
+# whose products stay in int64
+K = 50
+FLOAT_PRIME, INT_PRIME = 13_421_767, 13_421_783
+LARGE_CASES = [  # (shape of a, shape of b, axes), each contracting K terms
+    ((20, 50), (50, 20), None),
+    ((50,), (50, 200), None),
+    ((4, 5, 50), (50, 100), None),
+    ((10, 5, 10), (10, 5, 30), ([1, 2], [1, 0])),
+]
+
+
+@pytest.mark.parametrize("p", [FLOAT_PRIME, INT_PRIME], ids=["float64", "int64"])
+@pytest.mark.parametrize("shape_a, shape_b, axes", LARGE_CASES, ids=["2d", "1d", "3d", "axes"])
+def test_matmul_above_the_float_threshold_matches_python_int_reference(p, shape_a, shape_b, axes):
+    assert (K * (p - 1) ** 2 < 2**53) == (p == FLOAT_PRIME)
+    assert math.prod(shape_a) * math.prod(shape_b) // K >= linalg.FLOAT_MIN_MULADDS
+    ax_a, ax_b = ([len(shape_a) - 1], [0]) if axes is None else axes
+
+    def top(shape, ax, last):
+        # every entry p - 1, the last term of each contraction `last`
+        out = np.full(shape, p - 1, dtype=np.int64)
+        out[tuple(-1 if i in ax else slice(None) for i in range(len(shape)))] = last
+        return out
+
+    rng = np.random.default_rng(15)
+    operands = [(rng.integers(0, p, shape_a), rng.integers(0, p, shape_b)) for _ in range(2)]
+    # the largest sums; with the last term (p - 2)^2 they are odd, so above
+    # 2^53 a float64 sum could not hold them
+    operands += [(top(shape_a, ax_a, last), top(shape_b, ax_b, last)) for last in (p - 1, p - 2)]
+    for a, b in operands:
+        ref = np.tensordot(a.astype(object), b.astype(object), axes=1 if axes is None else axes) % p
+        got = linalg.matmul(Field(p), a, b, axes)
+        assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+
+
 def test_primes_above_the_int64_bound_are_refused_quickly():
     Field(LARGEST_PRIME)
     for p in (4611686018427387847, FIRST_PRIME_ABOVE, 4):

@@ -8,7 +8,11 @@ which `cli.main` dispatches by name.
 Every parameter with a default is passed by some call in src/, tests/ or
 bench/, matched by the callee's name (a class's name calls its __init__):
 by keyword, or positionally, or through *args or **kwargs.  A default that
-no call overrides is a constant."""
+no call overrides is a constant.
+
+Every parameter of a function in src/ncgraded is read by its body, nested
+functions included.  Exempt are self and cls, and interface methods whose
+body only raises NotImplementedError."""
 
 import ast
 import pathlib
@@ -98,3 +102,25 @@ def test_every_default_in_src_is_overridden_by_some_call():
                        for n, kws, splat in calls.get(name, [])):
                 constant.append(f"{path.relative_to(ROOT)}:{lineno} {name}({param}=)")
     assert not constant, "default never overridden by a call:\n" + "\n".join(constant)
+
+
+def _only_raises_not_implemented(node) -> bool:
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0].exc))
+
+
+def test_every_parameter_in_src_is_read():
+    unread = []
+    for path, tree in _trees("src/ncgraded"):
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or _only_raises_not_implemented(node)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [v for v in (a.vararg, a.kwarg) if v]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            unread += [f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({p.arg})"
+                       for p in params if p.arg not in ("self", "cls") and p.arg not in read]
+    assert not unread, "parameter never read by its function:\n" + "\n".join(unread)
