@@ -34,7 +34,8 @@ from .algebra import (
     match_rational,
     quotient_algebra,
 )
-from .errors import AlgebraMismatch, InvalidWindow, NcgError, ParseError, UnknownReference
+from .errors import (AlgebraMismatch, DegreeBeyondTruncation, InvalidWindow, NcgError, ParseError,
+                     UnknownReference)
 from .freealg import Gens, NcPoly, parse_expr, parse_poly
 from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
@@ -223,7 +224,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             of = str(kv.get("of", ""))
             if mkind == "cyclic":
                 alg = ws.algebra(of)
-                gens = [parse_poly(e, alg.gens, ws.field)
+                gens = [parse_poly(e, alg.gens, ws.field, max_deg, DegreeBeyondTruncation)
                         for e in _exprs(kv.get("generators", ""))]
                 build = partial(module_from_cover, *cyclic_cover(alg, gens), 0, max_deg)
             elif mkind == "free":

@@ -230,11 +230,12 @@ class _Parser:
     """expr := term (('+' | '-') term)*;  term := power (('*' | '/') power)*;
     power := ('+' | '-') power | atom ('^' int)*;  atom := int | name | '(' expr ')'."""
 
-    def __init__(self, text: str, const, var, max_degree):
+    def __init__(self, text: str, const, var, max_degree, beyond):
         self.text = text
         self.const = const
         self.var = var
         self.max_degree = max_degree
+        self.beyond = beyond
         self.toks = _tokenize(text)
         self.pos = 0
 
@@ -248,8 +249,14 @@ class _Parser:
             self.pos += 1
         return t
 
-    def fail(self, msg, tok):
-        raise ParseError(f"{msg} (near offset {tok[1]} in {self.text!r})", column=tok[1])
+    def fail(self, msg, tok, error=ParseError):
+        msg = f"{msg} (near offset {tok[1]} in {self.text!r})"
+        raise ParseError(msg, column=tok[1]) if error is ParseError else error(msg)
+
+    def check_degree(self, degree, what, tok):
+        """Raise `beyond` before forming a value of degree past max_degree."""
+        if self.max_degree is not None and degree > self.max_degree:
+            self.fail(f"{what} takes the degree past {self.max_degree}", tok, self.beyond)
 
     def parse(self):
         p = self.expr()
@@ -271,6 +278,7 @@ class _Parser:
             tok = self.next()
             q = self.power()
             if tok[0] == "*":
+                self.check_degree((p.degree() or 0) + (q.degree() or 0), "product", tok)
                 p = p * q
             elif hasattr(p, "__truediv__"):
                 p = p / q
@@ -289,11 +297,10 @@ class _Parser:
             tok = self.next()
             if tok[0] != "int":
                 self.fail("expected nonnegative integer exponent", tok)
-            n, bound = tok[2], self.max_degree
-            # checked before expanding: an exponent past the bound makes a
-            # power of degree past it, or a constant power too large to form
-            if bound is not None and n * max(p.degree() or 0, 1) > bound:
-                self.fail(f"exponent {n} takes the degree past {bound}", tok)
+            n = tok[2]
+            # an exponent past the bound makes a power of degree past it, or
+            # a constant power too large to form
+            self.check_degree(n * max(p.degree() or 0, 1), f"exponent {n}", tok)
             q = self.const(1)
             for _ in range(n):
                 q = q * p
@@ -315,25 +322,28 @@ class _Parser:
         self.fail("expected integer, name, or '('", tok)
 
 
-def parse_expr(text: str, const, var, max_degree):
+def parse_expr(text: str, const, var, max_degree, beyond=ParseError):
     """Evaluate the expression grammar: const(n) gives the value of the
     integer literal n, var(name, column) the value of a name (raising
     ParseError for an unknown one).  '/' needs values that divide.
 
     Unless max_degree is None, a power base^n with n, or n times the degree
-    of base, above max_degree is a ParseError, raised before it is expanded."""
+    of base, above max_degree, and a product p * q with deg p + deg q above
+    it, raise `beyond` before they are expanded."""
     try:
-        return _Parser(text, const, var, max_degree).parse()
+        return _Parser(text, const, var, max_degree, beyond).parse()
     except RecursionError:
         raise ParseError(f"expression nested too deeply ({len(text)} characters)") from None
 
 
-def parse_poly(text: str, gens: Gens, field: Field, max_degree: int | None = None) -> NcPoly:
+def parse_poly(text: str, gens: Gens, field: Field, max_degree: int | None = None,
+               beyond=ParseError) -> NcPoly:
     """The polynomial text spells; a text from outside the program passes the
-    degree bound of the algebra it belongs to (see parse_expr)."""
+    degree bound of the algebra it belongs to, and the error to raise past it
+    (see parse_expr)."""
     def var(name, column):
         if name not in gens.names:
             raise ParseError(f"unknown generator {name!r}", column=column)
         return NcPoly.gen(gens, field, gens.index(name))
 
-    return parse_expr(text, lambda n: NcPoly(gens, field, {(): n}), var, max_degree)
+    return parse_expr(text, lambda n: NcPoly(gens, field, {(): n}), var, max_degree, beyond)

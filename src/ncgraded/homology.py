@@ -379,7 +379,7 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
             total += len(homs[a]) * X.dim(d - a)
         ev = np.concatenate([linalg.zeros(field, M.dim(d), 0)]
                             + [h.matrix(d - a) for a in homs for h in homs[a]], axis=1)
-        _, ev_pivots = linalg.rref(field, ev)
+        _, ev_pivots = linalg.rref(field, ev, reduced=False)
         blocks = []
         for a in homs:
             for e in range(0, a_hi - a + 1):
@@ -398,7 +398,7 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
             if span.shape[1] == len(rows):
                 break
             w = np.concatenate([span, _relation_block(field, total, *blk)[rows]], axis=1)
-            span = w[:, linalg.rref(field, w)[1]]
+            span = w[:, linalg.rref(field, w, reduced=False)[1]]
         rk_rel = span.shape[1]
         surj = len(ev_pivots) == M.dim(d)
         inj = (total - rk_rel) == len(ev_pivots)

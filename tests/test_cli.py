@@ -370,15 +370,21 @@ def test_malformed_values_are_parse_errors_with_the_section_line(section):
 @pytest.mark.parametrize("sections, error", [
     ('[module M]\nof = "T"\ngenerators = "x + y^2"\n', "NonHomogeneous"),
     ('[module M]\nof = "T"\ngenerators = "x^4"\n', "DegreeBeyondTruncation"),
+    ('[module M]\nof = "T"\ngenerators = "x^1000000"\n', "DegreeBeyondTruncation"),
+    ('[module M]\nof = "T"\ngenerators = "' + "*".join(["(x+y)"] * 30) + '"\n',
+     "DegreeBeyondTruncation"),
     ('[module M]\nkind = "sum"\nof = "N"\n', "UnknownReference"),
     ('[module M]\nof = "T"\ngenerators = "x"\n[module N]\nof = "F"\ngenerators = "y"\n'
      '[module P]\nkind = "sum"\nof = "M, N"\n', "AlgebraMismatch"),
     ('[module M]\nkind = "sum"\nof = ""\n', "ParseError"),
-], ids=["non-homogeneous", "beyond-truncation", "unknown-summand", "two-algebras", "empty-sum"])
+], ids=["non-homogeneous", "beyond-truncation", "huge-power-generator", "huge-product-generator",
+        "unknown-summand", "two-algebras", "empty-sum"])
 def test_unread_modules_still_fail_the_load(tmp_path, capsys, sections, error):
     wsfile = tmp_path / "m.nws"
     wsfile.write_text(SMALL_WORKSPACE + sections)
+    t0 = time.perf_counter()
     code = main(["hilbert", "T", "--max-deg", "3", "-w", str(wsfile)])
+    assert time.perf_counter() - t0 < 1.0
     out = json.loads(capsys.readouterr().out)
     assert code == 3 and out["error"] == error
 
@@ -416,8 +422,9 @@ _DEEP = "(" * 400 + "x*y" + ")" * 400
     ("3*x*y", "(1+t)/(1-t)^2 -"),
     ("3*x*y", _DEEP.replace("x*y", "t")),
     ("3*x*y", "(1+t)^1000000"),
+    ("*".join(["(x+y)"] * 30), None),
 ], ids=["truncated-relation", "deep-relation", "huge-power-relation",
-        "truncated-match", "deep-match", "huge-power-match"])
+        "truncated-match", "deep-match", "huge-power-match", "huge-product-relation"])
 def test_malformed_expressions_are_parse_errors(tmp_path, capsys, relations, match):
     """A truncated or deeply nested expression, or a power far past the degree
     bound, in a workspace relation or in --match, exits 3 with ParseError,

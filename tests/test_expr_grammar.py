@@ -8,7 +8,7 @@ import pytest
 
 from ncgraded.algebra import expand_rational
 from ncgraded.cli import parse_rational
-from ncgraded.errors import ParseError
+from ncgraded.errors import DegreeBeyondTruncation, ParseError
 from ncgraded.freealg import Gens, NcPoly, parse_poly
 from ncgraded.scalars import Field
 
@@ -197,3 +197,24 @@ def test_powers_past_the_degree_bound_are_parse_errors(text, bound, ok):
     else:
         with pytest.raises(ParseError, match="exponent"):
             parse_poly(text, G, F, bound)
+
+
+_FACTORS = "*".join(["(x + y)"] * 30)  # 2^30 words if it were expanded
+
+
+@pytest.mark.parametrize("text, bound, ok", [
+    ("(x + y)*(x*y)*y", 4, True),
+    ("(x + y)*(x*y)*y*x", 4, False),
+    ("2*3*x^2*(x + y)^2", 4, True),
+    (_FACTORS, 3, False),
+])
+def test_products_past_the_degree_bound_are_refused(text, bound, ok):
+    """A product whose degree passes the bound is refused before it is
+    expanded, with ParseError or the error the caller names."""
+    if ok:
+        assert parse_poly(text, G, F, bound).degree() <= bound
+        return
+    with pytest.raises(ParseError, match="product"):
+        parse_poly(text, G, F, bound)
+    with pytest.raises(DegreeBeyondTruncation, match="product"):
+        parse_poly(text, G, F, bound, DegreeBeyondTruncation)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -267,3 +268,150 @@ def test_primes_above_the_int64_bound_are_refused_quickly():
         with pytest.raises(UnsupportedField):
             Field(p)
         assert time.perf_counter() - t0 < 1.0
+
+
+# -- rref against a textbook Gauss-Jordan on Python ints mod p and Fractions --
+
+def _oracle_rref(field, rows):
+    """(R, pivots) of the list-of-lists matrix rows: pivot on the first row
+    with a nonzero, scale it, clear the column in every other row."""
+    p = field.p
+
+    def canon(x):
+        return x % p if p else x
+
+    r = [list(row) for row in rows]
+    n = len(r[0]) if r else 0
+    pivots: list[int] = []
+    for c in range(n):
+        k = len(pivots)
+        i = next((i for i in range(k, len(r)) if r[i][c]), None)
+        if i is None:
+            continue
+        r[k], r[i] = r[i], r[k]
+        s = pow(r[k][c], -1, p) if p else 1 / r[k][c]
+        r[k] = [canon(x * s) for x in r[k]]
+        for i in range(len(r)):
+            if i != k and r[i][c]:
+                f = r[i][c]
+                r[i] = [canon(x - f * y) for x, y in zip(r[i], r[k])]
+        pivots.append(c)
+    return r, pivots
+
+
+def _oracle_nullspace(field, rows, n):
+    """Basis vectors of the null space, as lists: one per free column j, 1
+    at j and minus column j of R at the pivots."""
+    r, pivots = _oracle_rref(field, rows)
+    zero = 0 if field.p else Fraction(0)
+    out = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [zero] * n
+        v[j] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = field.neg(r[i][j])
+        out.append(v)
+    return out
+
+
+def _random_rows(field, m, n, density, rng):
+    """m x n, each entry nonzero with probability density: a unit of GF(p),
+    or a fraction a/b with 0 < |a| <= 9 and 0 < b <= 5 over QQ."""
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        if field.p:
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    # a few rows that repeat combinations of others, so the rank falls short
+    for i in range(0, m // 4):
+        a, b = rng.randrange(m), rng.randrange(m)
+        rows[i] = [field.add(x, field.mul(2, y)) for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+RREF_FIELDS = [Field(13), Field(2**31 - 1), QQ]
+RREF_SHAPES = {  # name: (m, n, density)
+    "sparse": (60, 120, 0.008),
+    "dense": (25, 30, 1.0),
+    "fill": (40, 80, 0.01),  # made an arrowhead below
+    "wide": (12, 90, 0.05),
+    "tall": (70, 15, 0.1),
+}
+
+
+@pytest.mark.parametrize("shape", list(RREF_SHAPES))
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=["p13", "p2^31-1", "QQ"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rref_matches_textbook_gauss_jordan(monkeypatch, field, shape, seed):
+    m, n, density = RREF_SHAPES[shape]
+    rng = random.Random(f"{field}/{shape}/{seed}")
+    rows = _random_rows(field, m, n, density, rng)
+    if shape == "fill":
+        # a full first row and column: under the GF(p) budget of nonzeros,
+        # until the first pivot fills every row and hands them to the dense loop
+        rows[0] = [field(rng.randint(1, 9)) for _ in range(n)]
+        for row in rows[1:]:
+            row[0] = field(rng.randint(1, 9))
+    a = linalg.as_matrix(field, rows)
+    before = a.copy()
+    handoffs = []  # (column, pivot rows so far) at which the dense loop starts
+    dense = linalg._dense_rref
+    monkeypatch.setattr(linalg, "_dense_rref",
+                        lambda p, r, col, row, *rest: handoffs.append((col, row))
+                        or dense(p, r, col, row, *rest))
+    want_r, want_piv = _oracle_rref(field, rows)
+    r, piv = linalg.rref(field, a)
+    assert piv == want_piv
+    assert r.tolist() == want_r
+    if not field.p or shape in ("sparse", "wide"):
+        assert handoffs == []
+    elif shape == "dense":
+        assert handoffs == [(0, 0)]
+    elif shape == "fill":
+        assert handoffs == [(1, 1)]
+    assert linalg.rref(field, a, reduced=False) == (None, want_piv)
+    assert (a == before).all()  # the input is left as it was
+
+    assert linalg.rank(field, a) == len(want_piv)
+    ns = linalg.nullspace(field, a)
+    assert ns.T.tolist() == _oracle_nullspace(field, rows, n)
+    # a right-hand side in the column span: the solution that is zero off the pivots
+    x0 = [field(rng.randint(-3, 3)) for _ in range(n)]
+    b = linalg.matmul(field, a, linalg.as_matrix(field, [[v] for v in x0]))
+    aug_r, aug_piv = _oracle_rref(field, [row + [v] for row, v in zip(rows, b[:, 0].tolist())])
+    want_x = [[field.zero] for _ in range(n)]
+    for i, pc in enumerate(aug_piv):
+        want_x[pc] = [aug_r[i][n]]
+    assert linalg.solve(field, a, b).tolist() == want_x
+    # and a unit vector outside the span, when the rank falls short of m
+    for i in range(m if len(want_piv) < m else 0):
+        e = [[field.one if k == i else field.zero] for k in range(m)]
+        if _oracle_rref(field, [row + v for row, v in zip(rows, e)])[1][-1] == n:
+            assert linalg.solve(field, a, linalg.as_matrix(field, e)) is None
+            break
+    else:
+        assert len(want_piv) == m
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=["p13", "p2^31-1", "QQ"])
+@pytest.mark.parametrize("n, density", [(30, 0.05), (20, 0.3), (12, 1.0)])
+def test_inverse_matches_textbook_gauss_jordan(field, n, density):
+    rng = random.Random(f"{field}/{n}/{density}")
+    eye = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        # random rows plus one on a permuted diagonal, mostly invertible, and
+        # the same with the last row the sum of the first two, singular
+        rows = _random_rows(field, n, n, density, rng) if density < 1 else [
+            [field(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            rows[i][(i * 7) % n] = field.add(rows[i][(i * 7) % n], field.one)
+        singular = rows[:-1] + [[field.add(x, y) for x, y in zip(rows[0], rows[1])]]
+        for case in (rows, singular):
+            r, piv = _oracle_rref(field, [row + e for row, e in zip(case, eye)])
+            got = linalg.inverse(field, linalg.as_matrix(field, case))
+            if piv[:n] != list(range(n)):
+                assert got is None
+            else:
+                assert got.tolist() == [row[n:] for row in r]
