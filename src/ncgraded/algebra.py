@@ -116,6 +116,11 @@ class PresentedAlgebra(AlgebraOracle):
             v[idx[w]] = c
         return v
 
+    def _word_normal_form(self, w) -> dict:
+        """The terms of NF(w), reduced once per word and algebra."""
+        return memo(self, ("nf", w),
+                    lambda: self.gb.normal_form(NcPoly.word(self.gens, self.field, w)).terms)
+
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         self._check_degree(d1 + d2)
 
@@ -124,8 +129,7 @@ class PresentedAlgebra(AlgebraOracle):
             t = linalg.zeros(self.field, len(b1), len(b2), len(idx))
             for i, u in enumerate(b1):
                 for j, v in enumerate(b2):
-                    nf = self.gb.normal_form(NcPoly.word(self.gens, self.field, u + v))
-                    for w, c in nf.terms.items():
+                    for w, c in self._word_normal_form(u + v).items():
                         t[i, j, idx[w]] = c
             return t
 

@@ -86,6 +86,16 @@ class NcPoly:
                     t[tuple(w)] = c
         self.terms = t
 
+    @classmethod
+    def _canonical(cls, gens: Gens, field: Field, terms: dict) -> "NcPoly":
+        """The polynomial of a term map whose words are tuples and whose
+        coefficients are already canonical in field; only zeros are dropped."""
+        p = object.__new__(cls)
+        p.gens = gens
+        p.field = field
+        p.terms = {w: c for w, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(gens: Gens, field: Field) -> "NcPoly":
@@ -133,14 +143,14 @@ class NcPoly:
         t = dict(self.terms)
         for w, c in other.terms.items():
             t[w] = f.add(t.get(w, f.zero), c)
-        return NcPoly(self.gens, f, t)
+        return NcPoly._canonical(self.gens, f, t)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
 
     def __neg__(self) -> "NcPoly":
         f = self.field
-        return NcPoly(self.gens, f, {w: f.neg(c) for w, c in self.terms.items()})
+        return NcPoly._canonical(self.gens, f, {w: f.neg(c) for w, c in self.terms.items()})
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         self._check(other)
@@ -150,12 +160,12 @@ class NcPoly:
             for v, b in other.terms.items():
                 w = u + v
                 t[w] = f.add(t.get(w, f.zero), f.mul(a, b))
-        return NcPoly(self.gens, f, t)
+        return NcPoly._canonical(self.gens, f, t)
 
     def scale(self, c) -> "NcPoly":
         f = self.field
         c = f(c)
-        return NcPoly(self.gens, f, {w: f.mul(a, c) for w, a in self.terms.items()})
+        return NcPoly._canonical(self.gens, f, {w: f.mul(a, c) for w, a in self.terms.items()})
 
     def __eq__(self, other):
         return (

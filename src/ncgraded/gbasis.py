@@ -13,18 +13,64 @@ subword's leftmost occurrence.  The order is admissible and every element
 is monic, so a rewrite only adds words smaller than the one it removes;
 reducing the largest word first therefore does the same reductions, in the
 same sequence, as always reducing the largest reducible term.
+
+Each element is compiled once, when it is installed, into its rule: its
+terms in its own order with negated coefficients, so rewriting c*w adds
+c times the rule's terms, shifted to the match.  Two memos live on the
+basis: word -> heap key, fixed by the order and never cleared, and word ->
+(rule, position, length) of its rewrite, cleared whenever the elements
+change.  Over QQ a reduction runs on reduced (numerator, denominator)
+integer pairs, converted from and back to Fractions at entry and exit; the
+zero tests stay exact, so the rewrites, and the order in which terms enter
+the result, are those of Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .errors import DegreeBeyondTruncation, NonHomogeneous, TruncationTooLow
 from .freealg import Gens, MonomialOrder, NcPoly, Word
 from .scalars import Field
 
 NonHomogeneousRelation = NonHomogeneous
+
+_UNSEEN = object()
+
+
+# QQ coefficients inside a reduction: (numerator, denominator) pairs in lowest
+# terms with a positive denominator, combined as Fraction combines them.
+
+
+def _qq_pair(c):
+    return (c.numerator, c.denominator)
+
+
+def _qq_mul(a, b):
+    """a*b, reduced."""
+    n1, d1 = a
+    n2, d2 = b
+    if d1 == 1 and d2 == 1:
+        return (n1 * n2, 1)
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1))
+
+
+def _qq_fma(o, a, b):
+    """o + a*b, reduced; 0 when it is zero."""
+    n, d = _qq_mul(a, b)
+    on, od = o
+    g = gcd(od, d)
+    s = od // g
+    t = on * (d // g) + n * s
+    if not t:
+        return 0
+    g2 = gcd(t, g)
+    return (t // g2, s * (d // g2))
 
 
 @dataclass(frozen=True)
@@ -67,31 +113,46 @@ class TruncatedGB:
         self.complete_through = complete_through
         self._normal_cache: dict[int, list[Word]] = {}
         self._neg_rank = tuple(-r for r in self.order.rank)
+        self._heap_keys: dict = {}
+        self._reducers: dict = {}
+        p = self.field.p
+        if p is None:
+            self._enter, self._mul, self._fma = _qq_pair, _qq_mul, _qq_fma
+        else:
+            self._enter = int
+            self._mul = lambda c, a: c * a % p
+            self._fma = lambda o, c, a: (o + c * a) % p
         elements = list(elements)
         self._set_elements(elements, [g.leading_word(self.order) for g in elements])
 
     def _set_elements(self, elements, leading_words):
         """Install the elements and rebuild every lookup derived from them:
-        leading word -> (order key, first element listed with it), and the
-        leading-word lengths."""
+        leading word -> (order key, rule of the first element listed with
+        it), and the leading-word lengths.  A rule is the element's terms in
+        its own order with negated coefficients."""
         self.elements = list(elements)
         self.leading_words = list(leading_words)
         self._lw_index = {}
         for u, g in zip(self.leading_words, self.elements):
-            self._lw_index.setdefault(u, (self.order.key(u), g))
+            if u not in self._lw_index:
+                rule = tuple((v, self._enter(self.field.neg(c))) for v, c in g.terms.items())
+                self._lw_index[u] = (self.order.key(u), rule)
         self._lw_lengths = sorted({len(u) for u in self._lw_index})
         self._normal_cache.clear()
+        self._reducers.clear()
 
     # -- reduction ---------------------------------------------------------
 
-    def _desc_key(self, w: Word):
-        """A key that reverses the monomial order, so that a min-heap pops
-        the order-largest word (words of one degree are never prefixes of
-        each other, so negating the ranks reverses the lexicographic part)."""
-        return (-self.gens.word_degree(w), tuple(map(self._neg_rank.__getitem__, w)))
+    def _heap_key(self, w: Word):
+        """(-degree, negated ranks of the letters): a key that reverses the
+        monomial order, so that a min-heap pops the order-largest word
+        (words of one degree are never prefixes of each other, so negating
+        the ranks reverses the lexicographic part); memoized, never empty."""
+        k = self._heap_keys[w] = (-self.gens.word_degree(w), *map(self._neg_rank.__getitem__, w))
+        return k
 
     def _reducer(self, w: Word):
-        """(element, position, length) of the order-largest leading word that
+        """(rule, position, length) of the order-largest leading word that
         is a subword of w, at its leftmost occurrence; None if w is normal."""
         best = best_key = None
         n = len(w)
@@ -104,34 +165,41 @@ class TruncatedGB:
                     best_key, best = hit[0], (hit[1], pos, lu)
         return best
 
-    def _reduce(self, t: dict, keep=None) -> dict:
-        """Reduce the term dict t in place, top down, leaving the word
-        ``keep`` alone; returns t."""
-        field, desc = self.field, self._desc_key
-        heap = [(desc(w), w) for w in t]
+    def _reduce(self, terms: dict, keep=None) -> dict:
+        """The reduction of the term map ``terms``, top down, leaving the
+        word ``keep`` alone.  Inside, QQ coefficients are reduced
+        (numerator, denominator) pairs; terms keep their insertion order."""
+        t = {w: self._enter(c) for w, c in terms.items()}
+        mul, fma = self._mul, self._fma
+        keys, key_of, reducers = self._heap_keys, self._heap_key, self._reducers
+        heap = [(keys.get(w) or key_of(w), w) for w in t]
         heapq.heapify(heap)
         while heap:
             _, w = heapq.heappop(heap)
             c = t.get(w)
             if c is None or w == keep:
                 continue
-            red = self._reducer(w)
+            red = reducers.get(w, _UNSEEN)
+            if red is _UNSEEN:
+                red = reducers[w] = self._reducer(w)
             if red is None:
                 continue
-            g, pos, lu = red
+            rule, pos, lu = red
             left, right = w[:pos], w[pos + lu :]
-            for v, a in g.terms.items():
+            for v, na in rule:
                 x = left + v + right
                 old = t.get(x)
                 if old is None:
-                    t[x] = field.neg(field.mul(c, a))
-                    heapq.heappush(heap, (desc(x), x))
+                    t[x] = mul(c, na)
+                    heapq.heappush(heap, (keys.get(x) or key_of(x), x))
                 else:
-                    new = field.sub(old, field.mul(c, a))
-                    if field.is_zero(new):
-                        del t[x]
-                    else:
+                    new = fma(old, c, na)
+                    if new:
                         t[x] = new
+                    else:
+                        del t[x]
+        if self.field.p is None:
+            return {w: Fraction(n, d) for w, (n, d) in t.items()}
         return t
 
     def normal_form(self, f: NcPoly) -> NcPoly:
@@ -144,7 +212,7 @@ class TruncatedGB:
             raise DegreeBeyondTruncation(
                 f"degree {d} exceeds completion bound {self.complete_through}"
             )
-        return NcPoly(self.gens, self.field, self._reduce(dict(f.terms)))
+        return NcPoly._canonical(self.gens, self.field, self._reduce(f.terms))
 
     def normal_words(self, d: int) -> list[Word]:
         """All degree-d words with no leading word as subword, sorted ascending
@@ -207,39 +275,15 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
 
     gb = TruncatedGB(pres, [], D)
 
-    def add_element(h: NcPoly):
-        """Add a fully reduced monic element, keeping leading words inter-reduced."""
-        lw = h.leading_word(order)
-        # retire existing elements whose leading word contains lw
-        retired = []
-        keep_e, keep_l = [], []
-        for g, u in zip(gb.elements, gb.leading_words):
-            contains = any(u[p : p + len(lw)] == lw for p in range(len(u) - len(lw) + 1))
-            if contains:
-                retired.append(g)
-            else:
-                keep_e.append(g)
-                keep_l.append(u)
-        gb._set_elements(keep_e + [h], keep_l + [lw])
-        return retired
-
     pending = []  # heap of (degree, seq, payload)
-    seq = 0
-
-    def queue_poly(f: NcPoly):
-        nonlocal seq
-        if f.is_zero():
-            return
-        d = f.homogeneous_degree()
-        if d > D:
-            return
-        heapq.heappush(pending, (d, seq, f))
-        seq += 1
+    seq = itertools.count()
 
     def queue_overlaps(h: NcPoly, u: Word):
-        nonlocal seq
         for g, v in zip(gb.elements, gb.leading_words):
-            for a, b, va, vb in ((h, g, u, v), (g, h, v, u)):
+            # a self-overlap is one ambiguity: queued twice, its second copy
+            # would only reduce to zero
+            pairs = ((h, g, u, v),) if g is h else ((h, g, u, v), (g, h, v, u))
+            for a, b, va, vb in pairs:
                 for k in _overlaps(va, vb):
                     wdeg = gens.word_degree(va) + gens.word_degree(vb) - gens.word_degree(vb[:k])
                     if wdeg > D:
@@ -247,12 +291,11 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
                     right = NcPoly.word(gens, field, vb[k:])
                     left = NcPoly.word(gens, field, va[: len(va) - k])
                     spoly = a * right - left * b
-                    heapq.heappush(pending, (wdeg, seq, spoly))
-                    seq += 1
+                    heapq.heappush(pending, (wdeg, next(seq), spoly))
 
     for r in pres.relations:
         if not r.is_zero():
-            queue_poly(r)
+            heapq.heappush(pending, (r.degree(), next(seq), r))
 
     while pending:
         _, _, f = heapq.heappop(pending)
@@ -260,11 +303,12 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
         if h.is_zero():
             continue
         h = h.monic(order)
-        retired = add_element(h)
-        queue_overlaps(h, gb.leading_words[-1])
-        for g in retired:
-            if g is not h:
-                queue_poly(g)
+        # no element is ever retired: work is popped by degree, so a new
+        # degree-d leading word could only lie inside a longer one (none is
+        # added yet) or equal one of degree d (h is reduced)
+        lw = h.leading_word(order)
+        gb._set_elements(gb.elements + [h], gb.leading_words + [lw])
+        queue_overlaps(h, lw)
 
     # final inter-reduction of tails.  The leading words form an antichain
     # under the subword relation and every element is homogeneous, so no
@@ -274,7 +318,7 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
     while changed:
         changed = False
         for i, (g, u) in enumerate(zip(gb.elements, gb.leading_words)):
-            red = NcPoly(gens, field, gb._reduce(dict(g.terms), keep=u))
+            red = NcPoly._canonical(gens, field, gb._reduce(g.terms, keep=u))
             if red != g:
                 changed = True
                 gb._set_elements(gb.elements[:i] + [red] + gb.elements[i + 1 :], gb.leading_words)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import NoSuchRoot, NotInField, ParseError, UnsupportedField
 
@@ -121,22 +122,13 @@ GF = Field
 QQ = Field()
 
 
-def element_order(field: Field, a: int) -> int:
-    """Multiplicative order of a nonzero element of GF(p)."""
-    assert field.p is not None
-    x = a % field.p
-    n = 1
-    y = x
-    while y != 1:
-        y = (y * x) % field.p
-        n += 1
-    return n
-
-
 def root_of_unity(field: Field, n: int):
-    """An element of multiplicative order exactly ``n``, by exhaustive search.
+    """The smallest element of multiplicative order exactly ``n``.
 
-    Over the rationals only n = 1, 2 are possible.
+    Over GF(p): r = g^((p-1)/n) has order n for the first g whose r passes
+    r^(n/q) != 1 for each prime q dividing n; the elements of order n are
+    then the r^k with gcd(k, n) = 1, and the smallest is returned.  Over the
+    rationals only n = 1, 2 are possible.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -149,7 +141,22 @@ def root_of_unity(field: Field, n: int):
     p = field.p
     if (p - 1) % n != 0:
         raise NoSuchRoot(f"{n} does not divide {p} - 1")
-    for a in range(1, p):
-        if element_order(field, a) == n:
-            return a
-    raise NoSuchRoot(f"no element of order {n} in GF({p})")  # pragma: no cover
+    primes, m, q = [], n, 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    for g in range(1, p):
+        r = pow(g, (p - 1) // n, p)
+        if all(pow(r, n // q, p) != 1 for q in primes):
+            break
+    best, x = r, 1
+    for k in range(1, n + 1):
+        x = x * r % p
+        if x < best and gcd(k, n) == 1:
+            best = x
+    return best

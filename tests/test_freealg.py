@@ -1,8 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from ncgraded.errors import NonHomogeneous, ParseError
-from ncgraded.freealg import Gens, parse_poly
-from ncgraded.scalars import Field
+from ncgraded.freealg import Gens, NcPoly, parse_poly
+from ncgraded.scalars import QQ, Field
 
 F = Field(13)
 G = Gens(("x", "y", "z"), (1, 1, 1))
@@ -52,3 +55,24 @@ def test_weighted_degrees():
     f = parse_poly("a^2 + b", W, F)
     assert f.is_homogeneous()
     assert f.homogeneous_degree() == 2
+
+
+@pytest.mark.parametrize("field", [Field(13), QQ], ids=str)
+def test_arithmetic_results_equal_the_checked_constructor(field):
+    """+, -, *, unary - and scale build their results without canonicalizing
+    again; each must equal NcPoly of its own terms, zeros dropped, with
+    coefficients of the field's own type."""
+    rng = random.Random(f"arith/{field}")
+    words = [(), (0,), (1,), (2,), (0, 1), (1, 0), (2, 2)]
+
+    def draw():
+        coeff = (lambda: rng.randrange(-20, 20)) if field.is_prime_field else (
+            lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)))
+        return NcPoly(G, field, {w: coeff() for w in rng.sample(words, rng.randrange(5))})
+
+    kind = int if field.is_prime_field else Fraction
+    for _ in range(200):
+        f, g = draw(), draw()
+        for r in (f + g, f - g, f - f, f * g, -f, f.scale(rng.randrange(-3, 4)), f.scale(13)):
+            assert list(r.terms.items()) == list(NcPoly(G, field, r.terms).terms.items())
+            assert all(type(c) is kind and c for c in r.terms.values())
