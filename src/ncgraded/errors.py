@@ -42,7 +42,7 @@ class InvalidWindow(NcgError):
 
 
 class InvalidDimension(NcgError):
-    """A homological dimension d < 0, or a cluster-tilting order n < 1."""
+    """A homological dimension d < 0 or degree i < 0, or a cluster-tilting order n < 1."""
 
 
 class IncompleteKernel(NcgError):

@@ -168,6 +168,8 @@ def _kernel_vanishes(M: GradedModule, cap: int) -> bool:
 
 def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window) -> dict:
     """Map internal degree s -> dim Ext^i_{GrMod}(M, N(s)), for s in the window."""
+    if i < 0:
+        raise InvalidDimension(f"homological degree i = {i} is negative")
     if i > window.homological_max:
         raise WindowExceeded(f"homological degree {i} beyond window bound {window.homological_max}")
     res = free_resolution(M, i + 1, window)
@@ -365,7 +367,11 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
     - Early stop.  A rank cannot exceed the number of rows it is taken on,
       so the blocks stop once it reaches it.  Only when every block
       balances are these the free rows; otherwise the rank is taken on all
-      rows, and relation_rank and quotient_dim stay exact on that path too."""
+      rows, and relation_rank and quotient_dim stay exact on that path too.
+    - Blocks from their factors.  A block's columns are written entry by
+      entry from C and the beta_k (see _relation_block), with no Kronecker
+      product against an identity; only -beta_k is reduced, and, when
+      e = 0 puts both terms in the same rows, those rows."""
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
     a_lo = M.valid_from
@@ -439,10 +445,22 @@ def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:
 def _relation_block(field, total, rows_a, rows_ae, C, betas) -> np.ndarray:
     """The relations of one block (as in _block_balances) as columns of T_d:
     column (k * n_a + i) * dim X_{d-a-e} + y is
-    (f_i o beta_k) (x) y - f_i (x) beta_k(y)."""
-    na, nb = C.shape[1] // len(betas), betas[0].shape[1]
-    block = linalg.zeros(field, total, C.shape[1] * nb)
-    block[rows_ae] += np.kron(C, linalg.eye(field, nb))
-    block[rows_a] -= np.concatenate([np.kron(linalg.eye(field, na), b) for b in betas], axis=1)
-    return linalg.reduce(field, block)
+    (f_i o beta_k) (x) y - f_i (x) beta_k(y).
 
+    Both terms are written from their factors: row (j, y') of rows_ae,
+    column (k, i, y), holds C[j, (k, i)] where y' = y, and row (i', x) of
+    rows_a holds -beta_k[x, y] where i' = i.  When e = 0 the two row
+    slices are the same and only those rows are reduced."""
+    nc, nb = C.shape[1], betas[0].shape[1]
+    na, nx = nc // len(betas), betas[0].shape[0]
+    block = linalg.zeros(field, total, nc * nb)
+    # row slices of a C-ordered array are contiguous: the reshapes are views
+    y = np.arange(nb)
+    block[rows_ae].reshape(-1, nb, nc, nb)[:, y, :, y] = C
+    # (-beta_k)[x, y] at [i, x, k, i, y] for every i
+    neg = linalg.reduce(field, -np.stack(betas)).transpose(1, 0, 2)
+    i = np.arange(na)
+    block[rows_a].reshape(na, nx, len(betas), na, nb)[i, :, :, i, :] += neg
+    if rows_a == rows_ae:
+        linalg.reduce(field, block[rows_a])
+    return block

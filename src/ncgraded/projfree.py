@@ -8,6 +8,10 @@ cover summands are cut out by idempotents eps of the algebra's own `deg0`,
 so the presentation does not depend on who asks for it first, and minimal
 resolutions terminate where the projectives are not free.  A ProjFree is a
 GradedModule and its own cover; over a connected algebra every eps is None.
+A free summand (eps None) has whole pieces of the algebra for its pieces,
+so its action blocks are the algebra's multiplication tensors and a map out
+of it is read off the images' action tensors, with no identity basis
+multiplied in; only eps-cut summands go through echelon coordinates.
 
 map_matrix is the one place a map out of a cover, given by its generator
 images, is evaluated in a degree (Morphism, HomElement and cover maps
@@ -149,8 +153,13 @@ class ProjFree(GradedModule):
     def action_block(self, j: int, d: int, e: int) -> np.ndarray:
         """Matrix of right mult (summand j piece at d) x (alg basis of e) -> piece at d+e.
 
-        Returns tensor of shape (r_in, dim alg_e, r_out)."""
+        Returns tensor of shape (r_in, dim alg_e, r_out).  On a free summand
+        (eps None) whose pieces at d and d+e are both whole pieces of the
+        algebra, that is the algebra's memoized mult_tensor(d - g_j, e)
+        itself: block_diag copies it, and nothing may write into it."""
         eps, g = self.summands[j]
+        if eps is None and min(d, d + e) >= g:
+            return self.algebra.mult_tensor(d - g, e)
         sub_in = self.subspace(j, d)
         sub_out = self.subspace(j, d + e)
         ne = self.algebra.dim(e)
@@ -212,10 +221,14 @@ def summand_matrices(cover: ProjFree, target: GradedModule, j: int, images: np.n
     """(k, dim target_{d+s}, rank of summand j's piece at d): for each of the
     k columns u of images, vectors of target's degree g_j + s, the matrix on
     summand j's piece of cover in degree d of the map that sends generator j
-    to u; generator j times a in alg_{d-g_j} goes to u . a."""
+    to u; generator j times a in alg_{d-g_j} goes to u . a.  On a free
+    summand with d >= g_j the piece is all of alg_{d-g_j}, so the matrix
+    is u . a itself."""
     field = cover.field
-    gj = cover.summands[j][1]
+    eps, gj = cover.summands[j]
     w = act_rows(field, images.T, target.act_tensor(gj + s, d - gj))  # (k, dim alg_{d-gj}, out)
+    if eps is None and d >= gj:
+        return w.transpose(0, 2, 1)
     return linalg.matmul(field, w, cover.subspace(j, d).basis, axes=(1, 0))
 
 

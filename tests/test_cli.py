@@ -444,7 +444,8 @@ def test_malformed_expressions_are_parse_errors(tmp_path, capsys, relations, mat
     ["asregular", "X", "--d", "-1", "--ell", "1"],
     ["cluster", "X", "--n", "0"],
     ["cluster", "X", "--n", "-2"],
-], ids=["asgorenstein-d", "asregular-d", "cluster-n0", "cluster-n-2"])
+    ["ext", "X1", "AF", "-1"],
+], ids=["asgorenstein-d", "asregular-d", "cluster-n0", "cluster-n-2", "ext-i"])
 def test_meaningless_dimensions_are_typed_errors(tmp_path, capsys, argv):
     code, out = _run_example(tmp_path, capsys, argv + ["--max-deg", "6", "--window=-2,2,2,4"])
     assert code == 3 and out["error"] == "InvalidDimension"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncgraded.cli import EXAMPLE_WORKSPACE, parse_workspace
-from ncgraded.errors import InvalidWindow, NcgError
+from ncgraded.errors import InvalidDimension, InvalidWindow, NcgError
 from ncgraded.gmodule import free_graded_module, shift_module
 from ncgraded.homology import (
     Window,
@@ -61,6 +61,14 @@ def test_ext_vanishing_for_free_module(basic_modules, window):
     for i in (1, 2):
         dims = ext_graded_dims(free, basic_modules["X1"], i, window)
         assert not any(dims.values())
+
+
+def test_ext_in_negative_homological_degree_is_a_typed_error(basic_modules, window):
+    """Ext^i vanishes for i < 0 by definition; a resolution has no step -1
+    to read it from, so the call is refused rather than answered."""
+    for i in (-1, -3):
+        with pytest.raises(InvalidDimension):
+            ext_graded_dims(basic_modules["X1"], basic_modules["A"], i, window)
 
 
 def test_mcm_modules(basic_modules, window):

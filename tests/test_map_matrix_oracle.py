@@ -11,6 +11,8 @@ batched composites of End(X), end0_algebra and the evaluation check are
 compared, column by column and in the order each caller uses, with
 compose_hom called once per pair."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from ncgraded.gmodule import (
     precomposition_matrix,
 )
 from ncgraded.homology import Window, end0_algebra, free_resolution
+from ncgraded.projfree import act_rows, map_matrix, summand_matrices
 from ncgraded.scalars import Field
 
 
@@ -246,3 +249,120 @@ def test_free_module_is_its_own_cover(A):
         assert np.array_equal(P.cover_mats[d], linalg.eye(A.field, F.dim(d)))
         assert np.array_equal(P.sections[d], P.cover_mats[d])
     assert free_graded_module(A, [0]).presentation().cover is free_graded_module(A, [0])
+
+
+# ---------------------------------------------------------------------------
+# free summands against the echelon route
+# ---------------------------------------------------------------------------
+#
+# A free summand's piece in degree d is all of alg_{d-g}: its echelon basis
+# is the identity.  The oracles below take that basis, contract with it and
+# solve coordinates against it, as action_block and summand_matrices did
+# before they read a free summand straight from the algebra's tensors.
+
+
+def oracle_action_block(F, j, d, e):
+    """Right multiplication on summand j through its echelon bases."""
+    _, g = F.summands[j]
+    sub_in, sub_out = F.subspace(j, d), F.subspace(j, d + e)
+    ne = F.algebra.dim(e)
+    t = linalg.zeros(F.field, sub_in.rank, ne, sub_out.rank)
+    if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
+        return t
+    amb = linalg.matmul(F.field, sub_in.basis, F.algebra.mult_tensor(d - g, e), axes=(0, 0))
+    coords = sub_out.coords(amb.reshape(-1, amb.shape[2]).T)
+    return coords.T.reshape(sub_in.rank, ne, sub_out.rank)
+
+
+def oracle_summand_matrices(cover, target, j, images, s, d):
+    gj = cover.summands[j][1]
+    w = act_rows(cover.field, images.T, target.act_tensor(gj + s, d - gj))
+    return linalg.matmul(cover.field, w, cover.subspace(j, d).basis, axes=(1, 0))
+
+
+def oracle_map_matrix(cover, target, images, s, d):
+    cols = [linalg.zeros(cover.field, target.dim(d + s), 0)]
+    cols += [oracle_summand_matrices(cover, target, j, images[j][:, None], s, d)[0]
+             for j in range(cover.rank) if cover.subspace(j, d).rank]
+    return np.concatenate(cols, axis=1)
+
+
+def assert_same(got, want):
+    """Equal arrays of one dtype: int64, or object arrays of Fractions."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if got.dtype == object:
+        assert all(type(v) is Fraction for v in got.flat)
+    else:
+        assert got.dtype == np.int64
+
+
+def _random(field, rng, *shape):
+    if field.is_prime_field:
+        return rng.integers(0, field.p, size=shape, dtype=np.int64)
+    out = linalg.zeros(field, *shape)
+    for idx in np.ndindex(*shape):
+        out[idx] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return out
+
+
+def assert_free_summands_match_echelon_route(F, targets, degrees, es, shifts, seed=0):
+    """action_block and act_tensor of the free module F in every degree d
+    and algebra degree e, and summand_matrices and map_matrix of maps from
+    F into each target at each shift s, against the oracles."""
+    assert all(eps is None for eps, _ in F.summands)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for d in degrees:
+        for e in es:
+            for j, (_, g) in enumerate(F.summands):
+                got = F.action_block(j, d, e)
+                assert_same(got, oracle_action_block(F, j, d, e))
+                seen.add("below" if d < g else "zero" if not got.size else "free")
+            if F.valid_from <= d and d + e <= F.valid_to:
+                want = linalg.zeros(F.field, F.dim(d), F.algebra.dim(e), F.dim(d + e))
+                oi, oo = F.offsets(d), F.offsets(d + e)
+                for j in range(F.rank):
+                    want[oi[j] : oi[j + 1], :, oo[j] : oo[j + 1]] = oracle_action_block(F, j, d, e)
+                assert_same(F.act_tensor(d, e), want)
+    checked = 0
+    for N in targets:
+        for s in shifts:
+            images = [_random(F.field, rng, N.dim(g + s), 2) for _, g in F.summands]
+            for d in degrees:
+                if not (F.valid_from <= d and d + s <= N.valid_to):
+                    continue
+                for j in range(F.rank):
+                    assert_same(summand_matrices(F, N, j, images[j], s, d),
+                                oracle_summand_matrices(F, N, j, images[j], s, d))
+                cols = [v[:, 0] for v in images]
+                assert_same(map_matrix(F, N, cols, s, d), oracle_map_matrix(F, N, cols, s, d))
+                checked += 1
+    assert checked
+    assert seen == {"below", "zero", "free"}, seen
+
+
+def test_free_summands_match_echelon_route_gf13(A, basic_modules, X):
+    """Generators in degrees 0, 2 and -1, so some pieces lie below their
+    generator; e = 0 and the empty e = -1 included."""
+    F = free_graded_module(A, [0, -2, 1])
+    assert_free_summands_match_echelon_route(
+        F, [basic_modules["X1"], X, F], range(-2, 4), range(-1, 3), range(-1, 2))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, None], ids=["GF(2^31-1)", "QQ"])
+def test_free_summands_match_echelon_route_large_prime_and_qq(p):
+    mods = _modules(Field(p), 5)
+    F = free_graded_module(mods["A"].algebra, [0, -2, 1], hi=5)
+    assert_free_summands_match_echelon_route(
+        F, [mods["X1"], mods["A"]], range(-2, 3), range(-1, 3), range(0, 2))
+
+
+def test_free_module_over_end_x_matches_echelon_route(B):
+    """B = End(X) vanishes in negative degrees, so the free B-module has
+    zero pieces there; its summand starts in degree 0."""
+    alg = B.algebra
+    NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
+    assert alg.dim(-1) == 0
+    assert_free_summands_match_echelon_route(
+        NB, [NB, b0_module(B)], range(-2, 2), range(-1, 2), range(0, 2))
