@@ -26,6 +26,7 @@ class AlgebraOracle:
 
     field: Field
     valid_through: int
+    valid_from: int = 0
 
     def dim(self, d: int) -> int:
         raise NotImplementedError

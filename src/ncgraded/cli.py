@@ -41,7 +41,6 @@ from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
     GradedAutomorphism,
     cyclic_cover,
-    cyclic_module,
     direct_sum,
     free_graded_module,
     module_from_cover,
@@ -89,7 +88,6 @@ class Workspace:
         self.algebras: dict[str, PresentedAlgebra] = {}
         self.modules = _LazyModules()
         self.automorphisms: dict[str, GradedAutomorphism] = {}
-        self.sections = []  # (kind, name, dict) in file order, for round-trips
 
     def algebra(self, name: str) -> PresentedAlgebra:
         if name not in self.algebras:
@@ -179,10 +177,10 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
     Every section is checked here, but a module is built only when first
     looked up in ``ws.modules``."""
     ws = Workspace()
-    ws.sections = _parse_sections(text)
+    sections = _parse_sections(text)
     ws.field = field or ws.field
     defined = {}  # module name -> (its algebra, its memoized builder)
-    for kind, name, kv, lineno in ws.sections:
+    for kind, name, kv, lineno in sections:
         if kind == "field" and field is None:
             ws.field = Field.parse(str(kv.get("name", kv.get("p", "GF(13)"))))
         elif kind == "window":
@@ -198,7 +196,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             except (ValueError, ParseError, InvalidWindow):
                 raise ParseError('window: expected internal = "lo, hi" with lo <= hi and '
                                  "integer homological_max and cap", line=lineno, column=1) from None
-    for kind, name, kv, lineno in ws.sections:
+    for kind, name, kv, lineno in sections:
         if kind == "algebra":
             if "base" in kv:
                 base = str(kv["base"])
@@ -253,16 +251,6 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                       for e in _exprs(kv.get("images", ""))]
             ws.automorphisms[name] = GradedAutomorphism(alg, images)
     return ws
-
-
-def serialize_workspace(ws: Workspace) -> str:
-    out = []
-    for kind, name, kv, _ in ws.sections:
-        out.append(f"[{kind}]" if name is None else f"[{kind} {name}]")
-        for k, v in kv.items():
-            out.append(f"{k} = {v}" if isinstance(v, int) else f'{k} = "{v}"')
-        out.append("")
-    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +417,10 @@ def cmd_hom(args) -> dict:
 def cmd_ext(args) -> dict:
     ws = args.ws
     M, N = ws.module(args.M), ws.module(args.N)
-    dims = homology.ext_graded_dims(M, N, args.i, ws.window)
+    nz = homology.ext_table(M, N, [args.i], ws.window)[args.i]
     rep = make_report("ext", {"M": args.M, "N": args.N, "i": args.i}, ws.window, [])
-    rep["dims"] = {str(s): d for s, d in sorted(dims.items())}
+    rep["dims"] = {str(s): nz.get(s, 0)
+                   for s in range(ws.window.internal_lo, ws.window.internal_hi + 1)}
     return rep
 
 
@@ -473,7 +462,7 @@ def cmd_cluster(args) -> dict:
 
 def cmd_endo(args) -> dict:
     ws = args.ws
-    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
+    B = endo_mod.EndoAlgebra(ws.module(args.X), ws.window)
     dims = {str(d): B.algebra.dim(d)
             for d in range(ws.window.internal_lo, ws.window.algebra_degree_cap + 1)}
     checks = [_check("nonnegative", endo_mod.check_nonnegative(B),
@@ -551,7 +540,7 @@ def cmd_asgorenstein(args) -> dict:
 
 def cmd_asregular(args) -> dict:
     ws = args.ws
-    B = endo_mod.endomorphism_algebra(ws.module(args.X), ws.window)
+    B = endo_mod.EndoAlgebra(ws.module(args.X), ws.window)
     detail = endo_mod.as_regular_over_R_check(B, args.d, args.ell, ws.window)
     return make_report("asregular", {"X": args.X, "d": args.d, "ell": args.ell}, ws.window,
                        [_check("as-regular-over-degree-zero", detail["verdict"], detail)])
@@ -651,7 +640,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
 
     # (7)-(8) B = End(X): nonnegative and the right Hilbert series
     X = ws.module("X")
-    B = endo_mod.endomorphism_algebra(X, window)
+    B = endo_mod.EndoAlgebra(X, window)
     checks.append(_check("endo-nonnegative", endo_mod.check_nonnegative(B),
                          {str(d): B.algebra.dim(d) for d in range(window.internal_lo, 0)}))
     hb = _endo_series(B, window)
@@ -659,7 +648,7 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
     checks.append(_check("endo-hilbert-series", ok8, {"coeffs": list(hb.coeffs)}))
 
     # (9) B0: dimension 9, radical of dim 4 squaring to zero, quiver 4 -> 1
-    B0 = endo_mod.degree_zero_algebra(B)
+    B0 = B.algebra.degree_zero()
     rad, idems = B.algebra.deg0
     rad2_zero = all(
         not B0.mul(rad[:, a], rad[:, b]).any()
@@ -684,10 +673,9 @@ def verify_example(ws: Workspace, seed: int = 0) -> dict:
 
     # (11) evaluation isomorphism for A, X1, k
     wd = Window(0, 4, window.homological_max, window.algebra_degree_cap)
-    k = cyclic_module(A, [parse_poly(g, A.gens, field) for g in ("x", "y", "z")],
-                      DEFAULT_MAX_DEG)
     ev_evidence = {n: homology.eval_iso_check(X, mod, wd)["verdict"]
-                   for n, mod in (("A", ws.module("AF")), ("X1", ws.module("X1")), ("k", k))}
+                   for n, mod in (("A", ws.module("AF")), ("X1", ws.module("X1")),
+                                  ("k", endo_mod.b0_module(A)))}
     checks.append(_check("evaluation-isomorphism", all(ev_evidence.values()), ev_evidence))
 
     return make_report("verify-example", {"p": field.p, "seed": seed}, window, checks)
@@ -765,13 +753,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv.  Every command gets a subparser, so `ncg -h` lists
-    them all, but only the command argv names (its first word) gets its arguments."""
+    """The parser for argv: only the command argv names (its first word) gets
+    a subparser, unless it names none, when all do, so that `ncg -h` and the
+    invalid-choice error list every command."""
     ap = _Parser(prog="ncg",
                  description="graded noncommutative algebra workbench (exact, truncated)")
     sub = ap.add_subparsers(dest="cmd", required=True)
     chosen = next((a for a in argv if not a.startswith("-")), None)
-    for name, (help_text, arguments) in COMMANDS.items():
+    for name in [chosen] if chosen in COMMANDS else COMMANDS:
+        help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name != chosen:
             continue

@@ -5,8 +5,13 @@ B_{<0} = 0 can be verified rather than assumed): its hom bases, and so its
 dimensions, are computed when B is, and each structure tensor when it is
 first read.  Its degree-0 part is analyzed as a finite-dimensional algebra
 (the Gabriel quiver needs no more than End(X)_0, which
-homology.end0_algebra computes alone), and the regularity checks for B over
-B_0 and Gorensteinness for a connected algebra are run from resolutions.
+homology.end0_algebra computes alone).
+
+AS-Gorenstein for a connected algebra and AS-regularity of B over B_0 are
+one test, run by _as_ext on each side: resolve R = alg_0 (b0_module; k
+when alg is connected), read Ext^i(R, alg), and ask that only Ext^d is
+nonzero, equal to R in internal degree -ell.  AS-regularity also asks
+the resolution to end at d.
 """
 
 from __future__ import annotations
@@ -15,21 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PresentedAlgebra, TabulatedAlgebra
+from .algebra import AlgebraOracle, PresentedAlgebra, TabulatedAlgebra
 from .errors import InvalidDimension, InvalidWindow, NotConnected, ZeroAlgebra
 from .findim import FinDimAlgebra, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
     GradedModule,
     composition_tensor,
-    cyclic_module,
     free_graded_module,
     hom_basis,
     hom_coords,
     identity_hom,
     opposite_algebra,
 )
-from .homology import Window, ext_graded_dims, free_resolution
+from .homology import Window, ext_table, free_resolution
 from .memo import memo
 
 
@@ -60,17 +64,9 @@ class EndoAlgebra:
         return composition_tensor(self.bases[d1], self.bases[d2], self.bases[d1 + d2])
 
 
-def endomorphism_algebra(X: GradedModule, window: Window) -> EndoAlgebra:
-    return EndoAlgebra(X, window)
-
-
 def check_nonnegative(B: EndoAlgebra) -> bool:
     return all(B.algebra.dim(d) == 0
                for d in range(B.window.internal_lo, 0))
-
-
-def degree_zero_algebra(B: EndoAlgebra) -> FinDimAlgebra:
-    return B.algebra.degree_zero()
 
 
 @dataclass
@@ -94,13 +90,27 @@ def quiver_of(F: FinDimAlgebra) -> Quiver:
                                 for j, m in enumerate(row) if m))
 
 
-def b0_module(B: EndoAlgebra) -> GradedModule:
-    """B_0 = B / B_{>=1} as a graded right B-module (one piece in degree 0),
-    memoized on B."""
-    alg = B.algebra
+def b0_module(alg: AlgebraOracle) -> GradedModule:
+    """R = alg_0 = alg / alg_{>=1} as a graded right alg-module (one piece in
+    degree 0; k for a connected algebra), memoized on alg."""
     # only (d, e) = (0, 0) has all three dimensions nonzero
-    return memo(B, "b0", lambda: GradedModule(
+    return memo(alg, "b0", lambda: GradedModule(
         alg, {0: alg.dim(0)}, lambda d, e: np.asarray(alg.mult_tensor(0, 0)), 0, alg.valid_through))
+
+
+def _as_ext(alg: AlgebraOracle, d: int, ell: int, top: int, window: Window):
+    """The AS test of one side: resolve R = b0_module(alg) through step
+    top + 1 and read Ext^i(R, alg) for i <= top.  Every Ext^i must vanish
+    but Ext^d, which must be {-ell: dim alg_0} when the window shows -ell
+    and Ext^d.  Returns the resolution, the Ext table, whether the rule
+    holds, and whether the window shows the top Ext."""
+    R = b0_module(alg)
+    res = free_resolution(R, top + 1, window)
+    ext = ext_table(R, free_graded_module(alg, [0], alg.valid_from, alg.valid_through),
+                    range(top + 1), window)
+    seen = d <= window.homological_max and window.internal_lo <= -ell <= window.internal_hi
+    ok = all(nz == ({-ell: alg.dim(0)} if i == d and seen else {}) for i, nz in ext.items())
+    return res, ext, ok, seen
 
 
 def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) -> dict:
@@ -114,29 +124,15 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
     alg = B.algebra
     if not alg.dim(0):
         raise ZeroAlgebra("End(X) of the zero module is the zero algebra: no B_0 to be regular over")
-    M = b0_module(B)
-    reach = d <= window.homological_max
-    seen = reach and window.internal_lo <= -ell <= window.internal_hi
-    NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
-    report = {"window": window.tag(), "d": d, "ell": ell}
     top = min(d, window.homological_max)
-    res = free_resolution(M, top + 1, window)
-    report["resolution_shifts"] = [res.shifts(i) for i in range(min(res.length, top + 1) + 1)]
-    report["terminates_at_d"] = res.terminated_at == d
-    ok = res.terminated_at == d or (res.terminated_at is None and not reach)
-    ext_rep = {}
-    for i in range(0, top + 1):
-        dims = ext_graded_dims(M, NB, i, window)
-        nz = {s: v for s, v in dims.items() if v}
-        ext_rep[i] = nz
-        if i < d and nz:
-            ok = False
-        if i == d and nz != ({-ell: alg.dim(0)} if seen else {}):
-            ok = False
-    report["ext"] = ext_rep
-    report["expected_top"] = {-ell: alg.dim(0)}
-    report["verdict"] = "inconclusive" if ok and not seen else ok
-    return report
+    res, ext, ok, seen = _as_ext(alg, d, ell, top, window)
+    reach = d <= window.homological_max
+    ok = ok and (res.terminated_at == d or (res.terminated_at is None and not reach))
+    return {"window": window.tag(), "d": d, "ell": ell,
+            "resolution_shifts": [res.shifts(i) for i in range(min(res.length, top + 1) + 1)],
+            "terminates_at_d": res.terminated_at == d, "ext": ext,
+            "expected_top": {-ell: alg.dim(0)},
+            "verdict": "inconclusive" if ok and not seen else ok}
 
 
 def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -> dict:
@@ -148,24 +144,10 @@ def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -
         raise InvalidDimension(f"homological dimension d = {d} is negative")
     if A.dim(0) != 1:
         raise NotConnected("Gorenstein test requires a connected algebra")
-    seen = d <= window.homological_max and window.internal_lo <= -ell <= window.internal_hi
-    report = {"window": window.tag(), "d": d, "ell": ell, "sides": {}}
-    ok = True
     top = min(d + 1, window.homological_max)
+    ok, sides = True, {}
     for side, alg in (("right", A), ("left", opposite_algebra(A))):
-        from .freealg import NcPoly
-
-        gens = [NcPoly.gen(alg.gens, alg.field, i) for i in range(len(alg.gens))]
-        k = cyclic_module(alg, gens, alg.valid_through)
-        NA = free_graded_module(alg, [0], 0, alg.valid_through)
-        side_rep = {}
-        for i in range(0, top + 1):
-            dims = ext_graded_dims(k, NA, i, window)
-            nz = {s: v for s, v in dims.items() if v}
-            side_rep[i] = nz
-            want = {-ell: 1} if i == d and seen else {}
-            if nz != want:
-                ok = False
-        report["sides"][side] = side_rep
-    report["verdict"] = "inconclusive" if ok and not seen else ok
-    return report
+        _, sides[side], side_ok, seen = _as_ext(alg, d, ell, top, window)
+        ok = ok and side_ok
+    return {"window": window.tag(), "d": d, "ell": ell, "sides": sides,
+            "verdict": "inconclusive" if ok and not seen else ok}

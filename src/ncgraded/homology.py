@@ -178,6 +178,12 @@ def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window) ->
             for s in range(window.internal_lo, window.internal_hi + 1)}
 
 
+def ext_table(M: GradedModule, N: GradedModule, degrees, window: Window) -> dict:
+    """{i: {s: dim Ext^i(M, N(s))}} for each i in degrees, keeping the s in
+    the window where the dimension is nonzero; every Ext-vanishing test reads it."""
+    return {i: {s: v for s, v in ext_graded_dims(M, N, i, window).items() if v} for i in degrees}
+
+
 # ---------------------------------------------------------------------------
 # module-theoretic tests
 # ---------------------------------------------------------------------------
@@ -186,16 +192,9 @@ def ext_graded_dims(M: GradedModule, N: GradedModule, i: int, window: Window) ->
 def is_mcm(M: GradedModule, window: Window) -> tuple[bool, dict]:
     """Ext^i(M, Alg) = 0 for 1 <= i <= homological_max, within the window."""
     NA = free_graded_module(M.algebra, [0], 0, M.algebra.valid_through)
-    report = {"window": window.tag(), "ext": {}}
-    ok = True
-    for i in range(1, window.homological_max + 1):
-        dims = ext_graded_dims(M, NA, i, window)
-        nz = {s: d for s, d in dims.items() if d}
-        report["ext"][i] = nz
-        if nz:
-            ok = False
-    report["mcm"] = ok
-    return ok, report
+    ext = ext_table(M, NA, range(1, window.homological_max + 1), window)
+    ok = not any(ext.values())
+    return ok, {"window": window.tag(), "ext": ext, "mcm": ok}
 
 
 def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
@@ -309,31 +308,17 @@ def check_cluster_tilting(X: GradedModule, n: int, candidates, window: Window) -
     report = {"window": window.tag(), "n": n}
     ok_mcm, mcm_rep = is_mcm(X, window)
     report["X_mcm"] = ok_mcm
-    if n == 1:
-        report["self_ext"] = "vacuous for n = 1 (no 0 < i < 1)"
-        self_ok = True
-    else:
-        self_ok = True
-        ext_rep = {}
-        for i in range(1, n):
-            dims = ext_graded_dims(X, X, i, window)
-            nz = {s: d for s, d in dims.items() if d}
-            ext_rep[i] = nz
-            if nz:
-                self_ok = False
-        report["self_ext"] = ext_rep
+    self_ext = ext_table(X, X, range(1, n), window)
+    self_ok = not any(self_ext.values())
+    report["self_ext"] = self_ext if n > 1 else "vacuous for n = 1 (no 0 < i < 1)"
     cand_rep = []
     all_ok = ok_mcm and self_ok
     for name, M in candidates:
         entry = {"name": name}
         m_ok, _ = is_mcm(M, window)
         entry["mcm"] = m_ok
-        cross_ok = True
-        for i in range(1, n):
-            if any(ext_graded_dims(X, M, i, window).values()):
-                cross_ok = False
-            if any(ext_graded_dims(M, X, i, window).values()):
-                cross_ok = False
+        cross = [ext_table(X, M, range(1, n), window), ext_table(M, X, range(1, n), window)]
+        cross_ok = not any(nz for table in cross for nz in table.values())
         entry["cross_ext_zero"] = cross_ok if n > 1 else "vacuous for n = 1"
         member, why = in_add_of(X, M, window)
         entry["in_add_X"] = member

@@ -61,13 +61,6 @@ def quadratic_dual(pres: Presentation) -> Presentation:
     return Presentation(field, pres.gens, tuple(rels), pres.order)
 
 
-def relation_span_equal(p1: Presentation, p2: Presentation) -> bool:
-    field = p1.field
-    span = linalg.Echelon.of(field, quadratic_relation_matrix(p1))
-    m2 = quadratic_relation_matrix(p2)
-    return linalg.rank(field, m2) == span.rank and not np.count_nonzero(span.reduce(m2))
-
-
 def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tuple[FinDimAlgebra, dict]:
     """A!(w^{-1})_0: the stable even piece of the direct system
     A!_0 -> A!_2 -> A!_4 -> ... given by right multiplication by the central

@@ -1,7 +1,7 @@
 import pytest
 
 from ncgraded.algebra import build_presented_algebra, quotient_algebra
-from ncgraded.endo import endomorphism_algebra
+from ncgraded.endo import EndoAlgebra
 from ncgraded.freealg import Gens, parse_poly
 from ncgraded.gbasis import MonomialOrder, Presentation
 from ncgraded.gmodule import cyclic_module, direct_sum, free_graded_module
@@ -53,4 +53,4 @@ def X(basic_modules):
 
 @pytest.fixture(scope="session")
 def B(X, window):
-    return endomorphism_algebra(X, window)
+    return EndoAlgebra(X, window)

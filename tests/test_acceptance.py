@@ -21,10 +21,9 @@ from ncgraded.algebra import (
     quotient_algebra,
 )
 from ncgraded.endo import (
+    EndoAlgebra,
     as_regular_over_R_check,
     check_nonnegative,
-    degree_zero_algebra,
-    endomorphism_algebra,
     quiver_of,
     radical_and_idempotents,
 )
@@ -165,7 +164,7 @@ def test_criterion_05_endomorphism_dims(request, window):
 
 def test_criterion_06_degree_zero_structure(B):
     t0 = time.monotonic()
-    B0 = degree_zero_algebra(B)
+    B0 = B.algebra.degree_zero()
     rad, idems = radical_and_idempotents(B0)
     rad2_zero = all(not B0.mul(rad[:, a], rad[:, b]).any()
                     for a in range(rad.shape[1]) for b in range(rad.shape[1]))
@@ -258,7 +257,7 @@ def test_criterion_10_property_suites(S, A, basic_modules, X, B):
     # graded dims of the endomorphism algebra of the dual module match
     small = Window(-3, 3, 2, 3)
     Xd = dual_module(X, -3, 8)
-    Bd = endomorphism_algebra(Xd, small)
+    Bd = EndoAlgebra(Xd, small)
     for d in range(0, small.algebra_degree_cap + 1):
         ok = ok and Bd.algebra.dim(d) == B.algebra.dim(d)
     _line(10, "property-suites", ok, time.monotonic() - t0, 300)

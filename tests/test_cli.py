@@ -12,7 +12,6 @@ from ncgraded.cli import (
     main,
     parse_rational,
     parse_workspace,
-    serialize_workspace,
     verify_example,
 )
 from ncgraded.errors import NonHomogeneous, ParseError, UnknownReference
@@ -24,16 +23,6 @@ def test_example_workspace_parses():
     assert ws.field.p == 13
     assert sorted(ws.algebras) == ["A", "S"]
     assert sorted(ws.modules) == ["AF", "X", "X1", "X2", "X3", "X4"]
-
-
-def test_workspace_roundtrip():
-    ws = parse_workspace(EXAMPLE_WORKSPACE)
-    ws2 = parse_workspace(serialize_workspace(ws))
-    assert sorted(ws2.algebras) == sorted(ws.algebras)
-    assert sorted(ws2.modules) == sorted(ws.modules)
-    for n, m in ws.modules.items():
-        for d in range(0, 5):
-            assert ws2.modules[n].dim(d) == m.dim(d)
 
 
 def test_nonhomogeneous_relation_diagnosed():
@@ -410,6 +399,19 @@ def test_command_help_lists_its_options(capsys):
     out = capsys.readouterr().out
     assert exc.value.code == 0
     assert "--window" in out and "--field" in out
+
+
+def test_top_level_help_and_an_unknown_command_list_every_command(capsys):
+    # the parser builds one subparser when argv names a command, all 18 otherwise
+    choices = "{" + ",".join(cli.COMMANDS) + "}"
+    assert len(cli.COMMANDS) == 18
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert choices in capsys.readouterr().out
+    assert main(["bogus"]) == 3
+    out, err = capsys.readouterr()
+    assert choices in err and json.loads(out)["error"] == "ParseError"
 
 
 _DEEP = "(" * 400 + "x*y" + ")" * 400

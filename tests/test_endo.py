@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 
 from ncgraded import linalg
+from ncgraded.cli import EXAMPLE_WORKSPACE, parse_workspace
 from ncgraded.endo import (
+    EndoAlgebra,
     as_gorenstein_check,
     as_regular_over_R_check,
     b0_module,
     check_nonnegative,
-    degree_zero_algebra,
-    endomorphism_algebra,
     quiver_of,
     radical_and_idempotents,
 )
 from ncgraded.errors import IncompleteKernel
 from ncgraded.findim import Deg0Data, radical_basis
-from ncgraded.homology import Window
+from ncgraded.freealg import NcPoly
+from ncgraded.gmodule import cyclic_module, free_graded_module, opposite_algebra
+from ncgraded.homology import Window, ext_graded_dims
 from ncgraded.projfree import scan_minimal_generators
+from ncgraded.scalars import QQ, Field
 
 
 def test_endo_dims_match_series(B, window):
@@ -32,7 +35,7 @@ def test_endo_nonnegative(B, window):
 
 
 def test_degree_zero_structure(B):
-    B0 = degree_zero_algebra(B)
+    B0 = B.algebra.degree_zero()
     assert B0.n == 9
     rad = radical_basis(B0)
     assert rad.shape[1] == 4
@@ -45,7 +48,7 @@ def test_degree_zero_structure(B):
 
 
 def test_quiver_shape(B):
-    B0 = degree_zero_algebra(B)
+    B0 = B.algebra.degree_zero()
     Q = quiver_of(B0)
     assert len(Q.vertices) == 5
     assert len(Q.arrows) == 4
@@ -82,17 +85,35 @@ def test_a_window_that_cannot_reach_ext_d_decides_from_the_lower_exts(A, X):
     low, high = Window(-3, 3, 1, 4), Window(-3, 3, 2, 4)
     assert as_gorenstein_check(A, 2, 1, low)["verdict"] == "inconclusive"
     assert as_gorenstein_check(A, 3, 1, high)["verdict"] is False
-    B = endomorphism_algebra(X, high)
+    B = EndoAlgebra(X, high)
     rep = as_regular_over_R_check(B, 2, 1, low)
     assert rep["verdict"] == "inconclusive" and list(rep["ext"]) == [0, 1]
     rep = as_regular_over_R_check(B, 3, 1, high)
     assert rep["verdict"] is False and rep["ext"][2] == {-1: 9}
 
 
+@pytest.mark.parametrize("field", [Field(13), QQ], ids=["GF(13)", "QQ"])
+def test_gorenstein_sides_match_ext_of_the_cyclic_residue_field(field):
+    """The Gorenstein check resolves k = b0_module(A); its Ext tables must
+    be those of k built as the cyclic module A/(x, y, z)A, on each side."""
+    window = Window(-3, 3, 2, 4)
+    A = parse_workspace(EXAMPLE_WORKSPACE, max_deg=8, field=field).algebra("A")
+    rep = as_gorenstein_check(A, 2, 1, window)
+    oracle = {}
+    for side, alg in (("right", A), ("left", opposite_algebra(A))):
+        gens = [NcPoly.gen(alg.gens, alg.field, i) for i in range(len(alg.gens))]
+        k = cyclic_module(alg, gens, alg.valid_through)
+        NA = free_graded_module(alg, [0], 0, alg.valid_through)
+        oracle[side] = {i: {s: v for s, v in ext_graded_dims(k, NA, i, window).items() if v}
+                        for i in range(3)}
+    assert rep["sides"] == oracle
+    assert oracle["right"] == {0: {}, 1: {}, 2: {-1: 1}} and rep["verdict"] is True
+
+
 def test_scan_checks_the_chosen_generators_span_the_piece(B):
     # a "radical" that is all of B_0 leaves no generator to choose, so the
     # chosen set spans nothing; the scan must report that, not return []
-    M = b0_module(B)
+    M = b0_module(B.algebra)
     field = M.field
     everything = Deg0Data(linalg.eye(field, 9), [B.algebra.unit])
     with pytest.raises(IncompleteKernel):

@@ -6,7 +6,7 @@ import pytest
 
 from ncgraded import gmodule, linalg
 from ncgraded.cli import EXAMPLE_WORKSPACE, main
-from ncgraded.endo import EndoAlgebra, endomorphism_algebra
+from ncgraded.endo import EndoAlgebra
 from ncgraded.errors import ShapeMismatch
 from ncgraded.gmodule import compose_hom
 from ncgraded.homology import Window
@@ -36,7 +36,7 @@ def eager_tensors(B):
 
 
 def test_every_tensor_read_matches_the_eager_loop(X):
-    B = endomorphism_algebra(X, SMALL)
+    B = EndoAlgebra(X, SMALL)
     alg = B.algebra
     want = eager_tensors(B)
     assert sum(t.size > 0 for t in want.values()) == 15  # d1, d2 >= 0, d1 + d2 <= 4
@@ -57,7 +57,7 @@ def test_only_a_read_tensor_is_solved(X, tmp_path, capsys, monkeypatch):
         return solve(self, d1, d2)
 
     monkeypatch.setattr(EndoAlgebra, "_compose_tensor", counted)
-    B = endomorphism_algebra(X, SMALL)
+    B = EndoAlgebra(X, SMALL)
     assert [B.algebra.dim(d) for d in range(-3, 5)] == [0, 0, 0, 9, 27, 45, 63, 81]
     wsfile = tmp_path / "w.nws"
     wsfile.write_text(EXAMPLE_WORKSPACE)
@@ -83,6 +83,6 @@ def test_a_composite_outside_the_hom_space_fails_when_read(X, monkeypatch):
         return out
 
     monkeypatch.setattr(gmodule, "compose_images", corrupted)
-    B = endomorphism_algebra(X, SMALL)
+    B = EndoAlgebra(X, SMALL)
     with pytest.raises(ShapeMismatch, match="left the computed hom space"):
         B.algebra.mult_tensor(1, 1)

@@ -11,6 +11,7 @@ from ncgraded.homology import (
     end0_algebra,
     eval_iso_check,
     ext_graded_dims,
+    ext_table,
     free_resolution,
     hom_space,
     in_add_of,
@@ -61,6 +62,14 @@ def test_ext_vanishing_for_free_module(basic_modules, window):
     for i in (1, 2):
         dims = ext_graded_dims(free, basic_modules["X1"], i, window)
         assert not any(dims.values())
+
+
+def test_ext_table_keeps_the_nonzero_degrees_of_each_ext(basic_modules, window):
+    # Ext^2(k, A) = k(1): one homological degree, and no degree at all
+    k, NA = basic_modules["k"], basic_modules["A"]
+    dims = ext_graded_dims(k, NA, 2, window)
+    assert ext_table(k, NA, [2], window) == {2: {s: v for s, v in dims.items() if v}} == {2: {-1: 1}}
+    assert ext_table(k, NA, [], window) == {}
 
 
 def test_ext_in_negative_homological_degree_is_a_typed_error(basic_modules, window):

@@ -174,7 +174,7 @@ def test_resolutions_over_A_match_oracle_gf13(basic_modules, window, name):
 
 def test_resolution_of_B0_over_End_X_matches_oracle(B, window):
     """Over B the projective summands are cut out by idempotents."""
-    res = free_resolution(b0_module(B), 3, window)
+    res = free_resolution(b0_module(B.algebra), 3, window)
     assert any(eps is not None for step in res.steps for eps, _ in step.summands)
     assert_differentials_match_oracle(res)
 
@@ -221,14 +221,14 @@ def test_precompositions_over_A_match_oracle_qq():
 def test_precompositions_of_B0_over_End_X_match_oracle(B, window):
     """The cover summands over B are cut out by idempotents."""
     alg = B.algebra
-    res = free_resolution(b0_module(B), 3, window)
+    res = free_resolution(b0_module(B.algebra), 3, window)
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
-    assert_precompositions_match_oracle(res, [NB, b0_module(B)], range(-1, 3))
+    assert_precompositions_match_oracle(res, [NB, b0_module(B.algebra)], range(-1, 3))
 
 
 def test_projfree_action_is_the_block_diagonal_of_its_summands(B, window):
     """The action tensors of the eps-cut steps of B_0's resolution over B."""
-    res = free_resolution(b0_module(B), 3, window)
+    res = free_resolution(b0_module(B.algebra), 3, window)
     checked = 0
     for F in res.steps:
         assert any(eps is not None for eps, _ in F.summands)
@@ -365,4 +365,4 @@ def test_free_module_over_end_x_matches_echelon_route(B):
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
     assert alg.dim(-1) == 0
     assert_free_summands_match_echelon_route(
-        NB, [NB, b0_module(B)], range(-2, 2), range(-1, 2), range(0, 2))
+        NB, [NB, b0_module(B.algebra)], range(-2, 2), range(-1, 2), range(0, 2))

@@ -3,7 +3,7 @@ across owners, and B-module presentations that do not depend on call order."""
 
 import numpy as np
 
-from ncgraded.endo import b0_module, endomorphism_algebra
+from ncgraded.endo import EndoAlgebra, b0_module
 from ncgraded.freealg import parse_poly
 from ncgraded.gmodule import GradedModule, cyclic_module, free_graded_module, hom_basis, opposite_algebra
 from ncgraded.homology import Window, ext_graded_dims, free_resolution
@@ -17,7 +17,7 @@ def _residue_field(A):
 
 def test_b_module_presentation_is_minimal_when_asked_first(X):
     # a fresh B_0 module whose first request is a bare presentation()
-    alg = endomorphism_algebra(X, SMALL).algebra
+    alg = EndoAlgebra(X, SMALL).algebra
     M = GradedModule(alg, {0: alg.dim(0)}, lambda d, e: np.asarray(alg.mult_tensor(0, 0)),
                      0, alg.valid_through)
     P = M.presentation()
@@ -52,7 +52,7 @@ def test_resolution_is_extended_in_place(A):
 
 def test_opposite_and_b0_are_memoized(A, B):
     assert opposite_algebra(opposite_algebra(A)) is A
-    assert b0_module(B) is b0_module(B)
+    assert b0_module(B.algebra) is b0_module(B.algebra)
     assert free_graded_module(A, [0]) is free_graded_module(A, [0], 0, A.valid_through)
 
 

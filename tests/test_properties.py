@@ -10,7 +10,7 @@ from ncgraded.gbasis import MonomialOrder, Presentation, normal_form, truncated_
 from ncgraded.gmodule import cyclic_module, dual_module, free_graded_module, hom_basis
 from ncgraded.homology import Window, free_resolution, hom_space
 from ncgraded.koszul import quadratic_dual
-from ncgraded.endo import endomorphism_algebra
+from ncgraded.endo import EndoAlgebra
 from ncgraded.scalars import QQ, Field
 
 F = Field(13)
@@ -177,6 +177,6 @@ def test_dual_endomorphism_dims_match(X, B):
     # with those of End(X); checked in a reduced window for cost
     small = Window(-3, 3, 2, 3)
     Xd = dual_module(X, -3, 8)
-    Bd = endomorphism_algebra(Xd, small)
+    Bd = EndoAlgebra(Xd, small)
     for d in range(0, small.algebra_degree_cap + 1):
         assert Bd.algebra.dim(d) == B.algebra.dim(d)
