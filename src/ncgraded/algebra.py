@@ -16,7 +16,7 @@ from . import linalg
 from .errors import DegreeBeyondTruncation, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
-from .gbasis import Presentation, truncated_groebner
+from .gbasis import Presentation, TruncatedGB, truncated_groebner
 from .memo import memo
 from .scalars import Field
 
@@ -75,17 +75,23 @@ class AlgebraOracle:
 
 class PresentedAlgebra(AlgebraOracle):
     """Quotient of a free algebra by homogeneous relations, with normal-word
-    bases through the truncation degree.  Basis of each piece = normal words
+    bases through the truncation degree D.  Basis of each piece = normal words
     sorted descending by the monomial order (fixed so matrices reproduce
-    across runs)."""
+    across runs).  The constructor only checks that D reaches every
+    relation; the Groebner basis is completed on its first read."""
 
     def __init__(self, pres: Presentation, D: int):
+        pres.check_truncation(D)
         self.presentation = pres
         self.field = pres.field
         self.gens = pres.gens
         self.order = pres.order
-        self.gb = truncated_groebner(pres, D)
-        self.valid_through = self.gb.complete_through
+        self.valid_through = D
+
+    @property
+    def gb(self) -> TruncatedGB:
+        """The Groebner basis, complete through valid_through."""
+        return memo(self, "gb", lambda: truncated_groebner(self.presentation, self.valid_through))
 
     def basis_words(self, d: int) -> list:
         if d < 0:

@@ -18,11 +18,14 @@ Each element is compiled once, when it is installed, into its rule: its
 terms in its own order with negated coefficients, so rewriting c*w adds
 c times the rule's terms, shifted to the match.  Two memos live on the
 basis: word -> heap key, fixed by the order and never cleared, and word ->
-(rule, position, length) of its rewrite, cleared whenever the elements
-change.  Over QQ a reduction runs on reduced (numerator, denominator)
-integer pairs, converted from and back to Fractions at entry and exit; the
-zero tests stay exact, so the rewrites, and the order in which terms enter
-the result, are those of Fraction arithmetic.
+(leading word, position) of its rewrite.  That memo names the leading word,
+not its rule, so replacing an element's tail leaves it valid; and
+completion installs leading words in degree order, so a new one lies in no
+memoized word but itself, and only that word's entry is dropped.  Over QQ a
+reduction runs on reduced (numerator, denominator) integer pairs, converted
+from and back to Fractions at entry and exit; the zero tests stay exact, so
+the rewrites, and the order in which terms enter the result, are those of
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -93,10 +96,11 @@ class Presentation:
             if r.degree() < 1:
                 raise NonHomogeneous(f"relation {r} has degree < 1")
 
-    @property
-    def max_relation_degree(self) -> int:
-        degs = [r.degree() for r in self.relations if not r.is_zero()]
-        return max(degs) if degs else 0
+    def check_truncation(self, D: int):
+        """TruncationTooLow when D is below the degree of a relation."""
+        maxrel = max((r.degree() for r in self.relations if not r.is_zero()), default=0)
+        if D < maxrel:
+            raise TruncationTooLow(f"D={D} below max relation degree {maxrel}")
 
     def with_extra_relations(self, extra) -> "Presentation":
         return Presentation(self.field, self.gens, tuple(self.relations) + tuple(extra), self.order)
@@ -115,6 +119,7 @@ class TruncatedGB:
         self._neg_rank = tuple(-r for r in self.order.rank)
         self._heap_keys: dict = {}
         self._reducers: dict = {}
+        self._lw_index: dict = {}
         p = self.field.p
         if p is None:
             self._enter, self._mul, self._fma = _qq_pair, _qq_mul, _qq_fma
@@ -129,17 +134,22 @@ class TruncatedGB:
         """Install the elements and rebuild every lookup derived from them:
         leading word -> (order key, rule of the first element listed with
         it), and the leading-word lengths.  A rule is the element's terms in
-        its own order with negated coefficients."""
+        its own order with negated coefficients.  The rewrite memo keeps
+        every entry but those of new leading words: a caller may add a
+        leading word only when it is no proper subword of a word reduced
+        before (completion adds them in degree order)."""
         self.elements = list(elements)
         self.leading_words = list(leading_words)
+        old = self._lw_index
         self._lw_index = {}
         for u, g in zip(self.leading_words, self.elements):
             if u not in self._lw_index:
                 rule = tuple((v, self._enter(self.field.neg(c))) for v, c in g.terms.items())
                 self._lw_index[u] = (self.order.key(u), rule)
+                if u not in old:
+                    self._reducers.pop(u, None)
         self._lw_lengths = sorted({len(u) for u in self._lw_index})
         self._normal_cache.clear()
-        self._reducers.clear()
 
     # -- reduction ---------------------------------------------------------
 
@@ -152,7 +162,7 @@ class TruncatedGB:
         return k
 
     def _reducer(self, w: Word):
-        """(rule, position, length) of the order-largest leading word that
+        """(leading word, position) of the order-largest leading word that
         is a subword of w, at its leftmost occurrence; None if w is normal."""
         best = best_key = None
         n = len(w)
@@ -160,9 +170,10 @@ class TruncatedGB:
             if lu > n:
                 break
             for pos in range(n - lu + 1):
-                hit = self._lw_index.get(w[pos : pos + lu])
+                u = w[pos : pos + lu]
+                hit = self._lw_index.get(u)
                 if hit is not None and (best is None or hit[0] > best_key):
-                    best_key, best = hit[0], (hit[1], pos, lu)
+                    best_key, best = hit[0], (u, pos)
         return best
 
     def _reduce(self, terms: dict, keep=None) -> dict:
@@ -171,7 +182,7 @@ class TruncatedGB:
         (numerator, denominator) pairs; terms keep their insertion order."""
         t = {w: self._enter(c) for w, c in terms.items()}
         mul, fma = self._mul, self._fma
-        keys, key_of, reducers = self._heap_keys, self._heap_key, self._reducers
+        keys, key_of, reducers, index = self._heap_keys, self._heap_key, self._reducers, self._lw_index
         heap = [(keys.get(w) or key_of(w), w) for w in t]
         heapq.heapify(heap)
         while heap:
@@ -184,9 +195,9 @@ class TruncatedGB:
                 red = reducers[w] = self._reducer(w)
             if red is None:
                 continue
-            rule, pos, lu = red
-            left, right = w[:pos], w[pos + lu :]
-            for v, na in rule:
+            u, pos = red
+            left, right = w[:pos], w[pos + len(u) :]
+            for v, na in index[u][1]:
                 x = left + v + right
                 old = t.get(x)
                 if old is None:
@@ -266,9 +277,7 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
 
     Deterministic: ambiguities are processed by (degree, discovery order).
     """
-    maxrel = pres.max_relation_degree
-    if D < maxrel:
-        raise TruncationTooLow(f"D={D} below max relation degree {maxrel}")
+    pres.check_truncation(D)
     order = pres.order
     gens = pres.gens
     field = pres.field

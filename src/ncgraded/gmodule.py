@@ -3,6 +3,11 @@ constructors, homomorphisms, twists and duals.  A free module is a ProjFree,
 its own cover.  Derived results (shared hom bases, free modules, opposite
 algebras) are memoized on their owner.
 
+Constructors tabulate nothing: a cyclic module (module_from_cover) finds a
+degree's cover matrix, section and dimension when one of them is first read,
+and a direct sum assembles a degree from its summands' pieces the same way;
+action tensors are built per pair of degrees on first read.
+
 A HomElement is stored by its generator images and evaluated by
 projfree.map_matrix; compose_images is the one place composites are formed
 (compose_hom is its one-pair case), and hom_coords the one solve for
@@ -25,8 +30,8 @@ from .errors import (
 )
 from .freealg import NcPoly
 from .memo import memo
-from .projfree import (GradedModule, Morphism, ProjFree, _Presentation, act_rows, block_diag,
-                       map_matrix, summand_matrices)
+from .projfree import (GradedModule, Morphism, Pieces, ProjFree, _Presentation, act_rows,
+                       block_diag, map_matrix, summand_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -35,25 +40,28 @@ from .projfree import (GradedModule, Morphism, ProjFree, _Presentation, act_rows
 
 
 def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -> GradedModule:
-    """Cokernel of rel: F1 -> F0 as a tabulated module with known presentation."""
-    alg = cover.algebra
+    """Cokernel of rel: F1 -> F0 as a module with known presentation, valid
+    on lo..hi.  A degree's cover matrix and section, and with them its
+    dimension, are found on its first read (_cokernel_piece)."""
     field = cover.field
-    dims, cover_mats, sections = {}, {}, {}
-    for d in range(lo, hi + 1):
-        eye = linalg.eye(field, cover.dim(d))
-        span = linalg.Echelon.of(field, rel.matrix(d) if rel is not None else eye[:, :0])
-        r = span.rank
-        idxs = span.extend(eye)
-        dims[d] = len(idxs)
-        sections[d] = eye[:, idxs]
-        cover_mats[d] = span.coords(eye)[r:]  # (k, n): projection F0_d ->> M_d
+    P = _Presentation(cover, lo, hi, lambda d: _cokernel_piece(cover, rel, d), rel)
 
     def action(d, e):
-        u = act_rows(field, sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
-        return linalg.matmul(field, u, cover_mats[d + e].T)  # (k, ne, k')
+        u = act_rows(field, P.sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
+        return linalg.matmul(field, u, P.cover_mats[d + e].T)  # (k, ne, k')
 
-    pres = _Presentation(cover, cover_mats, sections, rel)
-    return GradedModule(alg, dims, action, lo, hi, pres)
+    return GradedModule(cover.algebra, lambda d: P.sections[d].shape[1], action, lo, hi, P)
+
+
+def _cokernel_piece(cover: ProjFree, rel: Morphism | None, d: int):
+    """(cover matrix, section) of coker(rel) in degree d: the projection
+    F0_d ->> M_d onto a complement of the image of rel, and its inclusion."""
+    field = cover.field
+    eye = linalg.eye(field, cover.dim(d))
+    span = linalg.Echelon.of(field, rel.matrix(d) if rel is not None else eye[:, :0])
+    r = span.rank
+    idxs = span.extend(eye)
+    return span.coords(eye)[r:], eye[:, idxs]
 
 
 def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None = None) -> ProjFree:
@@ -106,7 +114,7 @@ def direct_sum(mods) -> GradedModule:
             raise AlgebraMismatch("direct sum requires a common algebra")
     lo = min(m.valid_from for m in mods)
     hi = min(m.valid_to for m in mods)
-    dims = {d: sum(m.dim(d) for m in mods) for d in range(lo, hi + 1)}
+    dims = Pieces(lo, hi, lambda d: sum(m.dim(d) for m in mods))
 
     def action(d, e):
         return block_diag(field, [m.act_tensor(d, e) for m in mods])
@@ -119,14 +127,14 @@ def direct_sum(mods) -> GradedModule:
         parts = None
     if parts is not None:
         cover = ProjFree(alg, [s for p in parts for s in p.cover.summands])
-        cover_mats, sections = {}, {}
-        for d in range(lo, hi + 1):
-            cms = [p.cover_mats.get(d, linalg.zeros(field, mods[i].dim(d), p.cover.dim(d)))
-                   for i, p in enumerate(parts)]
-            cover_mats[d] = block_diag(field, cms)
-            scs = [p.sections.get(d, linalg.zeros(field, p.cover.dim(d), mods[i].dim(d)))
-                   for i, p in enumerate(parts)]
-            sections[d] = block_diag(field, scs)
+
+        def piece(d):
+            cms = [p.cover_mats.get(d, linalg.zeros(field, m.dim(d), p.cover.dim(d)))
+                   for m, p in zip(mods, parts)]
+            scs = [p.sections.get(d, linalg.zeros(field, p.cover.dim(d), m.dim(d)))
+                   for m, p in zip(mods, parts)]
+            return block_diag(field, cms), block_diag(field, scs)
+
         rel_summands = []
         rel_images = []
         for i, p in enumerate(parts):
@@ -141,8 +149,8 @@ def direct_sum(mods) -> GradedModule:
                 full[off : off + parts[i].cover.dim(g)] = img
                 rel_images.append(full)
         rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
-        pres = _Presentation(cover, cover_mats, sections, rel)
-    return GradedModule(alg, dims, action, lo, hi, pres)
+        pres = _Presentation(cover, lo, hi, piece, rel)
+    return GradedModule(alg, lambda d: dims[d], action, lo, hi, pres)
 
 
 # ---------------------------------------------------------------------------

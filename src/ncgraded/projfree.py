@@ -3,9 +3,12 @@ modules P = (+) eps_j . Alg(-g_j) that cover them.
 
 A GradedModule is tabulated lazily: dimensions and action tensors are
 computed on first use and cached.  It carries (or extracts) a minimal
-projective presentation F1 -> F0 -> M -> 0; over a non-connected algebra the
-cover summands are cut out by idempotents eps of the algebra's own `deg0`,
-so the presentation does not depend on who asks for it first, and minimal
+projective presentation F1 -> F0 -> M -> 0, whose cover matrices and
+sections are Pieces: a degree is built when it is first read, and a degree
+nothing reads is never built (an extracted presentation reads them all
+while it scans for relations).  Over a non-connected algebra the cover
+summands are cut out by idempotents eps of the algebra's own `deg0`, so the
+presentation does not depend on who asks for it first, and minimal
 resolutions terminate where the projectives are not free.  A ProjFree is a
 GradedModule and its own cover; over a connected algebra every eps is None.
 A free summand (eps None) has whole pieces of the algebra for its pieces,
@@ -21,6 +24,7 @@ such maps at once (gmodule.precomposition_matrix).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import accumulate
 from typing import Callable
 
@@ -33,14 +37,42 @@ from .findim import Deg0Data
 from .memo import memo
 
 
-class _Presentation:
-    """Cover data: surjections F0_d ->> M_d with sections, plus relation
-    generators (a morphism onto the kernel)."""
+class Pieces(Mapping):
+    """d -> build(d) over the degrees lo..hi, each built on its first read
+    and kept; any other degree is absent (a KeyError, or .get's default)."""
 
-    def __init__(self, cover: ProjFree, cover_mats: dict, sections: dict, rel: Morphism | None):
+    def __init__(self, lo: int, hi: int, build: Callable):
+        self._degrees = range(lo, hi + 1)
+        self._build = build
+
+    def __getitem__(self, d):
+        if d not in self._degrees:
+            raise KeyError(d)
+        return memo(self, d, lambda: self._build(d))
+
+    def __contains__(self, d) -> bool:  # Mapping's default would build the piece
+        return d in self._degrees
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self) -> int:
+        return len(self._degrees)
+
+
+class _Presentation:
+    """Cover data: surjections F0_d ->> M_d (cover_mats) with sections, plus
+    relation generators rel (a morphism onto the kernel, or None).
+
+    piece(d) gives the pair (cover matrix, section) of degree d; it is called
+    on the first read of either, for the degrees lo..hi that the presentation
+    tabulates, so cover_mats and sections are Pieces over those degrees."""
+
+    def __init__(self, cover: ProjFree, lo: int, hi: int, piece: Callable, rel: Morphism | None):
+        pairs = Pieces(lo, hi, piece)
         self.cover = cover
-        self.cover_mats = cover_mats
-        self.sections = sections
+        self.cover_mats = Pieces(lo, hi, lambda d: pairs[d][0])
+        self.sections = Pieces(lo, hi, lambda d: pairs[d][1])
         self.rel = rel
 
 
@@ -145,9 +177,8 @@ class ProjFree(GradedModule):
     def presentation(self) -> _Presentation:
         """The module is its own cover: identity cover maps, no relations."""
         if self._pres is None:
-            eyes = {d: linalg.eye(self.field, self.dim(d))
-                    for d in range(self.valid_from, self.valid_to + 1)}
-            self._pres = _Presentation(self, eyes, eyes, None)
+            self._pres = _Presentation(self, self.valid_from, self.valid_to,
+                                       lambda d: (linalg.eye(self.field, self.dim(d)),) * 2, None)
         return self._pres
 
     def action_block(self, j: int, d: int, e: int) -> np.ndarray:
@@ -304,19 +335,19 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
         field, M, piece_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
     )
     cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
-    cover_mats, sections = {}, {}
-    for d in range(M.valid_from, M.valid_to + 1):
-        cm = cover_mats[d] = map_matrix(cover, M, [v for _, _, v in gens], 0, d)
+
+    def piece(d):
+        cm = map_matrix(cover, M, [v for _, _, v in gens], 0, d)
         sec = linalg.solve(field, cm, linalg.eye(field, M.dim(d)))
         if sec is None:
             raise WindowExceeded(f"cover not surjective at degree {d}")
-        sections[d] = sec
+        return cm, sec
 
-    def ker_basis(d):
-        return linalg.nullspace(field, cover_mats[d])
-
-    rel = syzygy(cover, ker_basis, range(M.valid_from, M.valid_to + 1))
-    return _Presentation(cover, cover_mats, sections, rel)
+    # the relation scan reads every degree, so every piece is built here
+    P = _Presentation(cover, M.valid_from, M.valid_to, piece, None)
+    P.rel = syzygy(cover, lambda d: linalg.nullspace(field, P.cover_mats[d]),
+                   range(M.valid_from, M.valid_to + 1))
+    return P
 
 
 def syzygy(target: ProjFree, kernel_basis, deg_range) -> Morphism | None:

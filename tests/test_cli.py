@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ncgraded import cli
+from ncgraded import algebra, cli
 from ncgraded.cli import (
     EXAMPLE_WORKSPACE,
     example_workspace,
@@ -14,7 +14,7 @@ from ncgraded.cli import (
     parse_workspace,
     verify_example,
 )
-from ncgraded.errors import NonHomogeneous, ParseError, UnknownReference
+from ncgraded.errors import NcgError, NonHomogeneous, ParseError, UnknownReference
 from ncgraded.homology import Window
 
 
@@ -376,6 +376,29 @@ def test_unread_modules_still_fail_the_load(tmp_path, capsys, sections, error):
     assert time.perf_counter() - t0 < 1.0
     out = json.loads(capsys.readouterr().out)
     assert code == 3 and out["error"] == error
+
+
+# a --max-deg below a relation's degree stops the parser (the library's
+# TruncationTooLow, checked when an algebra is made, lies behind it)
+@pytest.mark.parametrize("sections, max_deg, error", [
+    ("", 1, "ParseError"),
+    ('[module M]\nof = "T"\ngenerators = "x + y^2"\n', 3, "NonHomogeneous"),
+    ('[module M]\nof = "T"\ngenerators = "x^4"\n', 3, "DegreeBeyondTruncation"),
+], ids=["max-deg-below-a-relation", "non-homogeneous", "beyond-truncation"])
+def test_load_errors_come_before_any_completion(tmp_path, capsys, monkeypatch, sections, max_deg,
+                                                error):
+    completed = []
+    complete = algebra.truncated_groebner
+    monkeypatch.setattr(algebra, "truncated_groebner",
+                        lambda pres, D: completed.append(pres) or complete(pres, D))
+    with pytest.raises(NcgError) as exc:
+        parse_workspace(SMALL_WORKSPACE + sections, max_deg=max_deg)
+    assert type(exc.value).__name__ == error and completed == []
+    wsfile = tmp_path / "m.nws"
+    wsfile.write_text(SMALL_WORKSPACE + sections)
+    code = main(["hilbert", "F", "--max-deg", str(max_deg), "-w", str(wsfile)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == error and completed == []
 
 
 def test_modules_are_built_on_first_lookup(monkeypatch):
