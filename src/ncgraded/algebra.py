@@ -39,6 +39,12 @@ class AlgebraOracle:
     def unit(self) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def generated_through(self) -> int:
+        """A degree a such that the algebra is generated by its pieces of
+        degree at most a; with no better bound known, valid_through."""
+        return self.valid_through
+
     def _check_degree(self, d: int):
         if d > self.valid_through:
             raise DegreeBeyondTruncation(
@@ -87,6 +93,10 @@ class PresentedAlgebra(AlgebraOracle):
         self.gens = pres.gens
         self.order = pres.order
         self.valid_through = D
+
+    @property
+    def generated_through(self) -> int:
+        return max(self.gens.degrees, default=0)
 
     @property
     def gb(self) -> TruncatedGB:

@@ -40,6 +40,7 @@ from .freealg import Gens, NcPoly, parse_expr, parse_poly
 from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
     GradedAutomorphism,
+    check_homogeneous,
     cyclic_cover,
     direct_sum,
     free_graded_module,
@@ -224,7 +225,10 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                 alg = ws.algebra(of)
                 gens = [parse_poly(e, alg.gens, ws.field, max_deg, DegreeBeyondTruncation)
                         for e in _exprs(kv.get("generators", ""))]
-                build = partial(module_from_cover, *cyclic_cover(alg, gens), 0, max_deg)
+                check_homogeneous(gens)
+                # normal forms of the generators complete alg, so they wait for the build
+                build = partial(lambda alg, gens: module_from_cover(
+                    *cyclic_cover(alg, gens), 0, max_deg), alg, gens)
             elif mkind == "free":
                 alg = ws.algebra(of)
                 shifts = _ints(kv.get("shifts", "0"), lineno)

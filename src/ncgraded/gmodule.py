@@ -74,15 +74,20 @@ def free_graded_module(alg: AlgebraOracle, shifts, lo: int = 0, hi: int | None =
         alg, [(None, g) for g in gdegs], min([lo] + gdegs), hi))
 
 
-def cyclic_cover(alg: PresentedAlgebra, gens) -> tuple[ProjFree, Morphism | None]:
-    """Cover Alg and relation map (+) g_i Alg -> Alg of Alg / sum g_i Alg.
-
-    Cheap: it only takes normal forms of the generators.  Raises
-    NonHomogeneous, or DegreeBeyondTruncation for a generator past the
-    algebra's truncation."""
+def check_homogeneous(gens):
+    """Raise NonHomogeneous for a generator that is neither zero nor homogeneous."""
     for g in gens:
         if not g.is_zero() and not g.is_homogeneous():
             raise NonHomogeneous(f"generator {g} is not homogeneous")
+
+
+def cyclic_cover(alg: PresentedAlgebra, gens) -> tuple[ProjFree, Morphism | None]:
+    """Cover Alg and relation map (+) g_i Alg -> Alg of Alg / sum g_i Alg.
+
+    It takes normal forms of the generators, so it completes the algebra's
+    Groebner basis.  Raises NonHomogeneous, or DegreeBeyondTruncation for a
+    generator past the algebra's truncation."""
+    check_homogeneous(gens)
     cover = ProjFree(alg, [(None, 0)])
     gens = [g for g in gens if not g.is_zero()]
     src = ProjFree(alg, [(None, g.homogeneous_degree()) for g in gens])

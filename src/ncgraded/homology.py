@@ -350,13 +350,15 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
       the pivots of rref(ev), so the relations have the rank of their rows
       at those free positions, and ev has the rank len(pivots).
     - Early stop.  A rank cannot exceed the number of rows it is taken on,
-      so the blocks stop once it reaches it.  Only when every block
-      balances are these the free rows; otherwise the rank is taken on all
-      rows, and relation_rank and quotient_dim stay exact on that path too.
-    - Blocks from their factors.  A block's columns are written entry by
-      entry from C and the beta_k (see _relation_block), with no Kronecker
-      product against an identity; only -beta_k is reduced, and, when
-      e = 0 puts both terms in the same rows, those rows."""
+      so the blocks stop once it reaches it, and no block is built after.
+      Only when every block balances are these the free rows; otherwise
+      the rank is taken on all rows, and relation_rank and quotient_dim
+      stay exact on that path too.
+    - Sparse relations.  A block's nonzero entries are read off the
+      nonzeros of C and of the beta_k (see _relation_entries), with no
+      dense block and no Kronecker product against an identity.  Each
+      relation becomes one {kept row: value} column, and linalg.sparse_rank
+      takes the rank of all of them, one column at a time."""
     field = M.field
     report = {"window": window.tag(), "degrees": {}, "verdict": True}
     a_lo = M.valid_from
@@ -383,14 +385,10 @@ def eval_iso_check(X: GradedModule, M: GradedModule, window: Window) -> dict:
                                    _eval_coords(X, M, a, e, homs[a], homs[a + e], bb),
                                    [beta.matrix(m) for beta in bb]))
         bal = all(_block_balances(field, ev, *blk) for blk in blocks)
-        rows = sorted(set(range(total)) - set(ev_pivots)) if bal else list(range(total))
-        span = linalg.zeros(field, len(rows), 0)
-        for blk in blocks:
-            if span.shape[1] == len(rows):
-                break
-            w = np.concatenate([span, _relation_block(field, total, *blk)[rows]], axis=1)
-            span = w[:, linalg.rref(field, w, reduced=False)[1]]
-        rk_rel = span.shape[1]
+        rows = np.setdiff1d(np.arange(total), ev_pivots) if bal else np.arange(total)
+        pos = np.full(total, -1)  # a row of T_d -> its place in rows, or -1
+        pos[rows] = np.arange(len(rows))
+        rk_rel = linalg.sparse_rank(field, _relation_columns(field, pos, blocks), len(rows))
         surj = len(ev_pivots) == M.dim(d)
         inj = (total - rk_rel) == len(ev_pivots)
         ok = bal and surj and inj
@@ -427,25 +425,48 @@ def _block_balances(field, ev, rows_a, rows_ae, C, betas) -> bool:
     return np.array_equal(lhs.transpose(0, 3, 2, 1), rhs)
 
 
-def _relation_block(field, total, rows_a, rows_ae, C, betas) -> np.ndarray:
-    """The relations of one block (as in _block_balances) as columns of T_d:
-    column (k * n_a + i) * dim X_{d-a-e} + y is
-    (f_i o beta_k) (x) y - f_i (x) beta_k(y).
+def _relation_columns(field, pos, blocks):
+    """The relations of every block as {row: value} columns on the rows that
+    pos keeps (pos maps a row of T_d to its place there, or to -1), one
+    block at a time, so that no block is built after the rank stops."""
+    for blk in blocks:
+        rows, cols, vals = _relation_entries(field, *blk)
+        rows = pos[rows]
+        keep = rows >= 0
+        columns = {}
+        for i, j, v in zip(rows[keep].tolist(), cols[keep].tolist(), vals[keep].tolist()):
+            columns.setdefault(j, {})[i] = v
+        yield from columns.values()
 
-    Both terms are written from their factors: row (j, y') of rows_ae,
-    column (k, i, y), holds C[j, (k, i)] where y' = y, and row (i', x) of
-    rows_a holds -beta_k[x, y] where i' = i.  When e = 0 the two row
-    slices are the same and only those rows are reduced."""
+
+def _relation_entries(field, rows_a, rows_ae, C, betas):
+    """The nonzero entries (rows of T_d, columns, values) of the relations of
+    one block (as in _block_balances): column (k * n_a + i) * dim X_{d-a-e} + y
+    is (f_i o beta_k) (x) y - f_i (x) beta_k(y).
+
+    Both terms are read off the nonzeros of their factors: C[j, (k, i)] sits
+    in row (j, y) of rows_ae, and -beta_k[x, y] in row (i, x) of rows_a.
+    When e = 0 the two row slices are the same: entries that share a place
+    are summed, and the zero sums dropped."""
     nc, nb = C.shape[1], betas[0].shape[1]
     na, nx = nc // len(betas), betas[0].shape[0]
-    block = linalg.zeros(field, total, nc * nb)
-    # row slices of a C-ordered array are contiguous: the reshapes are views
     y = np.arange(nb)
-    block[rows_ae].reshape(-1, nb, nc, nb)[:, y, :, y] = C
-    # (-beta_k)[x, y] at [i, x, k, i, y] for every i
-    neg = linalg.reduce(field, -np.stack(betas)).transpose(1, 0, 2)
+    j, c = np.nonzero(C)
+    stacked = np.stack(betas)
+    k, x, yb = np.nonzero(stacked)
     i = np.arange(na)
-    block[rows_a].reshape(na, nx, len(betas), na, nb)[i, :, :, i, :] += neg
+    rows = np.concatenate([(rows_ae.start + j[:, None] * nb + y).ravel(),
+                           (rows_a.start + i * nx + x[:, None]).ravel()])
+    cols = np.concatenate([(c[:, None] * nb + y).ravel(),
+                           ((k[:, None] * na + i) * nb + yb[:, None]).ravel()])
+    vals = np.concatenate([np.repeat(C[j, c], nb),
+                           np.repeat(linalg.reduce(field, -stacked[k, x, yb]), na)])
     if rows_a == rows_ae:
-        linalg.reduce(field, block[rows_a])
-    return block
+        places, where = np.unique(rows * (nc * nb) + cols, return_inverse=True)
+        sums = linalg.zeros(field, len(places))
+        np.add.at(sums, where, vals)
+        linalg.reduce(field, sums)
+        nz = sums != 0
+        rows, cols = np.divmod(places[nz], nc * nb)
+        vals = sums[nz]
+    return rows, cols, vals

@@ -30,7 +30,10 @@ at once with numpy finishes from the next column; an input already over
 the budget goes to that loop at once.  Over QQ the rows stay sparse to the
 end.  ``rref(..., reduced=False)`` eliminates below the pivots only and
 returns no R, for the callers that need the pivots alone (``rank``, the
-first elimination of ``Echelon.extend``, the ranks of ``eval_iso_check``).
+first elimination of ``Echelon.extend``, the evaluation map of
+``eval_iso_check``).  ``sparse_rank`` takes the rank of columns given as
+dicts one at a time, and stops reading them at a given rank, for relations
+that are produced block by block (``eval_iso_check``).
 """
 
 from __future__ import annotations
@@ -250,6 +253,42 @@ def rank(field: Field, a: np.ndarray) -> int:
     if 0 in a.shape:
         return 0
     return len(rref(field, a, reduced=False)[1])
+
+
+def sparse_rank(field: Field, columns, limit: int) -> int:
+    """Rank of the span of columns, an iterable of {row: value} dicts of
+    nonzero field values, or limit once the rank reaches it: no column is
+    read after that.
+
+    An incremental echelon: pivots maps the lowest row of each accepted
+    column, as reduced, to that column scaled to 1 there.  A new column is
+    reduced on its lowest row until it vanishes, or until its lowest row
+    holds no pivot and it becomes one.  The columns are not modified."""
+    if limit <= 0:
+        return 0
+    p = field.p
+    pivots: dict[int, dict] = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            low = min(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = field.inv(col[low])
+                pivots[low] = {i: v * inv % p if p is not None else v * inv for i, v in col.items()}
+                if len(pivots) == limit:
+                    return limit
+                break
+            f = col[low]
+            for i, w in piv.items():
+                v = col.get(i, 0) - f * w
+                if p is not None:
+                    v %= p
+                if v:
+                    col[i] = v
+                else:
+                    col.pop(i, None)
+    return len(pivots)
 
 
 def nullspace(field: Field, a: np.ndarray) -> np.ndarray:

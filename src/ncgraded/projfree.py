@@ -5,16 +5,19 @@ A GradedModule is tabulated lazily: dimensions and action tensors are
 computed on first use and cached.  It carries (or extracts) a minimal
 projective presentation F1 -> F0 -> M -> 0, whose cover matrices and
 sections are Pieces: a degree is built when it is first read, and a degree
-nothing reads is never built (an extracted presentation reads them all
-while it scans for relations).  Over a non-connected algebra the cover
-summands are cut out by idempotents eps of the algebra's own `deg0`, so the
-presentation does not depend on who asks for it first, and minimal
-resolutions terminate where the projectives are not free.  A ProjFree is a
-GradedModule and its own cover; over a connected algebra every eps is None.
-A free summand (eps None) has whole pieces of the algebra for its pieces,
-so its action blocks are the algebra's multiplication tensors and a map out
-of it is read off the images' action tensors, with no identity basis
-multiplied in; only eps-cut summands go through echelon coordinates.
+nothing reads is never built.  An extracted presentation reads them while
+it scans for relations, through top + a, where top is the highest degree
+with M_d != 0 and the algebra is generated in degrees <= a
+(generated_through): past that the kernel is generated below.  Over a
+non-connected algebra the cover summands are cut out by idempotents eps of
+the algebra's own `deg0`, so the presentation does not depend on who asks
+for it first, and minimal resolutions terminate where the projectives are
+not free.  A ProjFree is a GradedModule and its own cover; over a connected
+algebra every eps is None.  A free summand (eps None) has whole pieces of
+the algebra for its pieces, so its action blocks are the algebra's
+multiplication tensors and a map out of it is read off the images' action
+tensors, with no identity basis multiplied in; only eps-cut summands go
+through echelon coordinates.
 
 map_matrix is the one place a map out of a cover, given by its generator
 images, is evaluated in a degree (Morphism, HomElement and cover maps
@@ -25,7 +28,7 @@ such maps at once (gmodule.precomposition_matrix).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Callable
 
 import numpy as np
@@ -274,9 +277,11 @@ def action_span(obj, gens, d: int) -> np.ndarray:
     """Columns spanning the sum of g . alg_{d - deg g} over the generators
     (eps, deg g, g) inside degree d of obj; degree-0 action included."""
     cols = [linalg.zeros(obj.field, obj.dim(d), 0)]
-    for _, dg, v in gens:
+    for dg, run in groupby(gens, key=lambda gen: gen[1]):
         if d >= dg:
-            cols.append(act_rows(obj.field, v, obj.act_tensor(dg, d - dg)).T)
+            # one product for the generators of degree dg; column (g, a) is g . a
+            w = act_rows(obj.field, np.stack([v for _, _, v in run]), obj.act_tensor(dg, d - dg))
+            cols.append(w.reshape(-1, w.shape[-1]).T)
     return np.concatenate(cols, axis=1)
 
 
@@ -331,10 +336,15 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
     def piece_basis(d):
         return linalg.eye(field, M.dim(d))
 
-    gens = scan_minimal_generators(
-        field, M, piece_basis, range(M.valid_from, M.valid_to + 1), alg.deg0
-    )
+    degrees = range(M.valid_from, M.valid_to + 1)
+    gens = scan_minimal_generators(field, M, piece_basis, degrees, alg.deg0)
     cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
+    # above top, the highest degree where M is nonzero, the kernel is all of
+    # the cover; an algebra generated in degrees <= a makes F0_d = sum over
+    # 1 <= i <= a of F0_{d-i} . alg_i, so past top + a the kernel is
+    # generated by its lower degrees, and the relation scan stops there
+    top = max((d for d in degrees if M.dim(d)), default=M.valid_from)
+    hi = min(M.valid_to, top + alg.generated_through)
 
     def piece(d):
         cm = map_matrix(cover, M, [v for _, _, v in gens], 0, d)
@@ -343,10 +353,10 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
             raise WindowExceeded(f"cover not surjective at degree {d}")
         return cm, sec
 
-    # the relation scan reads every degree, so every piece is built here
+    # the relation scan builds the pieces through hi here
     P = _Presentation(cover, M.valid_from, M.valid_to, piece, None)
     P.rel = syzygy(cover, lambda d: linalg.nullspace(field, P.cover_mats[d]),
-                   range(M.valid_from, M.valid_to + 1))
+                   range(M.valid_from, hi + 1))
     return P
 
 

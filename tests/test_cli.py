@@ -401,6 +401,24 @@ def test_load_errors_come_before_any_completion(tmp_path, capsys, monkeypatch, s
     assert code == 3 and out["error"] == error and completed == []
 
 
+def test_a_cyclic_module_completes_its_algebra_when_first_built(tmp_path, capsys, monkeypatch):
+    completed = []
+    complete = algebra.truncated_groebner
+    monkeypatch.setattr(algebra, "truncated_groebner",
+                        lambda pres, D: completed.append(pres.relations) or complete(pres, D))
+    ws = parse_workspace(EXAMPLE_WORKSPACE, max_deg=4)
+    assert completed == []
+    ws.module("X1")
+    assert completed == [ws.algebra("A").presentation.relations]
+    # the command reads S alone, so S alone is completed
+    completed.clear()
+    wsfile = tmp_path / "paper.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE)
+    assert main(["hilbert", "S", "--max-deg", "4", "-w", str(wsfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == [1, 3, 6, 10, 15]
+    assert completed == [ws.algebra("S").presentation.relations]
+
+
 def test_modules_are_built_on_first_lookup(monkeypatch):
     built = []
     build = cli.module_from_cover

@@ -415,3 +415,38 @@ def test_inverse_matches_textbook_gauss_jordan(field, n, density):
                 assert got is None
             else:
                 assert got.tolist() == [row[n:] for row in r]
+
+
+# -- sparse_rank against rank, on the same seeded sparse matrices --
+
+@pytest.mark.parametrize("shape", list(RREF_SHAPES))
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=["p13", "p2^31-1", "QQ"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sparse_rank_matches_rank(field, shape, seed):
+    m, n, density = RREF_SHAPES[shape]
+    rng = random.Random(f"sparse_rank/{field}/{shape}/{seed}")
+    a = linalg.as_matrix(field, _random_rows(field, m, n, density, rng))
+    # zero columns in front, inside and at the end
+    a = np.concatenate([a[:, :1] * 0, a[:, : n // 2], a[:, :1] * 0, a[:, n // 2 :],
+                        a[:, :1] * 0], axis=1)
+    columns = [{i: col[i] for i in range(m) if col[i]} for col in a.T.tolist()]
+    before = [dict(c) for c in columns]
+    _, pivots = linalg.rref(field, a, reduced=False)
+    want = len(pivots)
+    assert want == linalg.rank(field, a)
+    assert linalg.sparse_rank(field, columns, m) == want
+    assert linalg.sparse_rank(field, columns, want + 1) == want
+    assert columns == before  # the columns are left as they were
+    # the early stop: at limit L the rank is L, and reading stops at the
+    # column that brings the rank of the columns read so far to L, which
+    # is the L-th pivot column of a
+    for limit in {0, min(1, want), want // 2, want}:
+        read = []
+
+        def counted():
+            for j, col in enumerate(columns):
+                read.append(j)
+                yield col
+
+        assert linalg.sparse_rank(field, counted(), limit) == limit
+        assert len(read) == (pivots[limit - 1] + 1 if limit else 0)

@@ -3,8 +3,9 @@ they replaced.
 
 The oracle writes kron(C, I) into the rows of Hom(X, M(a+e))_0 (x) X_{d-a-e}
 and subtracts kron(I, beta_k), one k after another, from the rows of
-Hom(X, M(a))_0 (x) X_{d-a}, then reduces the whole block.  Every block that
-eval_iso_check builds on the example is compared whole: those with e = 0,
+Hom(X, M(a))_0 (x) X_{d-a}, then reduces the whole block.  eval_iso_check
+gives each block as its nonzero entries (row, column, value); every block it
+builds on the example is densified and compared whole: those with e = 0,
 whose two row slices are the same, and those with e > 0."""
 
 from fractions import Fraction
@@ -37,20 +38,27 @@ def _example(field_name):
 
 @pytest.mark.parametrize("field_name", ["GF(13)", "QQ"])
 def test_relation_blocks_match_kronecker_oracle(monkeypatch, field_name):
-    built = homology._relation_block
+    built = homology._relation_entries
     kinds = {"e = 0": 0, "e > 0": 0}
 
-    def checked(field, total, rows_a, rows_ae, C, betas):
-        got = built(field, total, rows_a, rows_ae, C, betas)
+    def checked(field, rows_a, rows_ae, C, betas):
+        rows, cols, vals = built(field, rows_a, rows_ae, C, betas)
+        # rows past both slices are zero in the oracle
+        total = max(rows_a.stop, rows_ae.stop)
         want = oracle_relation_block(field, total, rows_a, rows_ae, C, betas)
-        assert got.shape == want.shape and got.dtype == want.dtype
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)  # one entry a place
+        assert all(v != 0 for v in vals.tolist())
+        got = linalg.zeros(field, *want.shape)
+        got[rows, cols] = vals
         assert np.array_equal(got, want)
-        if got.dtype == object:
-            assert all(type(v) is Fraction for v in got.flat)
+        if vals.dtype == object:
+            assert all(type(v) is Fraction for v in vals)
+        else:
+            assert vals.dtype == np.int64
         kinds["e = 0" if rows_a == rows_ae else "e > 0"] += 1
-        return got
+        return rows, cols, vals
 
-    monkeypatch.setattr(homology, "_relation_block", checked)
+    monkeypatch.setattr(homology, "_relation_entries", checked)
     X, targets = _example(field_name)
     for M in targets:
         eval_iso_check(X, M, Window(0, 2, 2, 4))
