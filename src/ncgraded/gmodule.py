@@ -8,8 +8,12 @@ degree's cover matrix, section and dimension when one of them is first read,
 and a direct sum assembles a degree from its summands' pieces the same way;
 action tensors are built per pair of degrees on first read.
 
-A HomElement is stored by its generator images and evaluated by
-projfree.map_matrix; compose_images is the one place composites are formed
+Every HomElement is a member of a HomFamily, the maps M -> N(s) made
+together by homs_from_stacked (a hom basis, or a family of one, such as an
+identity or a composite): the family keeps their generator images stacked
+and evaluates all of them in a degree at once, one
+projfree.summand_matrices call per cover summand, and a member's matrix is
+its slice of that.  compose_images is the one place composites are formed
 (compose_hom is its one-pair case), and hom_coords the one solve for
 coordinates in a hom basis (composition_tensor joins the two).
 """
@@ -31,7 +35,7 @@ from .errors import (
 from .freealg import NcPoly
 from .memo import memo
 from .projfree import (GradedModule, Morphism, Pieces, ProjFree, _Presentation, act_rows,
-                       block_diag, map_matrix, summand_matrices)
+                       block_diag, eps_key, summand_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +167,64 @@ def direct_sum(mods) -> GradedModule:
 # ---------------------------------------------------------------------------
 
 
-class HomElement:
-    """A degree-s homomorphism M -> N(s), stored by generator images."""
+class HomFamily:
+    """The k homomorphisms M -> N(s) whose stacked generator images (as in
+    HomElement.stacked) are the columns of stacked, evaluated together:
+    images[j] holds the k images of generator j of M's cover, and
+    matrices(d) every member's matrix in degree d."""
 
-    def __init__(self, M: GradedModule, N: GradedModule, s: int, gen_images):
+    def __init__(self, M: GradedModule, N: GradedModule, s: int, stacked: np.ndarray):
         self.M = M
         self.N = N
         self.s = s
-        self.gen_images = [np.asarray(u) for u in gen_images]
+        self.stacked = stacked
+        offs = np.cumsum([0] + [N.dim(g + s) for _, g in M.presentation().cover.summands])
+        self.images = [stacked[offs[j] : offs[j + 1]] for j in range(len(offs) - 1)]
+        self.members = [HomElement(self, i) for i in range(stacked.shape[1])]
+
+    def matrices(self, d: int) -> np.ndarray:
+        """(k, dim N_{d+s}, dim M_d): f_d for every member f, through the
+        cover's section; one summand_matrices call per cover summand takes
+        all k images, and one product the section."""
+
+        def build():
+            M, N, s, field = self.M, self.N, self.s, self.M.field
+            P = M.presentation()
+            cover = P.cover
+            blocks = [linalg.zeros(field, len(self.members), N.dim(d + s), 0)]
+            for j in range(cover.rank):
+                if cover.subspace(j, d).rank:
+                    blocks.append(summand_matrices(cover, N, j, self.images[j], s, d))
+            return linalg.matmul(field, np.concatenate(blocks, axis=2), P.sections[d])
+
+        return memo(self, ("matrices", d), build)
+
+
+class HomElement:
+    """A degree-s homomorphism M -> N(s): member index of its family, whose
+    arrays hold its generator images and matrices."""
+
+    def __init__(self, family: HomFamily, index: int):
+        self.family = family
+        self.index = index
+        self.M = family.M
+        self.N = family.N
+        self.s = family.s
+        self.gen_images = [u[:, index] for u in family.images]
 
     def matrix(self, d: int) -> np.ndarray:
         """f_d: M_d -> N_{d+s}  (shape out x in), through the cover's section."""
-        P = self.M.presentation()
-        return memo(self, ("matrix", d), lambda: linalg.matmul(
-            self.M.field, map_matrix(P.cover, self.N, self.gen_images, self.s, d), P.sections[d]))
+        return self.family.matrices(d)[self.index]
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([u for u in self.gen_images]) if self.gen_images else np.zeros(0, dtype=np.int64)
+        """The generator images, one after another, in the field's dtype."""
+        return self.family.stacked[:, self.index]
 
 
 def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
-    """Per-summand coordinate bases W_m of Hom(eps_m Alg(-g_m), N(s)) = N_{g_m+s} eps_m."""
+    """Per-summand coordinate bases W_m of Hom(eps_m Alg(-g_m), N(s)) = N_{g_m+s} eps_m.
+    The basis of an eps-cut summand depends on eps and g_m + s alone, so it
+    is memoized on N, keyed by eps's content."""
     field = N.field
     Ws = []
     for eps, gm in cover.summands:
@@ -196,8 +237,8 @@ def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
         elif eps is None:
             Ws.append(linalg.eye(field, n))
         else:
-            Ws.append(linalg.Echelon.of(field, linalg.matmul(
-                field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis)
+            Ws.append(memo(N, ("cut", eps_key(eps), dN), lambda: linalg.Echelon.of(
+                field, linalg.matmul(field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis))
     return Ws
 
 
@@ -224,10 +265,9 @@ def _hom_basis(M: GradedModule, N: GradedModule, s: int):
 
 def homs_from_stacked(M: GradedModule, N: GradedModule, s: int, stacked: np.ndarray):
     """The HomElements M -> N(s) whose stacked generator images (as in
-    HomElement.stacked) are the columns of stacked."""
-    offs = np.cumsum([0] + [N.dim(g + s) for _, g in M.presentation().cover.summands])
-    return [HomElement(M, N, s, [col[offs[j] : offs[j + 1]] for j in range(len(offs) - 1)])
-            for col in np.ascontiguousarray(stacked.T)]
+    HomElement.stacked) are the columns of stacked: the members of one
+    HomFamily."""
+    return HomFamily(M, N, s, stacked).members
 
 
 def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) -> np.ndarray:
@@ -309,7 +349,7 @@ def compose_hom(f: HomElement, g: HomElement) -> HomElement:
 def identity_hom(M: GradedModule) -> HomElement:
     P = M.presentation()
     cover = P.cover
-    gen_images = []
+    gen_images = [linalg.zeros(M.field, 0)]
     for j in range(cover.rank):
         eps, gj = cover.summands[j]
         sub = cover.subspace(j, gj)
@@ -319,7 +359,7 @@ def identity_hom(M: GradedModule) -> HomElement:
         offs = cover.offsets(gj)
         full[offs[j] : offs[j] + sub.rank] = col
         gen_images.append(linalg.matmul(M.field, P.cover_mats[gj], full))
-    return HomElement(M, M, 0, gen_images)
+    return homs_from_stacked(M, M, 0, np.concatenate(gen_images)[:, None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -78,17 +78,6 @@ def eye(field: Field, n: int) -> np.ndarray:
     return out
 
 
-def as_matrix(field: Field, rows) -> np.ndarray:
-    rows = list(rows)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    out = zeros(field, m, n)
-    for i, r in enumerate(rows):
-        for j, v in enumerate(r):
-            out[i, j] = field(v)
-    return out
-
-
 def reduce(field: Field, a: np.ndarray) -> np.ndarray:
     """Canonical form, in place, of an elementwise result (a sum or scaling
     of reduced field arrays); returns a."""

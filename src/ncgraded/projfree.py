@@ -17,12 +17,16 @@ algebra every eps is None.  A free summand (eps None) has whole pieces of
 the algebra for its pieces, so its action blocks are the algebra's
 multiplication tensors and a map out of it is read off the images' action
 tensors, with no identity basis multiplied in; only eps-cut summands go
-through echelon coordinates.
+through echelon coordinates.  An eps-cut piece, eps . alg_n, and its action
+blocks depend on the idempotent and the algebra degrees alone, so they are
+memoized once on the algebra, keyed by eps's content (eps_key), and every
+summand of every ProjFree that shares them reads the same ones.
 
-map_matrix is the one place a map out of a cover, given by its generator
-images, is evaluated in a degree (Morphism, HomElement and cover maps
-alike); its per-summand step summand_matrices evaluates whole families of
-such maps at once (gmodule.precomposition_matrix).
+summand_matrices evaluates, on one cover summand in one degree, a whole
+family of maps out of a cover given by their generator images: every f o d
+in gmodule.precomposition_matrix, and every member of a gmodule.HomFamily
+at once.  map_matrix is its one-map case, for a Morphism and for the cover
+maps of an extracted presentation.
 """
 
 from __future__ import annotations
@@ -160,7 +164,8 @@ class ProjFree(GradedModule):
 
     def subspace(self, j: int, d: int) -> linalg.Echelon:
         """Echelon basis of summand j's piece in internal degree d, eps_j . alg_{d-g_j}
-        inside alg_{d-g_j}."""
+        inside alg_{d-g_j}.  An eps-cut piece depends on eps and d - g_j alone,
+        and is memoized on the algebra under them."""
 
         def build():
             eps, g = self.summands[j]
@@ -169,7 +174,8 @@ class ProjFree(GradedModule):
                 return linalg.Echelon.identity(self.field, n)
             if n == 0:
                 return linalg.Echelon(self.field, 0)
-            return linalg.Echelon.of(self.field, self.algebra.left_mult_matrix(0, eps, d - g))
+            return memo(self.algebra, ("cut", eps_key(eps), d - g), lambda: linalg.Echelon.of(
+                self.field, self.algebra.left_mult_matrix(0, eps, d - g)))
 
         return memo(self, ("sub", j, d), build)
 
@@ -190,21 +196,36 @@ class ProjFree(GradedModule):
         Returns tensor of shape (r_in, dim alg_e, r_out).  On a free summand
         (eps None) whose pieces at d and d+e are both whole pieces of the
         algebra, that is the algebra's memoized mult_tensor(d - g_j, e)
-        itself: block_diag copies it, and nothing may write into it."""
+        itself; on an eps-cut summand it depends on eps, d - g_j and e alone,
+        and is memoized on the algebra under them.  Both are shared:
+        block_diag copies them, and nothing may write into them."""
         eps, g = self.summands[j]
         if eps is None and min(d, d + e) >= g:
             return self.algebra.mult_tensor(d - g, e)
-        sub_in = self.subspace(j, d)
-        sub_out = self.subspace(j, d + e)
-        ne = self.algebra.dim(e)
-        t = linalg.zeros(self.field, sub_in.rank, ne, sub_out.rank)
-        if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
-            return t
-        mt = self.algebra.mult_tensor(d - g, e)  # (dim_{d-g}, ne, dim_{d-g+e})
-        amb = linalg.matmul(self.field, sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
-        flat = amb.reshape(-1, amb.shape[2]).T  # (dim_out_amb, r_in*ne)
-        coords = sub_out.coords(flat)  # (r_out, r_in*ne)
-        return coords.T.reshape(sub_in.rank, ne, sub_out.rank)
+
+        def build():
+            sub_in = self.subspace(j, d)
+            sub_out = self.subspace(j, d + e)
+            ne = self.algebra.dim(e)
+            t = linalg.zeros(self.field, sub_in.rank, ne, sub_out.rank)
+            if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
+                return t
+            mt = self.algebra.mult_tensor(d - g, e)  # (dim_{d-g}, ne, dim_{d-g+e})
+            amb = linalg.matmul(self.field, sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
+            flat = amb.reshape(-1, amb.shape[2]).T  # (dim_out_amb, r_in*ne)
+            coords = sub_out.coords(flat)  # (r_out, r_in*ne)
+            return coords.T.reshape(sub_in.rank, ne, sub_out.rank)
+
+        if eps is None:
+            return build()
+        return memo(self.algebra, ("cut_block", eps_key(eps), d - g, e), build)
+
+
+def eps_key(eps: np.ndarray) -> tuple:
+    """Memo key of an idempotent: its entries as Python scalars, so that over
+    QQ equal Fractions give equal keys (its bytes would be object pointers,
+    and a freed pointer can come back holding another value)."""
+    return tuple(eps.tolist())
 
 
 def block_diag(field, blocks) -> np.ndarray:
@@ -242,7 +263,7 @@ class Morphism:
 def map_matrix(cover: ProjFree, target: GradedModule, images, s: int, d: int) -> np.ndarray:
     """Degree-d matrix (target degree d+s x cover degree d) of the map out of
     cover that sends generator j to images[j], given in target's degree
-    g_j + s."""
+    g_j + s: summand_matrices for one map."""
     cols = [linalg.zeros(cover.field, target.dim(d + s), 0)]
     for j in range(cover.rank):
         if cover.subspace(j, d).rank:
@@ -255,9 +276,11 @@ def summand_matrices(cover: ProjFree, target: GradedModule, j: int, images: np.n
     """(k, dim target_{d+s}, rank of summand j's piece at d): for each of the
     k columns u of images, vectors of target's degree g_j + s, the matrix on
     summand j's piece of cover in degree d of the map that sends generator j
-    to u; generator j times a in alg_{d-g_j} goes to u . a.  On a free
-    summand with d >= g_j the piece is all of alg_{d-g_j}, so the matrix
-    is u . a itself."""
+    to u; generator j times a in alg_{d-g_j} goes to u . a.  The k maps
+    share each product, so a family of maps (the block bases of
+    gmodule.precomposition_matrix, the members of a gmodule.HomFamily) is
+    evaluated by one call per summand.  On a free summand with d >= g_j the
+    piece is all of alg_{d-g_j}, so the matrix is u . a itself."""
     field = cover.field
     eps, gj = cover.summands[j]
     w = act_rows(field, images.T, target.act_tensor(gj + s, d - gj))  # (k, dim alg_{d-gj}, out)

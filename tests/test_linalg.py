@@ -15,15 +15,25 @@ from ncgraded.scalars import QQ, Field
 F = Field(13)
 
 
+def as_matrix(field, rows):
+    """The matrix with the given rows, each entry converted by field."""
+    rows = list(rows)
+    out = linalg.zeros(field, len(rows), len(rows[0]) if rows else 0)
+    for i, r in enumerate(rows):
+        for j, v in enumerate(r):
+            out[i, j] = field(v)
+    return out
+
+
 def test_rref_identity():
-    a = linalg.as_matrix(F, [[1, 0], [0, 1]])
+    a = as_matrix(F, [[1, 0], [0, 1]])
     r, piv = linalg.rref(F, a)
     assert piv == [0, 1]
     assert (r == linalg.eye(F, 2)).all()
 
 
 def test_rank_and_nullspace_mod_p():
-    a = linalg.as_matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    a = as_matrix(F, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert linalg.rank(F, a) == 2
     ns = linalg.nullspace(F, a)
     assert ns.shape == (3, 1)
@@ -31,27 +41,27 @@ def test_rank_and_nullspace_mod_p():
 
 
 def test_solve_consistent_and_inconsistent():
-    a = linalg.as_matrix(F, [[1, 1], [0, 1]])
-    b = linalg.as_matrix(F, [[3], [2]])
+    a = as_matrix(F, [[1, 1], [0, 1]])
+    b = as_matrix(F, [[3], [2]])
     x = linalg.solve(F, a, b)
     assert (linalg.matmul(F, a, x) == b).all()
 
 
 def test_solve_no_solution_returns_none():
-    a = linalg.as_matrix(F, [[1, 1], [1, 1]])
-    b = linalg.as_matrix(F, [[0], [1]])
+    a = as_matrix(F, [[1, 1], [1, 1]])
+    b = as_matrix(F, [[0], [1]])
     assert linalg.solve(F, a, b) is None
 
 
 def test_inverse_mod_p():
-    a = linalg.as_matrix(F, [[2, 1], [1, 1]])
+    a = as_matrix(F, [[2, 1], [1, 1]])
     inv = linalg.inverse(F, a)
     assert (linalg.matmul(F, a, inv) == linalg.eye(F, 2)).all()
 
 
 def test_rational_exactness():
     # a matrix that loses rank under floating point but not exactly
-    a = linalg.as_matrix(QQ, [[Fraction(1, 3), Fraction(1, 6)],
+    a = as_matrix(QQ, [[Fraction(1, 3), Fraction(1, 6)],
                               [Fraction(2, 3), Fraction(1, 3)]])
     assert linalg.rank(QQ, a) == 1
     ns = linalg.nullspace(QQ, a)
@@ -59,20 +69,20 @@ def test_rational_exactness():
 
 
 def test_complement_pivots():
-    span = linalg.Echelon.of(F, linalg.as_matrix(F, [[1], [0], [0]]))
+    span = linalg.Echelon.of(F, as_matrix(F, [[1], [0], [0]]))
     piv = span.extend(linalg.eye(F, 3))
     assert len(piv) == 2
     assert 0 not in piv
 
 
 def test_in_span():
-    basis = linalg.Echelon.of(F, linalg.as_matrix(F, [[1, 0], [0, 1], [0, 0]]))
-    assert not basis.reduce(linalg.as_matrix(F, [[5], [7], [0]])[:, 0]).any()
-    assert basis.reduce(linalg.as_matrix(F, [[0], [0], [1]])[:, 0]).any()
+    basis = linalg.Echelon.of(F, as_matrix(F, [[1, 0], [0, 1], [0, 0]]))
+    assert not basis.reduce(as_matrix(F, [[5], [7], [0]])[:, 0]).any()
+    assert basis.reduce(as_matrix(F, [[0], [0], [1]])[:, 0]).any()
 
 
 def test_column_space_basis():
-    a = linalg.as_matrix(F, [[1, 2, 0], [2, 4, 1]])
+    a = as_matrix(F, [[1, 2, 0], [2, 4, 1]])
     ech = linalg.Echelon(F, 2)
     piv = ech.extend(a)
     assert piv == [0, 2]
@@ -90,7 +100,7 @@ def echelon_inputs(draw):
     small = st.integers(-3, 3)
 
     def matrix(rows, cols):
-        return linalg.as_matrix(field, [[draw(small) for _ in range(cols)] for _ in range(rows)]) \
+        return as_matrix(field, [[draw(small) for _ in range(cols)] for _ in range(rows)]) \
             if rows and cols else linalg.zeros(field, rows, cols)
 
     cols = linalg.matmul(field, matrix(n, k), matrix(k, m))  # rank <= k, with repeats
@@ -137,7 +147,7 @@ def test_identity_echelon_equals_eliminated_identity(field, n):
     assert fast.pivots == slow.pivots
     assert fast.basis.dtype == slow.basis.dtype
     assert fast.basis.shape == slow.basis.shape and (fast.basis == slow.basis).all()
-    v = (linalg.as_matrix(field, [[(5 * i + 3 * j) % 7 - 3 for j in range(3)] for i in range(n)])
+    v = (as_matrix(field, [[(5 * i + 3 * j) % 7 - 3 for j in range(3)] for i in range(n)])
          if n else linalg.zeros(field, 0, 3))
     for x in (v, v[:, 0]):
         for got, want in ((fast.coords(x), slow.coords(x)), (fast.reduce(x), slow.reduce(x))):
@@ -354,7 +364,7 @@ def test_rref_matches_textbook_gauss_jordan(monkeypatch, field, shape, seed):
         rows[0] = [field(rng.randint(1, 9)) for _ in range(n)]
         for row in rows[1:]:
             row[0] = field(rng.randint(1, 9))
-    a = linalg.as_matrix(field, rows)
+    a = as_matrix(field, rows)
     before = a.copy()
     handoffs = []  # (column, pivot rows so far) at which the dense loop starts
     dense = linalg._dense_rref
@@ -379,7 +389,7 @@ def test_rref_matches_textbook_gauss_jordan(monkeypatch, field, shape, seed):
     assert ns.T.tolist() == _oracle_nullspace(field, rows, n)
     # a right-hand side in the column span: the solution that is zero off the pivots
     x0 = [field(rng.randint(-3, 3)) for _ in range(n)]
-    b = linalg.matmul(field, a, linalg.as_matrix(field, [[v] for v in x0]))
+    b = linalg.matmul(field, a, as_matrix(field, [[v] for v in x0]))
     aug_r, aug_piv = _oracle_rref(field, [row + [v] for row, v in zip(rows, b[:, 0].tolist())])
     want_x = [[field.zero] for _ in range(n)]
     for i, pc in enumerate(aug_piv):
@@ -389,7 +399,7 @@ def test_rref_matches_textbook_gauss_jordan(monkeypatch, field, shape, seed):
     for i in range(m if len(want_piv) < m else 0):
         e = [[field.one if k == i else field.zero] for k in range(m)]
         if _oracle_rref(field, [row + v for row, v in zip(rows, e)])[1][-1] == n:
-            assert linalg.solve(field, a, linalg.as_matrix(field, e)) is None
+            assert linalg.solve(field, a, as_matrix(field, e)) is None
             break
     else:
         assert len(want_piv) == m
@@ -410,7 +420,7 @@ def test_inverse_matches_textbook_gauss_jordan(field, n, density):
         singular = rows[:-1] + [[field.add(x, y) for x, y in zip(rows[0], rows[1])]]
         for case in (rows, singular):
             r, piv = _oracle_rref(field, [row + e for row, e in zip(case, eye)])
-            got = linalg.inverse(field, linalg.as_matrix(field, case))
+            got = linalg.inverse(field, as_matrix(field, case))
             if piv[:n] != list(range(n)):
                 assert got is None
             else:
@@ -425,7 +435,7 @@ def test_inverse_matches_textbook_gauss_jordan(field, n, density):
 def test_sparse_rank_matches_rank(field, shape, seed):
     m, n, density = RREF_SHAPES[shape]
     rng = random.Random(f"sparse_rank/{field}/{shape}/{seed}")
-    a = linalg.as_matrix(field, _random_rows(field, m, n, density, rng))
+    a = as_matrix(field, _random_rows(field, m, n, density, rng))
     # zero columns in front, inside and at the end
     a = np.concatenate([a[:, :1] * 0, a[:, : n // 2], a[:, :1] * 0, a[:, n // 2 :],
                         a[:, :1] * 0], axis=1)
