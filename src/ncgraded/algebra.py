@@ -2,12 +2,13 @@
 
 Two backends share one interface: PresentedAlgebra (Groebner-backed, basis
 = normal words) and TabulatedAlgebra (per-degree structure constants, used
-for endomorphism algebras that have no known presentation).  Homological
-code upstream only ever sees the oracle interface.
+for endomorphism algebras and for opposite algebras).  Homological code
+upstream only ever sees the oracle interface.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,14 @@ from .scalars import Field
 
 
 class AlgebraOracle:
-    """Interface: dim(d), mult_tensor(d1, d2), unit."""
+    """Interface: dim(d), mult_tensor(d1, d2), unit, and generated_through, a
+    degree a such that the pieces of degree at most a generate the algebra
+    (valid_through when no better bound is known)."""
 
     field: Field
     valid_through: int
     valid_from: int = 0
+    generated_through: int
 
     def dim(self, d: int) -> int:
         raise NotImplementedError
@@ -38,12 +42,6 @@ class AlgebraOracle:
     @property
     def unit(self) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def generated_through(self) -> int:
-        """A degree a such that the algebra is generated by its pieces of
-        degree at most a; with no better bound known, valid_through."""
-        return self.valid_through
 
     def _check_degree(self, d: int):
         if d > self.valid_through:
@@ -156,18 +154,20 @@ class PresentedAlgebra(AlgebraOracle):
 class TabulatedAlgebra(AlgebraOracle):
     """Algebra given by per-degree dimensions and structure tensors.
 
-    The tensor of (d1, d2) is build(d1, d2), called on its first read and
-    memoized; a pair with a zero dimension among d1, d2 and d1 + d2
+    dims (absent degrees are 0) is kept as given, so a lazy mapping stays
+    lazy.  The tensor of (d1, d2) is build(d1, d2), called on its first read
+    and memoized; a pair with a zero dimension among d1, d2 and d1 + d2
     (d1 + d2 below valid_from included) reads zeros and never calls build."""
 
-    def __init__(self, field: Field, dims: dict, build, unit: np.ndarray,
-                 valid_through: int, valid_from: int = 0):
+    def __init__(self, field: Field, dims: Mapping, build, unit: np.ndarray, *,
+                 valid_from: int, valid_through: int, generated_through: int):
         self.field = field
-        self._dims = dict(dims)
+        self._dims = dims
         self._build = build
         self._unit = unit
-        self.valid_through = valid_through
         self.valid_from = valid_from
+        self.valid_through = valid_through
+        self.generated_through = generated_through
 
     def dim(self, d: int) -> int:
         self._check_degree(d)
@@ -269,15 +269,6 @@ def is_regular_element(alg: PresentedAlgebra, f: NcPoly, window: int) -> bool:
         if linalg.rank(alg.field, lm) < n or linalg.rank(alg.field, rm) < n:
             return False
     return True
-
-
-def opposite_presentation(pres: Presentation) -> Presentation:
-    """Same generators, every relation word reversed."""
-    rels = []
-    for r in pres.relations:
-        rels.append(NcPoly(pres.gens, pres.field,
-                           {tuple(reversed(w)): c for w, c in r.terms.items()}))
-    return Presentation(pres.field, pres.gens, tuple(rels), pres.order)
 
 
 def quotient_algebra(alg: PresentedAlgebra, extra, D: int) -> PresentedAlgebra:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraOracle, PresentedAlgebra, TabulatedAlgebra
+from .algebra import AlgebraOracle, TabulatedAlgebra
 from .errors import InvalidDimension, InvalidWindow, NotConnected, ZeroAlgebra
 from .findim import FinDimAlgebra, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
@@ -56,7 +56,7 @@ class EndoAlgebra:
         unit = hom_coords(X.field, self.bases[0], identity_hom(X).stacked()[:, None])
         self.algebra = TabulatedAlgebra(
             X.field, {d: len(bs) for d, bs in self.bases.items()}, self._compose_tensor,
-            unit[:, 0], valid_through=hi, valid_from=lo)
+            unit[:, 0], valid_from=lo, valid_through=hi, generated_through=hi)
 
     def _compose_tensor(self, d1: int, d2: int) -> np.ndarray:
         """tensor[i, j, :] = coords of b_i o b_j (b_j applied first); the
@@ -135,7 +135,7 @@ def as_regular_over_R_check(B: EndoAlgebra, d: int, ell: int, window: Window) ->
             "verdict": "inconclusive" if ok and not seen else ok}
 
 
-def as_gorenstein_check(A: PresentedAlgebra, d: int, ell: int, window: Window) -> dict:
+def as_gorenstein_check(A: AlgebraOracle, d: int, ell: int, window: Window) -> dict:
     """AS-Gorenstein test for a connected algebra: Ext^i(k, A) on both sides
     vanishes for i != d within the window and is k(ell) for i = d.  The
     verdict is "inconclusive" when nothing fails but the window leaves out

@@ -1,7 +1,9 @@
 """Graded right modules (GradedModule, re-exported from projfree): their
 constructors, homomorphisms, twists and duals.  A free module is a ProjFree,
 its own cover.  Derived results (shared hom bases, free modules, opposite
-algebras) are memoized on their owner.
+algebras) are memoized on their owner.  The opposite of any algebra is a
+TabulatedAlgebra over its bases with the two factors of each tensor swapped;
+a dual module lives over it.
 
 Constructors tabulate nothing: a cyclic module (module_from_cover) finds a
 degree's cover matrix, section and dimension when one of them is first read,
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle, PresentedAlgebra, opposite_presentation
+from .algebra import AlgebraOracle, PresentedAlgebra, TabulatedAlgebra
 from .errors import (
     AlgebraMismatch,
     InvalidAutomorphism,
@@ -431,11 +433,17 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
 # ---------------------------------------------------------------------------
 
 
-def opposite_algebra(alg: PresentedAlgebra) -> PresentedAlgebra:
-    """Presented opposite algebra, memoized so that op(op(A)) is A itself."""
+def opposite_algebra(alg: AlgebraOracle) -> TabulatedAlgebra:
+    """alg^op for any algebra: alg's bases, lazily read dimensions, unit,
+    validity and generated_through, and as (d1, d2) tensor a view of alg's
+    (d2, d1) tensor with its first two axes swapped, built on first read.
+    Memoized both ways, so op(op(A)) is A itself."""
 
     def build():
-        op = PresentedAlgebra(opposite_presentation(alg.presentation), alg.valid_through)
+        op = TabulatedAlgebra(alg.field, Pieces(alg.valid_from, alg.valid_through, alg.dim),
+                              lambda d1, d2: alg.mult_tensor(d2, d1).transpose(1, 0, 2), alg.unit,
+                              valid_from=alg.valid_from, valid_through=alg.valid_through,
+                              generated_through=alg.generated_through)
         memo(op, "op", lambda: alg)
         return op
 
@@ -444,10 +452,9 @@ def opposite_algebra(alg: PresentedAlgebra) -> PresentedAlgebra:
 
 def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -> GradedModule:
     """M-dagger = Hom(M, Alg) as a right module over the opposite algebra:
-    degree-s piece = Hom_GrMod(M, Alg(s)), action (f * a)(m) = a . f(m)."""
+    degree-s piece = Hom_GrMod(M, Alg(s)), action (f * a)(m) = a . f(m),
+    where op_e has alg_e's basis."""
     alg = M.algebra
-    if not isinstance(alg, PresentedAlgebra):
-        raise AlgebraMismatch("dual_module needs a presented algebra")
     op = opposite_algebra(alg)
     if hi is None:
         hi = M.valid_to - 1
@@ -460,17 +467,14 @@ def dual_module(M: GradedModule, lo: int | None = None, hi: int | None = None) -
     gdegs = [g for _, g in M.presentation().cover.summands]
 
     def action(s, e):
-        """(f * a) for every basis f of degree s and word a of op_e: the images
-        a . f(gen_j), solved in the degree-(s+e) basis all at once."""
+        """(f * a) for every basis f of degree s and basis element a of op_e:
+        the images a . f(gen_j), one contraction per cover summand, solved in
+        the degree-(s+e) basis all at once."""
         hb, tb = bases[s], bases[s + e]
-        images = [np.stack([f.gen_images[j] for f in hb], axis=1) for j in range(len(gdegs))]
-        rhs = []
-        for w in op.basis_words(e):
-            rev = alg.poly_to_vec(e, NcPoly.word(alg.gens, field, tuple(reversed(w))))
-            rhs += [linalg.matmul(field, alg.left_mult_matrix(e, rev, gj + s), u)
-                    for gj, u in zip(gdegs, images)]
-        # rows: stacked generator images; columns: (word, f), word-major
-        rhs = np.concatenate(rhs, axis=0).reshape(op.dim(e), -1, len(hb))
+        images = hb[0].family.images
+        # (a, stacked generator images, f)
+        rhs = np.concatenate([linalg.matmul(field, alg.mult_tensor(e, gj + s), u, axes=(1, 0))
+                              for gj, u in zip(gdegs, images)], axis=1)
         rhs = rhs.transpose(1, 0, 2).reshape(-1, op.dim(e) * len(hb))
         return hom_coords(field, tb, rhs).T.reshape(op.dim(e), len(hb), len(tb)).transpose(1, 0, 2)
 
