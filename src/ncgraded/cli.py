@@ -412,9 +412,9 @@ def cmd_hilbert(args) -> dict:
 def cmd_hom(args) -> dict:
     ws = args.ws
     M, N = ws.module(args.M), ws.module(args.N)
-    hs = homology.hom_space(M, N, args.s, ws.window)
+    dim = len(homology.hom_basis(M, N, args.s))
     rep = make_report("hom", {"M": args.M, "N": args.N, "s": args.s}, ws.window, [])
-    rep["dim"] = hs.dim
+    rep["dim"] = dim
     return rep
 
 

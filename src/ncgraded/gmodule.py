@@ -36,8 +36,8 @@ from .errors import (
 )
 from .freealg import NcPoly
 from .memo import memo
-from .projfree import (GradedModule, Morphism, Pieces, ProjFree, _Presentation, act_rows,
-                       block_diag, eps_key, summand_matrices)
+from .projfree import (GradedModule, Morphism, Pieces, ProjFree, _Presentation, block_diag,
+                       eps_key, summand_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
     P = _Presentation(cover, lo, hi, lambda d: _cokernel_piece(cover, rel, d), rel)
 
     def action(d, e):
-        u = act_rows(field, P.sections[d].T, cover.act_tensor(d, e))  # (k, ne, F0_{d+e})
+        u = cover.act_rows(P.sections[d].T, d, e)  # (k, ne, F0_{d+e})
         return linalg.matmul(field, u, P.cover_mats[d + e].T)  # (k, ne, k')
 
     return GradedModule(cover.algebra, lambda d: P.sections[d].shape[1], action, lo, hi, P)
@@ -165,7 +165,7 @@ def direct_sum(mods) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# Hom solver (shared by homology.hom_space, duals, endomorphism algebras)
+# Hom solver (shared by Hom and Ext, duals, endomorphism algebras)
 # ---------------------------------------------------------------------------
 
 

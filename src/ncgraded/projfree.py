@@ -2,17 +2,18 @@
 modules P = (+) eps_j . Alg(-g_j) that cover them.
 
 A GradedModule is tabulated lazily: dimensions and action tensors are
-computed on first use and cached.  It carries (or extracts) a minimal
-projective presentation F1 -> F0 -> M -> 0, whose cover matrices and
-sections are Pieces: a degree is built when it is first read, and a degree
-nothing reads is never built.  An extracted presentation reads them while
-it scans for relations, through top + a, where top is the highest degree
-with M_d != 0 and the algebra is generated in degrees <= a
-(generated_through): past that the kernel is generated below.  Over a
-non-connected algebra the cover summands are cut out by idempotents eps of
-the algebra's own `deg0`, so the presentation does not depend on who asks
-for it first, and minimal resolutions terminate where the projectives are
-not free.  A ProjFree is a GradedModule and its own cover; over a connected
+computed on first use and cached, and every reader of its action goes
+through act_rows(V, d, e), vectors of degree d times alg_e.  It carries
+(or extracts) a minimal projective presentation F1 -> F0 -> M -> 0, whose
+cover matrices and sections are Pieces: a degree is built when it is first
+read, and a degree nothing reads is never built.  An extracted
+presentation reads them while it scans for relations, through top + a,
+where top is the highest degree with M_d != 0 and the algebra is generated
+in degrees <= a (generated_through): past that the kernel is generated
+below.  Over a non-connected algebra the cover summands are cut out by
+idempotents eps of the algebra's own `deg0`, so the presentation does not
+depend on who asks for it first, and minimal resolutions terminate where
+the projectives are not free.  A ProjFree is a GradedModule and its own cover; over a connected
 algebra every eps is None.  A free summand (eps None) has whole pieces of
 the algebra for its pieces, so its action blocks are the algebra's
 multiplication tensors and a map out of it is read off the images' action
@@ -21,6 +22,10 @@ through echelon coordinates.  An eps-cut piece, eps . alg_n, and its action
 blocks depend on the idempotent and the algebra degrees alone, so they are
 memoized once on the algebra, keyed by eps's content (eps_key), and every
 summand of every ProjFree that shares them reads the same ones.
+
+A ProjFree keeps no action tensor: its action is block diagonal over the
+summands and almost all zeros, so act_rows contracts the nonzeros of the
+summands' action blocks, memoized on the algebra beside the blocks.
 
 summand_matrices evaluates, on one cover summand in one degree, a whole
 family of maps out of a cover given by their generator images: every f o d
@@ -31,6 +36,7 @@ maps of an extracted presentation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from itertools import accumulate, groupby
 from typing import Callable
@@ -42,6 +48,7 @@ from .algebra import AlgebraOracle
 from .errors import DegreeBeyondTruncation, IncompleteKernel, ShapeMismatch, WindowExceeded
 from .findim import Deg0Data
 from .memo import memo
+from .scalars import INT64_MAX
 
 
 class Pieces(Mapping):
@@ -88,10 +95,13 @@ class GradedModule:
 
     dims gives dim M_d: a dict (absent degrees are 0) or a function of d.
     action(d, e) builds the (dim M_d, dim alg_e, dim M_{d+e}) action tensor;
-    act_tensor calls it once per (d, e), and never when a dimension is 0.
+    act_tensor calls it once per (d, e), and never when a dimension is 0,
+    and act_rows contracts the tensor it keeps.  A subclass that answers
+    act_tensor and act_rows itself passes no action.
     """
 
-    def __init__(self, algebra: AlgebraOracle, dims, action: Callable[[int, int], np.ndarray],
+    def __init__(self, algebra: AlgebraOracle, dims,
+                 action: Callable[[int, int], np.ndarray] | None,
                  valid_from: int, valid_to: int, pres: _Presentation | None = None):
         self.algebra = algebra
         self.field = algebra.field
@@ -120,9 +130,14 @@ class GradedModule:
 
         return memo(self, ("act", d, e), build)
 
+    def act_rows(self, V: np.ndarray, d: int, e: int) -> np.ndarray:
+        """Vectors V[..., :] of degree d times alg_e: shape V.shape[:-1] +
+        (dim alg_e, dim M_{d+e})."""
+        return act_rows(self.field, V, self.act_tensor(d, e))
+
     def act(self, d: int, v: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
         """(v at degree d) . (algebra vector w at degree e)."""
-        return linalg.matmul(self.field, w, act_rows(self.field, v, self.act_tensor(d, e)))
+        return linalg.matmul(self.field, w, self.act_rows(v, d, e))
 
     # -- presentation ------------------------------------------------------
 
@@ -141,8 +156,9 @@ class ProjFree(GradedModule):
 
     Valid from lo (default: the lowest generator degree) through hi, capped
     where the algebra's truncation ends for the lowest generator.  Its
-    pieces are the summand subspaces, its action is block diagonal over the
-    summands, and it is its own cover."""
+    pieces are the summand subspaces, and it is its own cover.  Its action
+    is block diagonal over the summands, and no dense tensor of it is kept:
+    act_rows contracts the nonzeros of the summands' action blocks."""
 
     def __init__(self, alg: AlgebraOracle, summands, lo: int | None = None, hi: int | None = None):
         # summands: list of (eps vector in alg_0 coords or None, gdeg)
@@ -150,8 +166,7 @@ class ProjFree(GradedModule):
         low = min((g for _, g in self.summands), default=0)
         top = alg.valid_through + low
         super().__init__(
-            alg, lambda d: self.offsets(d)[-1],
-            lambda d, e: block_diag(self.field, [self.action_block(j, d, e) for j in range(self.rank)]),
+            alg, lambda d: self.offsets(d)[-1], None,
             low if lo is None else lo, top if hi is None else min(hi, top))
 
     # bench/tracer.py wraps ProjFree.act on this class, so the inherited
@@ -179,9 +194,10 @@ class ProjFree(GradedModule):
 
         return memo(self, ("sub", j, d), build)
 
-    def offsets(self, d: int) -> list:
+    def offsets(self, d: int) -> tuple:
         """Where each summand's block starts in the coordinates of degree d, then dim P_d."""
-        return list(accumulate((self.subspace(j, d).rank for j in range(self.rank)), initial=0))
+        return memo(self, ("offsets", d), lambda: tuple(
+            accumulate((self.subspace(j, d).rank for j in range(self.rank)), initial=0)))
 
     def presentation(self) -> _Presentation:
         """The module is its own cover: identity cover maps, no relations."""
@@ -197,8 +213,9 @@ class ProjFree(GradedModule):
         (eps None) whose pieces at d and d+e are both whole pieces of the
         algebra, that is the algebra's memoized mult_tensor(d - g_j, e)
         itself; on an eps-cut summand it depends on eps, d - g_j and e alone,
-        and is memoized on the algebra under them.  Both are shared:
-        block_diag copies them, and nothing may write into them."""
+        and is memoized on the algebra under them.  Both are shared, and
+        nothing may write into them; act_rows reads their nonzeros
+        (block_nonzeros)."""
         eps, g = self.summands[j]
         if eps is None and min(d, d + e) >= g:
             return self.algebra.mult_tensor(d - g, e)
@@ -220,6 +237,61 @@ class ProjFree(GradedModule):
             return build()
         return memo(self.algebra, ("cut_block", eps_key(eps), d - g, e), build)
 
+    def _nonzeros(self, d: int, e: int):
+        """The action at (d, e) as nonzeros of the (dim P_d, dim alg_e *
+        dim P_{d+e}) matrix: (rows, values, run starts, the run's output
+        column, whether terms must be reduced before they are summed).  Each
+        run is one output column; it is the summands' block_nonzeros,
+        shifted by offsets(d) and offsets(d + e) and concatenated, and runs of
+        different summands never share a column."""
+
+        def build():
+            oi, oo = self.offsets(d), self.offsets(d + e)
+            parts = [(linalg.zeros(self.field, 0),) + (np.zeros(0, np.intp),) * 4]
+            size = 0
+            for j, (eps, g) in enumerate(self.summands):
+                if oi[j] < oi[j + 1] and oo[j] < oo[j + 1]:
+                    key = ("nz", d - g, e) if eps is None else ("cut_nz", eps_key(eps), d - g, e)
+                    vals, rows, starts, alg_idx, cols = memo(
+                        self.algebra, key, lambda: block_nonzeros(self.action_block(j, d, e)))
+                    parts.append((vals, rows + oi[j], starts + size,
+                                  alg_idx * oo[-1] + oo[j] + cols, np.diff(starts, append=len(rows))))
+                    size += len(rows)
+            vals, rows, starts, cols, runs = (np.concatenate(a) for a in zip(*parts))
+            wide = (self.field.is_prime_field and len(runs) > 0
+                    and int(runs.max()) * (self.field.p - 1) ** 2 > INT64_MAX)
+            return rows, vals, starts, cols, wide
+
+        return memo(self, ("nz", d, e), build)
+
+    def act_rows(self, V: np.ndarray, d: int, e: int) -> np.ndarray:
+        """As GradedModule.act_rows: one gather of V's entries at the
+        nonzeros' rows, one product with their values, one sum per output
+        column (np.add.reduceat) and one scatter, over GF(p) and QQ alike.
+        A one-summand free module whose pieces at d and d + e are whole
+        pieces of the algebra contracts the algebra's tensor directly: the
+        nonzero lists measured 7% slower there on the cli-queries benchmark
+        workload, whose many short commands each rebuild their modules."""
+        field = self.field
+        n_in, ne, n_out = self.dim(d), self.algebra.dim(e), self.dim(d + e)
+        if self.rank == 1 and self.summands[0][0] is None and min(d, d + e) >= self.summands[0][1]:
+            return act_rows(field, V, self.algebra.mult_tensor(d - self.summands[0][1], e))
+        lead = V.shape[:-1]
+        m = math.prod(lead)
+        out = linalg.zeros(field, m, ne * n_out)
+        rows, vals, starts, cols, wide = self._nonzeros(d, e)
+        if len(starts):
+            terms = V.reshape(m, n_in)[:, rows] * vals
+            if wide:  # a run's sum of (p - 1)**2 terms would pass int64
+                terms %= field.p
+            out[:, cols] = linalg.reduce(field, np.add.reduceat(terms, starts, axis=1))
+        return out.reshape(lead + (ne, n_out))
+
+    def act_tensor(self, d: int, e: int) -> np.ndarray:
+        """The whole action tensor, for the readers that need all of it: the
+        identity of degree d times alg_e, made on each call and not kept."""
+        return self.act_rows(linalg.eye(self.field, self.dim(d)), d, e)
+
 
 def eps_key(eps: np.ndarray) -> tuple:
     """Memo key of an idempotent: its entries as Python scalars, so that over
@@ -228,9 +300,23 @@ def eps_key(eps: np.ndarray) -> tuple:
     return tuple(eps.tolist())
 
 
+def block_nonzeros(block: np.ndarray):
+    """The nonzeros of an action block (r_in, dim alg_e, r_out) with r_in > 0,
+    ordered by output (a, o) and then by row: (values, rows, run starts, and
+    each run's a and o).  A run is the nonzeros of one output."""
+    r_in, _, r_out = block.shape
+    flat = block.transpose(1, 2, 0).reshape(-1)
+    idx = np.flatnonzero(flat != 0)
+    outs, rows = np.divmod(idx, r_in)
+    starts = np.flatnonzero(np.diff(outs, prepend=-1))
+    alg_idx, cols = np.divmod(outs[starts], r_out)
+    return flat[idx], rows, starts, alg_idx, cols
+
+
 def block_diag(field, blocks) -> np.ndarray:
     """Block-diagonal array over the first and last axes of the blocks, whose
-    middle axes agree: matrices, or action tensors (dim in, dim alg_e, dim out)."""
+    middle axes agree: matrices, or a direct sum's action tensors (dim in,
+    dim alg_e, dim out)."""
     mid = blocks[0].shape[1:-1] if blocks else ()
     out = linalg.zeros(field, sum(b.shape[0] for b in blocks), *mid, sum(b.shape[-1] for b in blocks))
     r = c = 0
@@ -283,7 +369,7 @@ def summand_matrices(cover: ProjFree, target: GradedModule, j: int, images: np.n
     piece is all of alg_{d-g_j}, so the matrix is u . a itself."""
     field = cover.field
     eps, gj = cover.summands[j]
-    w = act_rows(field, images.T, target.act_tensor(gj + s, d - gj))  # (k, dim alg_{d-gj}, out)
+    w = target.act_rows(images.T, gj + s, d - gj)  # (k, dim alg_{d-gj}, out)
     if eps is None and d >= gj:
         return w.transpose(0, 2, 1)
     return linalg.matmul(field, w, cover.subspace(j, d).basis, axes=(1, 0))
@@ -303,7 +389,7 @@ def action_span(obj, gens, d: int) -> np.ndarray:
     for dg, run in groupby(gens, key=lambda gen: gen[1]):
         if d >= dg:
             # one product for the generators of degree dg; column (g, a) is g . a
-            w = act_rows(obj.field, np.stack([v for _, _, v in run]), obj.act_tensor(dg, d - dg))
+            w = obj.act_rows(np.stack([v for _, _, v in run]), dg, d - dg)
             cols.append(w.reshape(-1, w.shape[-1]).T)
     return np.concatenate(cols, axis=1)
 
@@ -313,7 +399,7 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
 
     container is the GradedModule the submodule lives in; the span of the
     generators chosen so far is action_span(container, gens, d), and the
-    degree-0 radical and idempotent action is read from act_tensor(d, 0).
+    degree-0 radical and idempotent action is read from act_rows(kb.T, d, 0).
     piece_basis(d) -> matrix whose columns are a basis of the submodule piece
     (in coordinates of container's degree-d piece).  deg0 is the `deg0` of
     the container's algebra: None for a connected algebra, else the radical
@@ -336,7 +422,7 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
         else:
             # quotient V = K_d / sel, then V/(V.rad) split by idempotents;
             # a0[j, :, b] = (kernel vector j) . (degree-0 basis element b)
-            a0 = act_rows(field, kb.T, container.act_tensor(d, 0)).transpose(0, 2, 1)
+            a0 = container.act_rows(kb.T, d, 0).transpose(0, 2, 1)
             rad = linalg.matmul(field, a0, deg0.radical_basis)  # (k, n, r)
             sel.extend(rad.transpose(1, 0, 2).reshape(kb.shape[0], -1))
             for eps in deg0.idempotents:
