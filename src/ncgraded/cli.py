@@ -18,7 +18,6 @@ import json
 import sys
 import time
 import traceback
-from collections.abc import Mapping
 from functools import cache, partial
 from importlib.resources import files
 
@@ -58,36 +57,12 @@ DEFAULT_MAX_DEG = 12
 # ---------------------------------------------------------------------------
 
 
-class _LazyModules(Mapping):
-    """name -> module; each module is built on its first lookup."""
-
-    def __init__(self):
-        self._get = {}  # name -> memoized () -> GradedModule
-
-    def define(self, name: str, build):
-        """Register build() under name; returns the memoized builder."""
-        self._get[name] = get = cache(build)
-        return get
-
-    def __getitem__(self, name: str):
-        return self._get[name]()
-
-    def __contains__(self, name) -> bool:  # Mapping's default would build the module
-        return name in self._get
-
-    def __iter__(self):
-        return iter(self._get)
-
-    def __len__(self) -> int:
-        return len(self._get)
-
-
 class Workspace:
     def __init__(self):
         self.field = Field(13)
         self.window = Window()
         self.algebras: dict[str, PresentedAlgebra] = {}
-        self.modules = _LazyModules()
+        self.modules: dict = {}  # name -> memoized () -> GradedModule, built on first call
         self.automorphisms: dict[str, GradedAutomorphism] = {}
 
     def algebra(self, name: str) -> PresentedAlgebra:
@@ -98,7 +73,7 @@ class Workspace:
     def module(self, name: str):
         if name not in self.modules:
             raise UnknownReference(f"unknown module {name!r}")
-        return self.modules[name]
+        return self.modules[name]()
 
     def automorphism(self, name: str) -> GradedAutomorphism:
         if name not in self.automorphisms:
@@ -176,11 +151,11 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
     """Build a workspace; ``field``, if given, replaces the file's [field].
 
     Every section is checked here, but a module is built only when first
-    looked up in ``ws.modules``."""
+    looked up with ``ws.module``."""
     ws = Workspace()
     sections = _parse_sections(text)
     ws.field = field or ws.field
-    defined = {}  # module name -> (its algebra, its memoized builder)
+    algebra_of = {}  # module name -> its algebra
     for kind, name, kv, lineno in sections:
         if kind == "field" and field is None:
             ws.field = Field.parse(str(kv.get("name", kv.get("p", "GF(13)"))))
@@ -239,16 +214,17 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                     raise ParseError(f"module {name!r}: a sum needs at least one summand",
                                      line=lineno, column=1)
                 for m in parts:
-                    if m not in defined:
+                    if m not in ws.modules:
                         raise UnknownReference(f"unknown module {m!r}")
-                alg = defined[parts[0]][0]
-                if any(defined[m][0] is not alg for m in parts):
+                alg = algebra_of[parts[0]]
+                if any(algebra_of[m] is not alg for m in parts):
                     raise AlgebraMismatch("direct sum requires a common algebra")
-                gets = [defined[m][1] for m in parts]
+                gets = [ws.modules[m] for m in parts]
                 build = partial(lambda gets: direct_sum([get() for get in gets]), gets)
             else:
                 raise ParseError(f"unknown module kind {mkind!r}", line=lineno, column=1)
-            defined[name] = (alg, ws.modules.define(name, build))
+            algebra_of[name] = alg
+            ws.modules[name] = cache(build)
         elif kind == "automorphism":
             alg = ws.algebra(str(kv.get("of", "")))
             images = [parse_poly(e, alg.gens, ws.field, max_deg)

@@ -11,8 +11,8 @@ and a direct sum assembles a degree from its summands' pieces the same way;
 action tensors are built per pair of degrees on first read.
 
 Every HomElement is a member of a HomFamily, the maps M -> N(s) made
-together by homs_from_stacked (a hom basis, or a family of one, such as an
-identity or a composite): the family keeps their generator images stacked
+together from their stacked generator images (a hom basis, or a family of
+one, such as an identity or a composite): the family keeps those images
 and evaluates all of them in a degree at once, one
 projfree.summand_matrices call per cover summand, and a member's matrix is
 its slice of that.  compose_images is the one place composites are formed
@@ -187,13 +187,17 @@ class HomFamily:
     def matrices(self, d: int) -> np.ndarray:
         """(k, dim N_{d+s}, dim M_d): f_d for every member f, through the
         cover's section; one summand_matrices call per cover summand takes
-        all k images, and one product the section."""
+        all k images, and one product the section.  Below M's lowest degree
+        M_d is zero, and so is every f_d."""
 
         def build():
             M, N, s, field = self.M, self.N, self.s, self.M.field
+            empty = linalg.zeros(field, len(self.members), N.dim(d + s), 0)
+            if d < M.valid_from:
+                return empty
             P = M.presentation()
             cover = P.cover
-            blocks = [linalg.zeros(field, len(self.members), N.dim(d + s), 0)]
+            blocks = [empty]
             for j in range(cover.rank):
                 if cover.subspace(j, d).rank:
                     blocks.append(summand_matrices(cover, N, j, self.images[j], s, d))
@@ -262,14 +266,7 @@ def _hom_basis(M: GradedModule, N: GradedModule, s: int):
     P = M.presentation()
     Ws = hom_block_bases(P.cover, N, s)  # unknown parametrization per generator
     null = linalg.nullspace(field, precomposition_matrix(P.rel, N, s, Ws))
-    return homs_from_stacked(M, N, s, linalg.matmul(field, block_diag(field, Ws), null))
-
-
-def homs_from_stacked(M: GradedModule, N: GradedModule, s: int, stacked: np.ndarray):
-    """The HomElements M -> N(s) whose stacked generator images (as in
-    HomElement.stacked) are the columns of stacked: the members of one
-    HomFamily."""
-    return HomFamily(M, N, s, stacked).members
+    return HomFamily(M, N, s, linalg.matmul(field, block_diag(field, Ws), null)).members
 
 
 def precomposition_matrix(diff: Morphism | None, N: GradedModule, s: int, Ws) -> np.ndarray:
@@ -345,7 +342,7 @@ def composition_tensor(b1, b2, b12) -> np.ndarray:
 
 def compose_hom(f: HomElement, g: HomElement) -> HomElement:
     """g o f: M -> P(s+t) for f: M -> N(s), g: N -> P(t)."""
-    return homs_from_stacked(f.M, g.N, f.s + g.s, compose_images([f], [g])[:, 0])[0]
+    return HomFamily(f.M, g.N, f.s + g.s, compose_images([f], [g])[:, 0]).members[0]
 
 
 def identity_hom(M: GradedModule) -> HomElement:
@@ -361,7 +358,7 @@ def identity_hom(M: GradedModule) -> HomElement:
         offs = cover.offsets(gj)
         full[offs[j] : offs[j] + sub.rank] = col
         gen_images.append(linalg.matmul(M.field, P.cover_mats[gj], full))
-    return homs_from_stacked(M, M, 0, np.concatenate(gen_images)[:, None])[0]
+    return HomFamily(M, M, 0, np.concatenate(gen_images)[:, None]).members[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ holds exactly, so the result equals the integer one.  Every other product
 runs in int64, summing the terms of a contraction in blocks of
 floor((2**63 - 1) / (p - 1)**2), each of which fits in int64, and reducing
 after each block; ``Field`` refuses primes with (p - 1)**2 > 2**63 - 1,
-which also keeps the elimination step of ``rref`` in range.  (For p up to
+so that a block holds at least one term.  (For p up to
 32003 a block holds more than 10**9 terms, so one block covers any
 contraction.)  Arrays over QQ are object arrays of Fractions; that path is
 slower and only exercised by small inputs.
@@ -22,16 +22,13 @@ as a {column: value} dict beside an index from each column to the rows that
 hold it, takes the columns in increasing order from a heap, pivots on the
 lowest unused row holding the column and updates only the rows holding it.
 The reduced row echelon form is unique, so R and the pivots do not depend
-on these choices.  Over GF(p), fill can make sparse rows cost more than
-dense ones: once the nonzeros pass a budget of max(m * n / 32, 2 * (m + n))
-(see ``SPARSE_CELLS_PER_NONZERO``), the rows go into an int64 array, pivot
-rows first, and a dense loop that updates all rows holding a pivot column
-at once with numpy finishes from the next column; an input already over
-the budget goes to that loop at once.  Over QQ the rows stay sparse to the
-end.  ``rref(..., reduced=False)`` eliminates below the pivots only and
-returns no R, for the callers that need the pivots alone (``rank``, the
-first elimination of ``Echelon.extend``, the evaluation map of
-``eval_iso_check``).  ``sparse_rank`` takes the rank of columns given as
+on these choices.  Over both fields the rows stay sparse to the end: a
+dense input, or one that fills in, pays Python's cost for every entry and
+runs many times slower than a numpy loop would, but the eliminations of the
+pipeline are sparse.  ``rref(..., reduced=False)`` eliminates below the
+pivots only and returns no R, for the callers that need the pivots alone
+(``rank``, the first elimination of ``Echelon.extend``, the evaluation map
+of ``eval_iso_check``).  ``sparse_rank`` takes the rank of columns given as
 dicts one at a time, and stops reading them at a given rank, for relations
 that are produced block by block (``eval_iso_check``).
 """
@@ -52,18 +49,6 @@ from .scalars import INT64_MAX, Field
 # one thread): float64 is slower below 10**3 multiply-adds, even up to
 # 10**4, 1.5x faster up to 10**5, 3x up to 10**6 and 8x above.
 FLOAT_MIN_MULADDS = 10**4
-
-# An m x n elimination over GF(p) keeps its rows sparse while they hold at
-# most max(m * n / SPARSE_CELLS_PER_NONZERO, SPARSE_NONZEROS_PER_LINE * (m + n))
-# nonzeros, and hands them to the dense loop once fill passes that.  Timed on
-# a seeded GF(13) grid (30x60 to 200x2000, densities 0.2% to 100%, best of
-# 3; 2-vCPU Xeon): with these values the worst cases of two runs took 1.11x
-# and 1.14x the time of the dense loop alone, both on inputs that go straight
-# to that loop (timing noise), where a floor of 8 per line left 30x60 at 10%
-# density sparse and 1.7-2.2x slower.
-SPARSE_CELLS_PER_NONZERO = 32
-SPARSE_NONZEROS_PER_LINE = 2
-
 
 def zeros(field: Field, *shape: int) -> np.ndarray:
     if field.is_prime_field:
@@ -142,13 +127,8 @@ def rref(field: Field, a: np.ndarray, reduced: bool = True):
     callers that discard R."""
     m, n = a.shape
     p = field.p
-    budget = (max(m * n // SPARSE_CELLS_PER_NONZERO, SPARSE_NONZEROS_PER_LINE * (m + n))
-              if p is not None else math.inf)
     # much faster than np.nonzero(a): one pass over a boolean array, flat
     flat = np.flatnonzero(a != 0)
-    nnz = flat.size
-    if nnz > budget:
-        return _dense_rref(p, a.copy(), 0, 0, [], reduced)
     rows: list[dict] = [{} for _ in range(m)]  # row i as {column: value}
     holders: dict[int, set] = {}  # column -> the rows with a nonzero in it
     rs, cs = divmod(flat, n)
@@ -184,7 +164,6 @@ def rref(field: Field, a: np.ndarray, reduced: bool = True):
                     v %= p
                 if v:
                     if j not in row:
-                        nnz += 1
                         if j in holders:
                             holders[j].add(i)
                         else:
@@ -192,50 +171,18 @@ def rref(field: Field, a: np.ndarray, reduced: bool = True):
                             heapq.heappush(heap, j)
                     row[j] = v
                 elif j in row:
-                    nnz -= 1
                     del row[j]
                     if j != c:
                         holders[j].discard(i)
         done.append(piv)
         pivots.append(c)
-        if nnz > budget:
-            r = _write_rows(field, m, n, rows, done + sorted(unused))
-            return _dense_rref(p, r, c + 1, len(done), pivots, reduced)
-    return (_write_rows(field, m, n, rows, done) if reduced else None), pivots
-
-
-def _write_rows(field: Field, m: int, n: int, rows: list[dict], order: list[int]) -> np.ndarray:
-    """The m x n array whose k-th row is rows[order[k]], zero below them."""
+    if not reduced:
+        return None, pivots
     r = zeros(field, m, n)
-    ri = [k for k, i in enumerate(order) for _ in rows[i]]
+    ri = [k for k, i in enumerate(done) for _ in rows[i]]
     if ri:
-        r[ri, [j for i in order for j in rows[i]]] = [v for i in order for v in rows[i].values()]
-    return r
-
-
-def _dense_rref(p: int, r: np.ndarray, col: int, row: int, pivots: list[int], reduced: bool):
-    """Finish the elimination of the int64 array r over GF(p), in place, from
-    column col on, where r[:row] are the pivot rows of the columns pivots
-    and every later row is zero left of col; returns what rref does."""
-    m, n = r.shape
-    for col in range(col, n):
-        if row == m:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        r[row, col:] = (r[row, col:] * pow(int(r[row, col]), -1, p)) % p
-        lo = 0 if reduced else row + 1
-        other = np.nonzero(r[lo:, col])[0] + lo
-        other = other[other != row]
-        if other.size:
-            r[other, col:] = (r[other, col:] - np.outer(r[other, col], r[row, col:])) % p
-        pivots.append(col)
-        row += 1
-    return (r if reduced else None), pivots
+        r[ri, [j for i in done for j in rows[i]]] = [v for i in done for v in rows[i].values()]
+    return r, pivots
 
 
 def rank(field: Field, a: np.ndarray) -> int:
@@ -307,14 +254,10 @@ def solve(field: Field, a: np.ndarray, b: np.ndarray):
 
 
 def inverse(field: Field, a: np.ndarray):
-    """Inverse of a square matrix, or None if singular."""
-    n = a.shape[0]
+    """Inverse of a square matrix, or None if singular (or not square)."""
     if a.shape[0] != a.shape[1]:
         return None
-    r, pivots = rref(field, np.concatenate([a, eye(field, n)], axis=1))
-    if len(pivots) != n or pivots != list(range(n)):
-        return None
-    return r[:, n:]
+    return solve(field, a, eye(field, a.shape[0]))
 
 
 class Echelon:

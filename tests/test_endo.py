@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from ncgraded.endo import (
 from ncgraded.errors import IncompleteKernel
 from ncgraded.findim import Deg0Data, radical_basis
 from ncgraded.freealg import NcPoly
-from ncgraded.gmodule import cyclic_module, free_graded_module
+from ncgraded.gmodule import cyclic_module, direct_sum, free_graded_module, shift_module
 from ncgraded.homology import Window, ext_graded_dims
 from ncgraded.projfree import scan_minimal_generators
 from ncgraded.scalars import QQ, Field
@@ -70,6 +72,25 @@ def test_endo_associativity_spot_check(B, F13):
         lhs = np.tensordot(t12, t3, axes=(2, 0)) % F13.p
         rhs = np.tensordot(t1, t23, axes=(1, 2)).transpose(0, 2, 3, 1) % F13.p
         assert (lhs == rhs).all()
+
+
+def test_endo_of_a_shifted_sum_multiplies_into_its_negative_degree(basic_modules, F13):
+    """End(A + A(1)) has a degree -1 piece, so a product b1 * b2 with b2 in
+    degree -1 reads a hom below its source module's lowest degree, where the
+    hom is zero; every product is associative."""
+    A = basic_modules["A"]
+    alg = EndoAlgebra(direct_sum([A, shift_module(A, 1)]), Window(-1, 2, 2, 2)).algebra
+    assert alg.valid_from == -1 and alg.dim(-1) == 1
+    assert alg.mult_tensor(0, -1).shape == (5, 1, 1)
+    assert alg.mult_tensor(1, -1).shape == (12, 1, 5)
+    degrees = range(alg.valid_from, alg.valid_through + 1)
+    for d1, d2, d3 in itertools.product(degrees, repeat=3):
+        if {d1 + d2, d2 + d3, d1 + d2 + d3} <= set(degrees):
+            lhs = np.tensordot(alg.mult_tensor(d1, d2), alg.mult_tensor(d1 + d2, d3),
+                               axes=(2, 0)) % F13.p
+            rhs = np.tensordot(alg.mult_tensor(d1, d2 + d3), alg.mult_tensor(d2, d3),
+                               axes=(1, 2)).transpose(0, 2, 3, 1) % F13.p
+            assert (lhs == rhs).all()
 
 
 def test_as_regular_over_degree_zero(B, window):

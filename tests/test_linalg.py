@@ -345,7 +345,7 @@ RREF_FIELDS = [Field(13), Field(2**31 - 1), QQ]
 RREF_SHAPES = {  # name: (m, n, density)
     "sparse": (60, 120, 0.008),
     "dense": (25, 30, 1.0),
-    "fill": (40, 80, 0.01),  # made an arrowhead below
+    "fill": (40, 80, 0.01),  # made an arrowhead below, which fills in
     "wide": (12, 90, 0.05),
     "tall": (70, 15, 0.1),
 }
@@ -354,33 +354,22 @@ RREF_SHAPES = {  # name: (m, n, density)
 @pytest.mark.parametrize("shape", list(RREF_SHAPES))
 @pytest.mark.parametrize("field", RREF_FIELDS, ids=["p13", "p2^31-1", "QQ"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_rref_matches_textbook_gauss_jordan(monkeypatch, field, shape, seed):
+def test_rref_matches_textbook_gauss_jordan(field, shape, seed):
     m, n, density = RREF_SHAPES[shape]
     rng = random.Random(f"{field}/{shape}/{seed}")
     rows = _random_rows(field, m, n, density, rng)
     if shape == "fill":
-        # a full first row and column: under the GF(p) budget of nonzeros,
-        # until the first pivot fills every row and hands them to the dense loop
+        # a full first row and column: sparse until the first pivot fills
+        # every row, and the sparse rows carry that fill to the end
         rows[0] = [field(rng.randint(1, 9)) for _ in range(n)]
         for row in rows[1:]:
             row[0] = field(rng.randint(1, 9))
     a = as_matrix(field, rows)
     before = a.copy()
-    handoffs = []  # (column, pivot rows so far) at which the dense loop starts
-    dense = linalg._dense_rref
-    monkeypatch.setattr(linalg, "_dense_rref",
-                        lambda p, r, col, row, *rest: handoffs.append((col, row))
-                        or dense(p, r, col, row, *rest))
     want_r, want_piv = _oracle_rref(field, rows)
     r, piv = linalg.rref(field, a)
     assert piv == want_piv
     assert r.tolist() == want_r
-    if not field.p or shape in ("sparse", "wide"):
-        assert handoffs == []
-    elif shape == "dense":
-        assert handoffs == [(0, 0)]
-    elif shape == "fill":
-        assert handoffs == [(1, 1)]
     assert linalg.rref(field, a, reduced=False) == (None, want_piv)
     assert (a == before).all()  # the input is left as it was
 

@@ -1,6 +1,8 @@
-"""Every function, method and class defined in src/ncgraded is referenced
-somewhere in src/, tests/ or bench/: by name, as an attribute, in an import,
-or as a word in a string (bench/tracer.py wraps functions by name).
+"""Every function, method and class defined in src/ncgraded, and every name
+assigned at the top level of one of its modules, is read somewhere in src/,
+tests/ or bench/: by name, as an attribute, in an import, or as a word in a
+string (bench/tracer.py wraps functions by name).  Assigning a name does not
+read it, so a tuned constant cannot outlive the code it tuned.
 
 Dunders are exempt (Python calls them), and so are the `cmd_*` functions,
 which `cli.main` dispatches by name.
@@ -27,10 +29,17 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _references(tree) -> set:
+def _references() -> set:
+    refs = set()
+    for _, tree in _trees("src", "tests", "bench"):
+        refs |= _tree_references(tree)
+    return refs
+
+
+def _tree_references(tree) -> set:
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
@@ -46,9 +55,7 @@ def _exempt(name: str) -> bool:
 
 
 def test_every_definition_in_src_is_referenced():
-    refs = set()
-    for _, tree in _trees("src", "tests", "bench"):
-        refs |= _references(tree)
+    refs = _references()
     unused = []
     for path, tree in _trees("src/ncgraded"):
         for node in ast.walk(tree):
@@ -56,6 +63,20 @@ def test_every_definition_in_src_is_referenced():
                     and not _exempt(node.name) and node.name not in refs):
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "defined but never referenced:\n" + "\n".join(unused)
+
+
+def test_every_module_level_name_in_src_is_read():
+    refs = _references()
+    unread = []
+    for path, tree in _trees("src/ncgraded"):
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                unread += [f"{path.relative_to(ROOT)}:{node.lineno} {n.id}"
+                           for n in ast.walk(target) if isinstance(n, ast.Name)
+                           and not _exempt(n.id) and n.id not in refs]
+    assert not unread, "assigned at module level but never read:\n" + "\n".join(unread)
 
 
 def _calls(trees) -> dict:
