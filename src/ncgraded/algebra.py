@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .errors import DegreeBeyondTruncation, ParseError
+from .errors import DegreeBeyondTruncation, NotPeirce, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
@@ -65,6 +66,22 @@ class AlgebraOracle:
         so that what is memoized on it (its radical and idempotents) is shared."""
         return memo(self, "degree_zero", lambda: FinDimAlgebra(
             self.field, np.asarray(self.mult_tensor(0, 0)), self.unit, check=False))
+
+    def support(self, v: int | None, n: int) -> np.ndarray:
+        """The coordinates of alg_n spanning e_v . alg_n (all for v None), e_v
+        vertex v's idempotent of deg0; its left multiplication must be a 0/1
+        diagonal, as in a Peirce basis (+) e_i alg_n e_j, else NotPeirce."""
+
+        def build():
+            if v is None:
+                return np.arange(self.dim(n))
+            lm = self.left_mult_matrix(0, self.deg0.idempotents[v], n)
+            diag = lm.diagonal()
+            if np.count_nonzero(lm) != np.count_nonzero(diag) or not ((diag == 0) | (diag == 1)).all():
+                raise NotPeirce(f"idempotent {v} does not act by a 0/1 diagonal on degree {n}")
+            return np.flatnonzero(diag)
+
+        return memo(self, ("support", v, n), build)
 
     # -- coordinate helpers ------------------------------------------------
 
@@ -157,9 +174,10 @@ class TabulatedAlgebra(AlgebraOracle):
     dims (absent degrees are 0) is kept as given, so a lazy mapping stays
     lazy.  The tensor of (d1, d2) is build(d1, d2), called on its first read
     and memoized; a pair with a zero dimension among d1, d2 and d1 + d2
-    (d1 + d2 below valid_from included) reads zeros and never calls build."""
+    (d1 + d2 below valid_from included) reads zeros and never calls build;
+    the unit is read from unit() once."""
 
-    def __init__(self, field: Field, dims: Mapping, build, unit: np.ndarray, *,
+    def __init__(self, field: Field, dims: Mapping, build, unit: Callable[[], np.ndarray], *,
                  valid_from: int, valid_through: int, generated_through: int):
         self.field = field
         self._dims = dims
@@ -175,7 +193,7 @@ class TabulatedAlgebra(AlgebraOracle):
 
     @property
     def unit(self) -> np.ndarray:
-        return self._unit
+        return memo(self, "unit", self._unit)
 
     def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
         self._check_degree(d1 + d2)

@@ -3,9 +3,9 @@
 B is a TabulatedAlgebra within a window (negative pieces included so that
 B_{<0} = 0 can be verified rather than assumed): its hom bases, and so its
 dimensions, are computed when B is, and each structure tensor when it is
-first read.  Its degree-0 part is analyzed as a finite-dimensional algebra
-(the Gabriel quiver needs no more than End(X)_0, which
-homology.end0_algebra computes alone).
+first read, in the Peirce basis (+) e_i B_d e_j.  Its degree-0 part is
+analyzed as a finite-dimensional algebra (the Gabriel quiver needs no more
+than End(X)_0, which homology.end0_algebra computes alone).
 
 AS-Gorenstein for a connected algebra and AS-regularity of B over B_0 are
 one test, run by _as_ext on each side: resolve R = alg_0 (b0_module; k
@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .algebra import AlgebraOracle, TabulatedAlgebra
 from .errors import InvalidDimension, InvalidWindow, NotConnected, ZeroAlgebra
 from .findim import FinDimAlgebra, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
 from .gmodule import (
     GradedModule,
+    HomFamily,
+    compose_images,
     composition_tensor,
     free_graded_module,
     hom_basis,
@@ -33,17 +36,17 @@ from .gmodule import (
     identity_hom,
     opposite_algebra,
 )
-from .homology import Window, ext_table, free_resolution
+from .homology import Window, end0_algebra, ext_table, free_resolution
 from .memo import memo
 
 
 class EndoAlgebra:
     """B = End(X) with its hom bases kept for composition and module transport.
 
-    The bases cover degrees min(internal_lo, 0) through the window's cap, so
-    B_0, which holds the unit, is always among them.  They are computed
-    here, since every reader needs the dimensions; each structure tensor is
-    solved by _compose_tensor on its first read."""
+    The plain bases homs cover degrees min(internal_lo, 0) through the
+    window's cap, so B_0, which holds the unit, is always among them.  They
+    are computed here, since every reader needs the dimensions; the Peirce
+    bases and each structure tensor (_compose_tensor) on first read."""
 
     def __init__(self, X: GradedModule, window: Window):
         self.X = X
@@ -52,11 +55,42 @@ class EndoAlgebra:
         hi = window.algebra_degree_cap
         if hi < 0:
             raise InvalidWindow(f"End(X) needs algebra_degree_cap >= 0 for its unit; got {hi}")
-        self.bases = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
-        unit = hom_coords(X.field, self.bases[0], identity_hom(X).stacked()[:, None])
+        self.homs = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
         self.algebra = TabulatedAlgebra(
-            X.field, {d: len(bs) for d, bs in self.bases.items()}, self._compose_tensor,
-            unit[:, 0], valid_from=lo, valid_through=hi, generated_through=hi)
+            X.field, {d: len(bs) for d, bs in self.homs.items()}, self._compose_tensor,
+            lambda: hom_coords(X.field, self.bases[0], identity_hom(X).stacked()[:, None])[:, 0],
+            valid_from=lo, valid_through=hi, generated_through=hi)
+
+    @property
+    def bases(self) -> dict:
+        """d -> the basis (+)_{i,j} e_i B_d e_j of B_d, in (i, j) order."""
+        return memo(self, "bases", self._peirce)
+
+    def _peirce(self) -> dict:
+        """B_d is the direct sum of its blocks e_i B_d e_j (e_i the plain B_0's
+        idempotents), so pivots in block order keep each block's own: those
+        of the e_i o b over the plain b span e_i B_d, and those of the c o e_j
+        over them are the basis.  In degree 0 the e_i lead, as basis elements."""
+        X, field, homs = self.X, self.X.field, self.homs
+        if not homs[0]:  # X = 0, and so is every B_d
+            return homs
+        B0, plain = end0_algebra(X)
+        idems = linalg.matmul(field, plain[0].family.stacked, np.stack(radical_and_idempotents(B0).idempotents, axis=1))
+        E = HomFamily(X, X, 0, idems).members
+        n = len(E)
+        bases = {d: [] for d in homs}
+        for d, bs in homs.items():
+            if bs:
+                left = compose_images(E + bs if d == 0 else bs, E)  # [:, i, k] = e_i o b_k
+                flat = left.reshape(len(left), -1)
+                _, piv = linalg.rref(field, flat, reduced=False)
+                # column c * n + j is c o e_j, in block (i, j) for c in e_i B_d: to (i, j, c) order
+                both = compose_images(E, HomFamily(X, X, d, flat[:, piv]).members).reshape(len(flat), -1)
+                order = np.argsort(np.add.outer(np.array(piv) // left.shape[2] * n, np.arange(n)).ravel(),
+                                   kind="stable")
+                _, piv = linalg.rref(field, both[:, order], reduced=False)
+                bases[d] = HomFamily(X, X, d, both[:, order[piv]]).members
+        return bases
 
     def _compose_tensor(self, d1: int, d2: int) -> np.ndarray:
         """tensor[i, j, :] = coords of b_i o b_j (b_j applied first); the

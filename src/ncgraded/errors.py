@@ -73,6 +73,10 @@ class NonSplit(NcgError):
     pass
 
 
+class NotPeirce(NcgError):
+    """The algebra's basis does not split its vertex idempotents' pieces."""
+
+
 class NotQuadratic(NcgError):
     pass
 

@@ -4,11 +4,15 @@ Provides the Jacobson radical (trace-form kernel, valid over GF(p) with
 p exceeding the dimension), a complete orthogonal set of primitive
 idempotents lifted from the semisimple quotient, and the Gabriel quiver.
 Scalars are assumed split (the semisimple quotient must be a product of
-matrix algebras over the base field); NonSplit is raised otherwise.
+matrix algebras over the base field); NonSplit is raised otherwise.  The
+idempotents are split off by roots of minimal polynomials: over GF(p)
+every element is tried, over QQ the rational root test's candidates.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -109,14 +113,14 @@ def _min_poly(field: Field, alg: FinDimAlgebra, v: np.ndarray):
 
 
 def _poly_roots(field: Field, coeffs):
-    """All roots in the base field of the monic polynomial with the given
-    low-to-high coefficients, with multiplicity ignored; None entry means
-    a non-linear irreducible factor remains."""
-    if not field.is_prime_field:
-        raise NonSplit("root search over QQ is not supported here")
-    roots = []
+    """The roots in the base field of the monic polynomial with the given
+    low-to-high coefficients, sorted, each listed once per factor x - r
+    divided out, and the degree of the part left with no root there.
+    Over GF(p) every element is tried; over QQ the candidates are the
+    rational root test's (_rational_candidates)."""
     rem = [field(c) for c in coeffs]
-    for r in range(field.p):
+    roots = []
+    for r in range(field.p) if field.is_prime_field else _rational_candidates(rem):
         while True:
             # synthetic division by (x - r)
             out = []
@@ -130,6 +134,25 @@ def _poly_roots(field: Field, coeffs):
             else:
                 break
     return roots, len(rem) - 1  # residual degree
+
+
+def _rational_candidates(coeffs):
+    """Every rational root of the polynomial with the given low-to-high
+    Fraction coefficients, among others, ascending: with the denominators
+    cleared to integers c_i, 0 when c_0 = 0, and +-a/b for a dividing the
+    lowest nonzero c_i and b dividing the leading one."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    low = next(c for c in ints if c)
+    cands = {Fraction(s * a, b) for a in _divisors(abs(low)) for b in _divisors(abs(ints[-1]))
+             for s in (1, -1)}
+    return sorted(cands | ({Fraction(0)} if ints[0] == 0 else set()))
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n > 0, by trial division up to its square root."""
+    small = [a for a in range(1, math.isqrt(n) + 1) if n % a == 0]
+    return small + [n // a for a in small]
 
 
 def primitive_idempotents(alg: FinDimAlgebra, rad: np.ndarray | None = None):

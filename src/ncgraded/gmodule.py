@@ -36,8 +36,7 @@ from .errors import (
 )
 from .freealg import NcPoly
 from .memo import memo
-from .projfree import (GradedModule, Morphism, Pieces, ProjFree, _Presentation, block_diag,
-                       eps_key, summand_matrices)
+from .projfree import GradedModule, Morphism, Pieces, ProjFree, _Presentation, block_diag, summand_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ class HomFamily:
             cover = P.cover
             blocks = [empty]
             for j in range(cover.rank):
-                if cover.subspace(j, d).rank:
+                if len(cover.piece(j, d)):
                     blocks.append(summand_matrices(cover, N, j, self.images[j], s, d))
             return linalg.matmul(field, np.concatenate(blocks, axis=2), P.sections[d])
 
@@ -228,23 +227,28 @@ class HomElement:
 
 
 def hom_block_bases(cover: ProjFree, N: GradedModule, s: int):
-    """Per-summand coordinate bases W_m of Hom(eps_m Alg(-g_m), N(s)) = N_{g_m+s} eps_m.
-    The basis of an eps-cut summand depends on eps and g_m + s alone, so it
-    is memoized on N, keyed by eps's content."""
+    """Per-summand coordinate bases W_m of Hom(e_m Alg(-g_m), N(s)) = N_{g_m+s} e_m:
+    on a vertex, the identity columns where a ProjFree N's pieces meet the
+    opposite algebra's support alg . e_m, else an echelon of N's action."""
     field = N.field
     Ws = []
-    for eps, gm in cover.summands:
+    for v, gm in cover.summands:
         dN = gm + s
         if dN > N.valid_to:
             raise WindowExceeded(f"need module degree {dN} beyond validity {N.valid_to}")
         n = N.dim(dN)
-        if n == 0:
-            Ws.append(linalg.zeros(field, 0, 0))
-        elif eps is None:
+        if v is None:
             Ws.append(linalg.eye(field, n))
+        elif isinstance(N, ProjFree):
+            op = opposite_algebra(N.algebra)
+            offs = N.offsets(dN)
+            cols = [offs[k] + np.flatnonzero(np.isin(N.piece(k, dN), op.support(v, dN - h)))
+                    for k, (_, h) in enumerate(N.summands) if offs[k] < offs[k + 1]]
+            Ws.append(linalg.eye(field, n)[:, np.concatenate([np.arange(0)] + cols)])
         else:
-            Ws.append(memo(N, ("cut", eps_key(eps), dN), lambda: linalg.Echelon.of(
-                field, linalg.matmul(field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis))
+            eps = N.algebra.deg0.idempotents[v]
+            Ws.append(linalg.Echelon.of(
+                field, linalg.matmul(field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis)
     return Ws
 
 
@@ -349,14 +353,11 @@ def identity_hom(M: GradedModule) -> HomElement:
     P = M.presentation()
     cover = P.cover
     gen_images = [linalg.zeros(M.field, 0)]
-    for j in range(cover.rank):
-        eps, gj = cover.summands[j]
-        sub = cover.subspace(j, gj)
-        col = sub.coords(eps if eps is not None else M.algebra.unit)
-        # image of generator j in M = cover_mats[gj] applied to its coords in F0
+    for j, (v, gj) in enumerate(cover.summands):
+        e = M.algebra.unit if v is None else M.algebra.deg0.idempotents[v]
         full = linalg.zeros(M.field, cover.dim(gj))
         offs = cover.offsets(gj)
-        full[offs[j] : offs[j] + sub.rank] = col
+        full[offs[j] : offs[j + 1]] = e[cover.piece(j, gj)]
         gen_images.append(linalg.matmul(M.field, P.cover_mats[gj], full))
     return HomFamily(M, M, 0, np.concatenate(gen_images)[:, None]).members[0]
 
@@ -438,7 +439,7 @@ def opposite_algebra(alg: AlgebraOracle) -> TabulatedAlgebra:
 
     def build():
         op = TabulatedAlgebra(alg.field, Pieces(alg.valid_from, alg.valid_through, alg.dim),
-                              lambda d1, d2: alg.mult_tensor(d2, d1).transpose(1, 0, 2), alg.unit,
+                              lambda d1, d2: alg.mult_tensor(d2, d1).transpose(1, 0, 2), lambda: alg.unit,
                               valid_from=alg.valid_from, valid_through=alg.valid_through,
                               generated_through=alg.generated_through)
         memo(op, "op", lambda: alg)

@@ -198,10 +198,10 @@ def is_mcm(M: GradedModule, window: Window) -> tuple[bool, dict]:
 
 
 def end0_algebra(M: GradedModule) -> tuple[FinDimAlgebra, list]:
-    """End(M)_0 as a finite-dimensional algebra; product is composition
-    (b_i * b_j means apply b_j first)."""
+    """End(M)_0 as a finite-dimensional algebra on the shared basis of
+    Hom(M, M); product is composition (b_i * b_j means apply b_j first)."""
     field = M.field
-    basis = hom_basis(M, M, 0)
+    basis = hom_basis(M, M, 0, shared=True)
     mult = composition_tensor(basis, basis, basis) if basis else linalg.zeros(field, 0, 0, 0)
     unit = hom_coords(field, basis, identity_hom(M).stacked()[:, None])[:, 0]
     return FinDimAlgebra(field, mult, unit, check=False), basis

@@ -283,16 +283,6 @@ class Echelon:
         ech.extend(cols)
         return ech
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Echelon":
-        """The echelon basis of all of field^n, equal to ``of(field, eye(n))``
-        but built without elimination."""
-        ech = cls(field, n)
-        ech.basis = eye(field, n)
-        ech.pivots = list(range(n))
-        ech._inv = eye(field, n)
-        return ech
-
     @property
     def rank(self) -> int:
         return self.basis.shape[1]

@@ -1,5 +1,5 @@
 """Graded right modules over an algebra oracle, and the shifted projective
-modules P = (+) eps_j . Alg(-g_j) that cover them.
+modules P = (+) e_j . Alg(-g_j) that cover them.
 
 A GradedModule is tabulated lazily: dimensions and action tensors are
 computed on first use and cached, and every reader of its action goes
@@ -11,21 +11,19 @@ presentation reads them while it scans for relations, through top + a,
 where top is the highest degree with M_d != 0 and the algebra is generated
 in degrees <= a (generated_through): past that the kernel is generated
 below.  Over a non-connected algebra the cover summands are cut out by
-idempotents eps of the algebra's own `deg0`, so the presentation does not
-depend on who asks for it first, and minimal resolutions terminate where
-the projectives are not free.  A ProjFree is a GradedModule and its own cover; over a connected
-algebra every eps is None.  A free summand (eps None) has whole pieces of
-the algebra for its pieces, so its action blocks are the algebra's
-multiplication tensors and a map out of it is read off the images' action
-tensors, with no identity basis multiplied in; only eps-cut summands go
-through echelon coordinates.  An eps-cut piece, eps . alg_n, and its action
-blocks depend on the idempotent and the algebra degrees alone, so they are
-memoized once on the algebra, keyed by eps's content (eps_key), and every
-summand of every ProjFree that shares them reads the same ones.
+the primitive idempotents of the algebra's own `deg0`, named by vertex, so
+the presentation does not depend on who asks for it first, and minimal
+resolutions terminate where the projectives are not free.  A ProjFree is
+a GradedModule and its own cover; over a connected algebra every summand
+is free (vertex None).  A summand's piece e . alg_n is a set of
+coordinates of alg_n (AlgebraOracle.support: in a Peirce basis, as
+End(X)'s is, left multiplication by e is a coordinate projection), so its
+action blocks are slices of the algebra's tensors and a map out of it is
+read off the images' action tensors, with nothing solved.
 
 A ProjFree keeps no action tensor: its action is block diagonal over the
 summands and almost all zeros, so act_rows contracts the nonzeros of the
-summands' action blocks, memoized on the algebra beside the blocks.
+summands' action blocks, memoized on the algebra by vertex and degrees.
 
 summand_matrices evaluates, on one cover summand in one degree, a whole
 family of maps out of a cover given by their generator images: every f o d
@@ -152,17 +150,17 @@ class GradedModule:
 
 
 class ProjFree(GradedModule):
-    """(+)_j eps_j . Alg(-g_j); generator j sits in degree g_j.
+    """(+)_j e_j . Alg(-g_j); generator j sits in degree g_j.
 
+    summands are (vertex, g_j): e_j is that vertex's idempotent, 1 for None.
     Valid from lo (default: the lowest generator degree) through hi, capped
     where the algebra's truncation ends for the lowest generator.  Its
-    pieces are the summand subspaces, and it is its own cover.  Its action
-    is block diagonal over the summands, and no dense tensor of it is kept:
+    pieces are the summand pieces, and it is its own cover.  Its action is
+    block diagonal over the summands, and no dense tensor of it is kept:
     act_rows contracts the nonzeros of the summands' action blocks."""
 
     def __init__(self, alg: AlgebraOracle, summands, lo: int | None = None, hi: int | None = None):
-        # summands: list of (eps vector in alg_0 coords or None, gdeg)
-        self.summands = [(None if e is None else np.asarray(e), int(g)) for e, g in summands]
+        self.summands = [(v, int(g)) for v, g in summands]
         low = min((g for _, g in self.summands), default=0)
         top = alg.valid_through + low
         super().__init__(
@@ -177,27 +175,16 @@ class ProjFree(GradedModule):
     def rank(self) -> int:
         return len(self.summands)
 
-    def subspace(self, j: int, d: int) -> linalg.Echelon:
-        """Echelon basis of summand j's piece in internal degree d, eps_j . alg_{d-g_j}
-        inside alg_{d-g_j}.  An eps-cut piece depends on eps and d - g_j alone,
-        and is memoized on the algebra under them."""
-
-        def build():
-            eps, g = self.summands[j]
-            n = self.algebra.dim(d - g) if d >= g else 0
-            if eps is None:
-                return linalg.Echelon.identity(self.field, n)
-            if n == 0:
-                return linalg.Echelon(self.field, 0)
-            return memo(self.algebra, ("cut", eps_key(eps), d - g), lambda: linalg.Echelon.of(
-                self.field, self.algebra.left_mult_matrix(0, eps, d - g)))
-
-        return memo(self, ("sub", j, d), build)
+    def piece(self, j: int, d: int) -> np.ndarray:
+        """Summand j's piece in internal degree d, e_j . alg_{d-g_j}, as the
+        coordinates of alg_{d-g_j} that span it; none below g_j."""
+        v, g = self.summands[j]
+        return self.algebra.support(v, d - g) if d >= g else np.arange(0)
 
     def offsets(self, d: int) -> tuple:
         """Where each summand's block starts in the coordinates of degree d, then dim P_d."""
         return memo(self, ("offsets", d), lambda: tuple(
-            accumulate((self.subspace(j, d).rank for j in range(self.rank)), initial=0)))
+            accumulate((len(self.piece(j, d)) for j in range(self.rank)), initial=0)))
 
     def presentation(self) -> _Presentation:
         """The module is its own cover: identity cover maps, no relations."""
@@ -209,33 +196,11 @@ class ProjFree(GradedModule):
     def action_block(self, j: int, d: int, e: int) -> np.ndarray:
         """Matrix of right mult (summand j piece at d) x (alg basis of e) -> piece at d+e.
 
-        Returns tensor of shape (r_in, dim alg_e, r_out).  On a free summand
-        (eps None) whose pieces at d and d+e are both whole pieces of the
-        algebra, that is the algebra's memoized mult_tensor(d - g_j, e)
-        itself; on an eps-cut summand it depends on eps, d - g_j and e alone,
-        and is memoized on the algebra under them.  Both are shared, and
-        nothing may write into them; act_rows reads their nonzeros
-        (block_nonzeros)."""
-        eps, g = self.summands[j]
-        if eps is None and min(d, d + e) >= g:
-            return self.algebra.mult_tensor(d - g, e)
-
-        def build():
-            sub_in = self.subspace(j, d)
-            sub_out = self.subspace(j, d + e)
-            ne = self.algebra.dim(e)
-            t = linalg.zeros(self.field, sub_in.rank, ne, sub_out.rank)
-            if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
-                return t
-            mt = self.algebra.mult_tensor(d - g, e)  # (dim_{d-g}, ne, dim_{d-g+e})
-            amb = linalg.matmul(self.field, sub_in.basis, mt, axes=(0, 0))  # (r_in, ne, dim_out_amb)
-            flat = amb.reshape(-1, amb.shape[2]).T  # (dim_out_amb, r_in*ne)
-            coords = sub_out.coords(flat)  # (r_out, r_in*ne)
-            return coords.T.reshape(sub_in.rank, ne, sub_out.rank)
-
-        if eps is None:
-            return build()
-        return memo(self.algebra, ("cut_block", eps_key(eps), d - g, e), build)
+        Returns tensor of shape (r_in, dim alg_e, r_out), the algebra's
+        mult_tensor(d - g_j, e) on the two pieces' coordinates; act_rows
+        reads its nonzeros (block_nonzeros)."""
+        t = self.algebra.mult_tensor(d - self.summands[j][1], e)
+        return t[self.piece(j, d)][:, :, self.piece(j, d + e)]
 
     def _nonzeros(self, d: int, e: int):
         """The action at (d, e) as nonzeros of the (dim P_d, dim alg_e *
@@ -249,11 +214,10 @@ class ProjFree(GradedModule):
             oi, oo = self.offsets(d), self.offsets(d + e)
             parts = [(linalg.zeros(self.field, 0),) + (np.zeros(0, np.intp),) * 4]
             size = 0
-            for j, (eps, g) in enumerate(self.summands):
+            for j, (v, g) in enumerate(self.summands):
                 if oi[j] < oi[j + 1] and oo[j] < oo[j + 1]:
-                    key = ("nz", d - g, e) if eps is None else ("cut_nz", eps_key(eps), d - g, e)
                     vals, rows, starts, alg_idx, cols = memo(
-                        self.algebra, key, lambda: block_nonzeros(self.action_block(j, d, e)))
+                        self.algebra, ("nz", v, d - g, e), lambda: block_nonzeros(self.action_block(j, d, e)))
                     parts.append((vals, rows + oi[j], starts + size,
                                   alg_idx * oo[-1] + oo[j] + cols, np.diff(starts, append=len(rows))))
                     size += len(rows)
@@ -268,14 +232,15 @@ class ProjFree(GradedModule):
         """As GradedModule.act_rows: one gather of V's entries at the
         nonzeros' rows, one product with their values, one sum per output
         column (np.add.reduceat) and one scatter, over GF(p) and QQ alike.
-        A one-summand free module whose pieces at d and d + e are whole
-        pieces of the algebra contracts the algebra's tensor directly: the
-        nonzero lists measured 7% slower there on the cli-queries benchmark
+        A one-summand module whose pieces at d and d + e are whole pieces of
+        the algebra contracts the algebra's tensor directly: the nonzero
+        lists measured 7% slower there on the cli-queries benchmark
         workload, whose many short commands each rebuild their modules."""
-        field = self.field
-        n_in, ne, n_out = self.dim(d), self.algebra.dim(e), self.dim(d + e)
-        if self.rank == 1 and self.summands[0][0] is None and min(d, d + e) >= self.summands[0][1]:
-            return act_rows(field, V, self.algebra.mult_tensor(d - self.summands[0][1], e))
+        field, alg = self.field, self.algebra
+        n_in, ne, n_out = self.dim(d), alg.dim(e), self.dim(d + e)
+        g = self.summands[0][1] if self.rank == 1 else None
+        if g is not None and (n_in, n_out) == (alg.dim(d - g), alg.dim(d + e - g)):
+            return act_rows(field, V, alg.mult_tensor(d - g, e))
         lead = V.shape[:-1]
         m = math.prod(lead)
         out = linalg.zeros(field, m, ne * n_out)
@@ -291,13 +256,6 @@ class ProjFree(GradedModule):
         """The whole action tensor, for the readers that need all of it: the
         identity of degree d times alg_e, made on each call and not kept."""
         return self.act_rows(linalg.eye(self.field, self.dim(d)), d, e)
-
-
-def eps_key(eps: np.ndarray) -> tuple:
-    """Memo key of an idempotent: its entries as Python scalars, so that over
-    QQ equal Fractions give equal keys (its bytes would be object pointers,
-    and a freed pointer can come back holding another value)."""
-    return tuple(eps.tolist())
 
 
 def block_nonzeros(block: np.ndarray):
@@ -352,27 +310,24 @@ def map_matrix(cover: ProjFree, target: GradedModule, images, s: int, d: int) ->
     g_j + s: summand_matrices for one map."""
     cols = [linalg.zeros(cover.field, target.dim(d + s), 0)]
     for j in range(cover.rank):
-        if cover.subspace(j, d).rank:
+        if len(cover.piece(j, d)):
             cols.append(summand_matrices(cover, target, j, images[j][:, None], s, d)[0])
     return np.concatenate(cols, axis=1)
 
 
 def summand_matrices(cover: ProjFree, target: GradedModule, j: int, images: np.ndarray,
                      s: int, d: int) -> np.ndarray:
-    """(k, dim target_{d+s}, rank of summand j's piece at d): for each of the
+    """(k, dim target_{d+s}, dim of summand j's piece at d): for each of the
     k columns u of images, vectors of target's degree g_j + s, the matrix on
     summand j's piece of cover in degree d of the map that sends generator j
     to u; generator j times a in alg_{d-g_j} goes to u . a.  The k maps
     share each product, so a family of maps (the block bases of
     gmodule.precomposition_matrix, the members of a gmodule.HomFamily) is
-    evaluated by one call per summand.  On a free summand with d >= g_j the
-    piece is all of alg_{d-g_j}, so the matrix is u . a itself."""
-    field = cover.field
-    eps, gj = cover.summands[j]
+    evaluated by one call per summand.  The piece is a set of coordinates of
+    alg_{d-g_j}, so the matrix is u . a on those coordinates a."""
+    gj = cover.summands[j][1]
     w = target.act_rows(images.T, gj + s, d - gj)  # (k, dim alg_{d-gj}, out)
-    if eps is None and d >= gj:
-        return w.transpose(0, 2, 1)
-    return linalg.matmul(field, w, cover.subspace(j, d).basis, axes=(1, 0))
+    return w[:, cover.piece(j, d)].transpose(0, 2, 1)
 
 
 def act_rows(field, V: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -384,7 +339,7 @@ def act_rows(field, V: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def action_span(obj, gens, d: int) -> np.ndarray:
     """Columns spanning the sum of g . alg_{d - deg g} over the generators
-    (eps, deg g, g) inside degree d of obj; degree-0 action included."""
+    (vertex, deg g, g) inside degree d of obj; degree-0 action included."""
     cols = [linalg.zeros(obj.field, obj.dim(d), 0)]
     for dg, run in groupby(gens, key=lambda gen: gen[1]):
         if d >= dg:
@@ -405,8 +360,9 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
     the container's algebra: None for a connected algebra, else the radical
     and idempotents that split each new generator, so the set is minimal.
 
-    Returns list of (eps_or_None, degree, vector).  Raises IncompleteKernel if
-    a chosen set fails to span a piece it should span (consistency check).
+    Returns list of (vertex in deg0.idempotents or None, degree, vector).
+    Raises IncompleteKernel if a chosen set fails to span a piece it should
+    span (consistency check).
     """
     gens = []
     for d in deg_range:
@@ -425,10 +381,10 @@ def scan_minimal_generators(field, container, piece_basis, deg_range, deg0: Deg0
             a0 = container.act_rows(kb.T, d, 0).transpose(0, 2, 1)
             rad = linalg.matmul(field, a0, deg0.radical_basis)  # (k, n, r)
             sel.extend(rad.transpose(1, 0, 2).reshape(kb.shape[0], -1))
-            for eps in deg0.idempotents:
+            for v, eps in enumerate(deg0.idempotents):
                 cands = linalg.matmul(field, a0, eps).T  # (n, k)
                 for j in sel.extend(cands):
-                    gens.append((eps, d, cands[:, j].copy()))
+                    gens.append((v, d, cands[:, j].copy()))
         # consistency: the chosen generators must span the piece.  Checked
         # against their own action span: sel holds the chosen columns (and
         # the radical part), so reducing against sel would prove nothing
@@ -447,7 +403,7 @@ def _extract_presentation(M: GradedModule) -> _Presentation:
 
     degrees = range(M.valid_from, M.valid_to + 1)
     gens = scan_minimal_generators(field, M, piece_basis, degrees, alg.deg0)
-    cover = ProjFree(alg, [(eps, d) for eps, d, _ in gens])
+    cover = ProjFree(alg, [(v, d) for v, d, _ in gens])
     # above top, the highest degree where M is nonzero, the kernel is all of
     # the cover; an algebra generated in degrees <= a makes F0_d = sum over
     # 1 <= i <= a of F0_{d-i} . alg_i, so past top + a the kernel is
@@ -478,5 +434,5 @@ def syzygy(target: ProjFree, kernel_basis, deg_range) -> Morphism | None:
     kgens = scan_minimal_generators(target.field, target, kernel_basis, deg_range, alg.deg0)
     if not kgens:
         return None
-    src = ProjFree(alg, [(eps, d) for eps, d, _ in kgens])
+    src = ProjFree(alg, [(v, d) for v, d, _ in kgens])
     return Morphism(src, target, [v for _, _, v in kgens])

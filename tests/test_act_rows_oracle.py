@@ -80,7 +80,7 @@ def test_one_free_summand_over_A(field):
 
 def test_eps_cut_syzygy_over_B_gf13(B, window):
     F = free_resolution(b0_module(B.algebra), 2, window).steps[1]
-    assert F.rank == 16 and all(eps is not None for eps, _ in F.summands)
+    assert F.rank == 16 and all(v is not None for v, _ in F.summands)
     lo = min(g for _, g in F.summands)
     kinds = assert_act_rows_match_dense(F, range(lo - 1, lo + 3), range(-1, 3))
     assert {"nonzero", "zero", "alg_e = 0"} <= kinds

@@ -1,9 +1,14 @@
+import random
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ncgraded.errors import FieldTooSmall, NonSplit
 from ncgraded.findim import (
     FinDimAlgebra,
+    _poly_roots,
     _products,
     _sandwich,
     gabriel_quiver,
@@ -14,6 +19,7 @@ from ncgraded.findim import (
 from ncgraded.scalars import Field
 
 F = Field(13)
+QQ = Field(None)
 
 
 def _group_algebra_z2():
@@ -127,3 +133,43 @@ def test_product_contractions_match_one_product_at_a_time():
     assert (_products(alg, A, B) == loop).all()
     loop = np.stack([alg.mul(alg.mul(a, A[:, c]), b) for c in range(3)], axis=1)
     assert (_sandwich(alg, a, A, b) == loop).all()
+
+
+def _times(f, g):
+    """Product of low-to-high coefficient lists."""
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_roots_of_products_with_an_irreducible_quadratic():
+    """prod (x - a/b) (x^2 + 1) over QQ: the rational roots come out sorted,
+    each as often as its factor, and x^2 + 1 stays as residual degree 2."""
+    rng = random.Random(7)
+    for _ in range(20):
+        roots = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 4))]
+        f = [Fraction(1), Fraction(0), Fraction(1)]
+        for r in roots:
+            f = _times(f, [-r, Fraction(1)])
+        assert _poly_roots(QQ, f) == (sorted(roots), 2)
+
+
+def test_rational_roots_include_zero_and_big_constant_terms():
+    assert _poly_roots(QQ, _times([Fraction(0), Fraction(1)], [Fraction(-3, 4), Fraction(1)])) == (
+        [0, Fraction(3, 4)], 0)
+    # the constant term is 2**40 - 6 after clearing denominators: its
+    # divisors are found by trial division up to its square root
+    c = 2**40 - 6
+    f = _times([Fraction(-c, 2), Fraction(1)], [Fraction(2), Fraction(0), Fraction(1)])
+    t0 = time.monotonic()
+    assert _poly_roots(QQ, f) == ([Fraction(c, 2)], 2)
+    assert time.monotonic() - t0 < 1
+
+
+def test_idempotents_over_qq_split_by_rational_eigenvalues():
+    """The triangular algebra over QQ splits as over GF(13)."""
+    F13 = _triangular()
+    alg = FinDimAlgebra(QQ, F13.mult.astype(object) * Fraction(1), F13.unit.astype(object) * Fraction(1))
+    assert [list(e) for e in radical_and_idempotents(alg).idempotents] == [[1, 0, 0], [0, 1, 0]]

@@ -1,18 +1,16 @@
-"""Hom families and the idempotent-cut memos against the routes they replaced.
+"""Hom families and the vertex pieces against the routes they replaced.
 
 A HomElement's matrix is its slice of its family's array, which evaluates
 all members in one summand_matrices call per cover summand.  The oracle is
 the route each element took on its own before: one map_matrix call on its
 generator images, times the cover's section.
 
-The eps-cut pieces of a ProjFree (its summand subspaces and action blocks)
-are memoized on the algebra, and hom_block_bases' bases of N_{dN} . eps on
-N, all keyed by the idempotent's content.  The oracle builds each from a
-fresh Echelon.of, and the keys are checked to tell idempotents apart by
-value: an idempotent rebuilt from new Fractions finds the same entry, and
-two different idempotents never share one."""
-
-from fractions import Fraction
+Over B = End(X), in its Peirce basis, the piece of a ProjFree's vertex
+summand is a set of the algebra's coordinates, its action block a slice of
+the algebra's tensor, and hom_block_bases' basis of N_{dN} . e_v a set of
+identity columns when N is a ProjFree.  The oracle builds each from a
+fresh Echelon.of of the idempotent's left or right action, and solves the
+action block's coordinates against it."""
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from ncgraded.gmodule import (
     identity_hom,
 )
 from ncgraded.homology import Window, in_add_of
-from ncgraded.projfree import GradedModule, ProjFree, eps_key, map_matrix
+from ncgraded.projfree import GradedModule, ProjFree, map_matrix
 from ncgraded.scalars import Field
 from test_map_matrix_oracle import _modules, assert_same
 
@@ -104,15 +102,15 @@ def test_families_over_A_match_per_element_qq():
 def test_families_between_eps_cut_b_modules_match_per_element_gf13(B):
     alg = B.algebra
     R = b0_module(alg)
-    assert any(eps is not None for eps, _ in R.presentation().cover.summands)
+    assert any(v is not None for v, _ in R.presentation().cover.summands)
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
     assert_families_match([(R, R, 0)] + [(R, NB, s) for s in range(3)], range(-1, 4))
     assert assert_family_matches_per_element([identity_hom(R)], range(-1, 4))
 
 
 def test_families_between_eps_cut_b_modules_match_per_element_qq(B_qq):
-    """Over QQ the idempotents are not searched for (no root finding); F is
-    cut by the projections onto the summands of X, and is its own cover."""
+    """F is cut by the projections onto the summands of X, and is its own
+    cover."""
     B, (e_A, e_X1) = B_qq
     alg = B.algebra
     F = ProjFree(alg, [(e_A, 0), (e_X1, 0), (e_X1, 1)])
@@ -134,13 +132,15 @@ def test_zero_module_maps_have_the_fields_dtype(field):
 
 
 # ---------------------------------------------------------------------------
-# idempotent-cut memos
+# vertex pieces
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def B_qq():
-    """End(A + X1) over QQ and its two summand projections, as vectors of B_0."""
+    """End(A + X1) over QQ and the vertices of its two summand projections:
+    the projections are B_0's primitive idempotents, found by their
+    rational eigenvalues."""
     mods = _modules(QQ, 5)
     X = direct_sum([mods["A"], mods["X1"]])
     B = EndoAlgebra(X, Window(-1, 2, 2, 2))
@@ -149,19 +149,21 @@ def B_qq():
     zero = linalg.zeros(QQ, n)
     projections = np.stack([np.concatenate([ident[:n], zero]), np.concatenate([zero, ident[n:]])], axis=1)
     eps = hom_coords(QQ, B.bases[0], projections)
-    return B, (eps[:, 0], eps[:, 1])
+    idems = B.algebra.deg0.idempotents
+    assert len(idems) == 2
+    return B, tuple(next(v for v, e in enumerate(idems) if np.array_equal(e, eps[:, k])) for k in range(2))
 
 
-def fresh_piece(alg, eps, n):
-    """Echelon of eps . alg_n, or None when the piece is zero."""
+def fresh_piece(alg, v, n):
+    """Echelon of e_v . alg_n, or None when the piece is zero."""
     if n < 0 or alg.dim(n) == 0:
         return None
-    return linalg.Echelon.of(alg.field, alg.left_mult_matrix(0, eps, n))
+    return linalg.Echelon.of(alg.field, alg.left_mult_matrix(0, alg.deg0.idempotents[v], n))
 
 
-def fresh_action_block(alg, eps, n, e):
-    """action_block of a summand eps . Alg(-g) at d = g + n, by fresh echelons."""
-    sub_in, sub_out = fresh_piece(alg, eps, n), fresh_piece(alg, eps, n + e)
+def fresh_action_block(alg, v, n, e):
+    """action_block of a summand e_v . Alg(-g) at d = g + n, by fresh echelons."""
+    sub_in, sub_out = fresh_piece(alg, v, n), fresh_piece(alg, v, n + e)
     r_in = sub_in.rank if sub_in else 0
     r_out = sub_out.rank if sub_out else 0
     if not (r_in and r_out and alg.dim(e)):
@@ -170,63 +172,55 @@ def fresh_action_block(alg, eps, n, e):
     return sub_out.coords(amb.reshape(-1, amb.shape[2]).T).T.reshape(r_in, alg.dim(e), r_out)
 
 
-def fresh_hom_block(N, eps, dN):
+def fresh_hom_block(N, v, dN):
+    eps = N.algebra.deg0.idempotents[v]
     return linalg.Echelon.of(N.field, linalg.matmul(N.field, N.act_tensor(dN, 0), eps, axes=(1, 0)).T).basis
 
 
-def assert_cut_pieces_match_fresh_route(alg, idems, targets, shifts):
-    """A ProjFree whose summands share each of two idempotents at several
+def assert_cut_pieces_match_fresh_route(alg, vertices, targets, shifts):
+    """A ProjFree whose summands share each of two vertices at several
     generator degrees, against fresh echelons; returns it."""
-    e0, e1 = idems
-    F = ProjFree(alg, [(e0, 0), (e1, 0), (e0, 1), (e1, 1), (e0, 2)])
+    v0, v1 = vertices
+    F = ProjFree(alg, [(v0, 0), (v1, 0), (v0, 1), (v1, 1), (v0, 2)])
     checked = 0
-    for j, (eps, g) in enumerate(F.summands):
+    for j, (v, g) in enumerate(F.summands):
         for d in range(-1, min(3, F.valid_to) + 1):
-            want = fresh_piece(alg, eps, d - g)
-            got = F.subspace(j, d)
-            assert got.rank == (want.rank if want else 0)
+            want = fresh_piece(alg, v, d - g)
+            got = F.piece(j, d)
+            assert len(got) == (want.rank if want else 0)
             if want:
-                assert_same(got.basis, want.basis)
+                assert_same(linalg.eye(alg.field, alg.dim(d - g))[:, got], want.basis)
                 checked += 1
             for e in range(0, 3):
                 if d + e <= F.valid_to:
-                    assert_same(F.action_block(j, d, e), fresh_action_block(alg, eps, d - g, e))
+                    assert_same(F.action_block(j, d, e), fresh_action_block(alg, v, d - g, e))
     for N in targets:
         for s in shifts:
-            for (eps, g), W in zip(F.summands, hom_block_bases(F, N, s)):
+            for (v, g), W in zip(F.summands, hom_block_bases(F, N, s)):
                 if N.dim(g + s):
-                    assert_same(W, fresh_hom_block(N, eps, g + s))
+                    assert_same(W, fresh_hom_block(N, v, g + s))
                     checked += 1
     assert checked
     # distinct idempotents cut distinct pieces in the same algebra degree
-    assert not np.array_equal(F.subspace(0, 0).basis, F.subspace(1, 0).basis)
-    assert F.subspace(0, 0) is not F.subspace(1, 0)
+    assert not np.array_equal(F.piece(0, 0), F.piece(1, 0))
     return F
 
 
 def test_cut_pieces_match_fresh_route_gf13(B):
     alg = B.algebra
-    idems = alg.deg0.idempotents[:2]
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
-    F = assert_cut_pieces_match_fresh_route(alg, idems, [NB, b0_module(alg)], range(0, 2))
-    # summands that share an idempotent share its pieces, at every generator degree
-    assert F.subspace(2, 1) is F.subspace(0, 0) and F.subspace(4, 3) is F.subspace(0, 1)
-    assert F.action_block(2, 2, 1) is F.action_block(0, 1, 1)
+    F = assert_cut_pieces_match_fresh_route(alg, (0, 1), [NB, b0_module(alg)], range(0, 2))
+    # summands that share a vertex share its pieces, at every generator degree
+    assert F.piece(2, 1) is F.piece(0, 0) and F.piece(4, 3) is F.piece(0, 1)
+    assert_same(F.action_block(2, 2, 1), F.action_block(0, 1, 1))
 
 
-def test_cut_memo_keys_idempotents_by_value_over_qq(B_qq):
-    B, idems = B_qq
+def test_cut_pieces_match_fresh_route_qq(B_qq):
+    B, vertices = B_qq
     alg = B.algebra
     NB = free_graded_module(alg, [0], alg.valid_from, alg.valid_through)
-    F = assert_cut_pieces_match_fresh_route(alg, idems, [NB], range(0, 1))
-    rebuilt = [np.array([Fraction(v.numerator, v.denominator) for v in eps], dtype=object)
-               for eps in idems]
-    assert all(a is not b for eps, new in zip(idems, rebuilt) for a, b in zip(eps, new))
-    assert [eps_key(e) for e in rebuilt] == [eps_key(e) for e in idems]
-    G = ProjFree(alg, [(rebuilt[1], 1), (rebuilt[0], 0)])
-    assert G.subspace(0, 1) is F.subspace(1, 0) and G.subspace(1, 0) is F.subspace(0, 0)
-    assert G.action_block(0, 2, 1) is F.action_block(3, 2, 1)
-    assert G.action_block(1, 1, 1) is F.action_block(0, 1, 1)
-    assert G.action_block(1, 1, 1) is not F.action_block(1, 1, 1)
-    assert hom_block_bases(G, NB, 0)[1] is hom_block_bases(F, NB, 0)[0]
-    assert hom_block_bases(G, NB, 0)[1] is not hom_block_bases(F, NB, 0)[1]
+    F = assert_cut_pieces_match_fresh_route(alg, vertices, [NB, b0_module(alg)], range(0, 1))
+    # another ProjFree on the same vertices reads the same pieces
+    G = ProjFree(alg, [(vertices[1], 1), (vertices[0], 0)])
+    assert G.piece(0, 1) is F.piece(1, 0) and G.piece(1, 0) is F.piece(0, 0)
+    assert not np.array_equal(G.piece(0, 1), G.piece(1, 0))

@@ -139,21 +139,6 @@ def test_echelon_agrees_with_rank(case):
         assert (linalg.matmul(field, chunked.basis, chunked.coords(cols[:, j])) == cols[:, j]).all()
 
 
-@pytest.mark.parametrize("field", [F, QQ])
-@pytest.mark.parametrize("n", [0, 1, 4])
-def test_identity_echelon_equals_eliminated_identity(field, n):
-    fast = linalg.Echelon.identity(field, n)
-    slow = linalg.Echelon.of(field, linalg.eye(field, n))
-    assert fast.pivots == slow.pivots
-    assert fast.basis.dtype == slow.basis.dtype
-    assert fast.basis.shape == slow.basis.shape and (fast.basis == slow.basis).all()
-    v = (as_matrix(field, [[(5 * i + 3 * j) % 7 - 3 for j in range(3)] for i in range(n)])
-         if n else linalg.zeros(field, 0, 3))
-    for x in (v, v[:, 0]):
-        for got, want in ((fast.coords(x), slow.coords(x)), (fast.reduce(x), slow.reduce(x))):
-            assert got.shape == want.shape and (got == want).all()
-
-
 def test_prime_field_maps_a_fraction_to_a_times_b_inverse():
     f = Field(13)
     assert f(Fraction(1, 2)) == 7

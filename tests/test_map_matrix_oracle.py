@@ -37,6 +37,18 @@ from ncgraded.projfree import act_rows, map_matrix, summand_matrices
 from ncgraded.scalars import Field
 
 
+def echelon_piece(F, j, d):
+    """Summand j's piece in degree d, e_j . alg_{d - g_j}, as an echelon of
+    the image of left multiplication by e_j (by the unit on a free
+    summand); nothing below g_j."""
+    v, g = F.summands[j]
+    alg = F.algebra
+    if d < g:
+        return linalg.Echelon(F.field, 0)
+    e = alg.unit if v is None else alg.deg0.idempotents[v]
+    return linalg.Echelon.of(F.field, alg.left_mult_matrix(0, e, d - g))
+
+
 def _blocks(F, v, d):
     """Coordinates v of F_d split into per-summand blocks."""
     offs = F.offsets(d)
@@ -45,7 +57,7 @@ def _blocks(F, v, d):
 
 def _ambient(F, j, d, block):
     """Summand-j block coordinates at degree d as a vector of alg_{d - g_j}."""
-    return linalg.matmul(F.field, F.subspace(j, d).basis, block)
+    return linalg.matmul(F.field, echelon_piece(F, j, d).basis, block)
 
 
 def oracle_morphism_matrix(mor, d):
@@ -55,7 +67,7 @@ def oracle_morphism_matrix(mor, d):
     cols = []
     for j in range(source.rank):
         _, gj = source.summands[j]
-        sub = source.subspace(j, d)
+        sub = echelon_piece(source, j, d)
         if sub.rank == 0:
             continue
         tblocks = _blocks(target, mor.images[j], gj)
@@ -63,8 +75,8 @@ def oracle_morphism_matrix(mor, d):
         toffs = target.offsets(d)
         for i in range(target.rank):
             _, gi = target.summands[i]
-            sub_to = target.subspace(i, d)
-            if target.subspace(i, gj).rank == 0 or sub_to.rank == 0:
+            sub_to = echelon_piece(target, i, d)
+            if echelon_piece(target, i, gj).rank == 0 or sub_to.rank == 0:
                 continue
             a = _ambient(target, i, gj, tblocks[i])  # alg_{gj-gi}
             lm = target.algebra.left_mult_matrix(gj - gi, a, d - gj)  # (dim_{d-gi}, dim_{d-gj})
@@ -175,7 +187,7 @@ def test_resolutions_over_A_match_oracle_gf13(basic_modules, window, name):
 def test_resolution_of_B0_over_End_X_matches_oracle(B, window):
     """Over B the projective summands are cut out by idempotents."""
     res = free_resolution(b0_module(B.algebra), 3, window)
-    assert any(eps is not None for step in res.steps for eps, _ in step.summands)
+    assert any(v is not None for step in res.steps for v, _ in step.summands)
     assert_differentials_match_oracle(res)
 
 
@@ -227,11 +239,11 @@ def test_precompositions_of_B0_over_End_X_match_oracle(B, window):
 
 
 def test_projfree_action_is_the_block_diagonal_of_its_summands(B, window):
-    """The action tensors of the eps-cut steps of B_0's resolution over B."""
+    """The action tensors of the vertex summands of B_0's resolution over B."""
     res = free_resolution(b0_module(B.algebra), 3, window)
     checked = 0
     for F in res.steps:
-        assert any(eps is not None for eps, _ in F.summands)
+        assert any(v is not None for v, _ in F.summands)
         lo = min(g for _, g in F.summands)
         for d in range(lo, lo + 3):
             for e in range(0, 3):
@@ -264,7 +276,7 @@ def test_free_module_is_its_own_cover(A):
 def oracle_action_block(F, j, d, e):
     """Right multiplication on summand j through its echelon bases."""
     _, g = F.summands[j]
-    sub_in, sub_out = F.subspace(j, d), F.subspace(j, d + e)
+    sub_in, sub_out = echelon_piece(F, j, d), echelon_piece(F, j, d + e)
     ne = F.algebra.dim(e)
     t = linalg.zeros(F.field, sub_in.rank, ne, sub_out.rank)
     if sub_in.rank == 0 or sub_out.rank == 0 or ne == 0:
@@ -277,13 +289,13 @@ def oracle_action_block(F, j, d, e):
 def oracle_summand_matrices(cover, target, j, images, s, d):
     gj = cover.summands[j][1]
     w = act_rows(cover.field, images.T, target.act_tensor(gj + s, d - gj))
-    return linalg.matmul(cover.field, w, cover.subspace(j, d).basis, axes=(1, 0))
+    return linalg.matmul(cover.field, w, echelon_piece(cover, j, d).basis, axes=(1, 0))
 
 
 def oracle_map_matrix(cover, target, images, s, d):
     cols = [linalg.zeros(cover.field, target.dim(d + s), 0)]
     cols += [oracle_summand_matrices(cover, target, j, images[j][:, None], s, d)[0]
-             for j in range(cover.rank) if cover.subspace(j, d).rank]
+             for j in range(cover.rank) if echelon_piece(cover, j, d).rank]
     return np.concatenate(cols, axis=1)
 
 
@@ -310,7 +322,7 @@ def assert_free_summands_match_echelon_route(F, targets, degrees, es, shifts, se
     """action_block and act_tensor of the free module F in every degree d
     and algebra degree e, and summand_matrices and map_matrix of maps from
     F into each target at each shift s, against the oracles."""
-    assert all(eps is None for eps, _ in F.summands)
+    assert all(v is None for v, _ in F.summands)
     rng = np.random.default_rng(seed)
     seen = set()
     for d in degrees:

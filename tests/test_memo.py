@@ -30,7 +30,7 @@ def test_b_module_presentation_is_minimal_when_asked_first(X):
 def test_shared_hom_basis_is_memoized(X, B):
     shared = hom_basis(X, X, 1, shared=True)
     assert hom_basis(X, X, 1, shared=True) is shared
-    assert B.bases[1] is shared
+    assert B.homs[1] is shared
     # a plain call computes afresh and gives an equal basis
     fresh = hom_basis(X, X, 1)
     assert fresh is not shared and len(fresh) == len(shared)
