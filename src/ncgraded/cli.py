@@ -33,8 +33,8 @@ from .algebra import (
     match_rational,
     quotient_algebra,
 )
-from .errors import (AlgebraMismatch, DegreeBeyondTruncation, InvalidWindow, NcgError, ParseError,
-                     UnknownReference)
+from .errors import (AlgebraMismatch, DegreeBeyondTruncation, InvalidGenerators, InvalidWindow,
+                     NcgError, ParseError, UnknownReference)
 from .freealg import Gens, NcPoly, parse_expr, parse_poly
 from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
@@ -187,7 +187,10 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             if not gnames:
                 raise ParseError(f"algebra {name!r} needs generators", line=lineno, column=1)
             degrees = tuple(_ints(kv.get("degrees", ", ".join("1" for _ in gnames)), lineno))
-            gens = Gens(gnames, degrees)
+            try:
+                gens = Gens(gnames, degrees)
+            except InvalidGenerators as exc:
+                raise ParseError(f"algebra {name!r}: {exc}", line=lineno, column=1) from None
             order = MonomialOrder(gens, tuple(range(len(gens))))
             rels = tuple(parse_poly(e, gens, ws.field, max_deg)
                          for e in _exprs(kv.get("relations", "")))

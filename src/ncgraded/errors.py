@@ -9,6 +9,15 @@ class FieldMismatch(NcgError):
     pass
 
 
+class InvalidGenerators(NcgError):
+    """Generator names that repeat, degrees below 1, or a degree list of
+    another length than the names."""
+
+
+class InvalidOrder(NcgError):
+    """A monomial order whose ranks are no permutation of the generators."""
+
+
 class UnsupportedField(NcgError):
     pass
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatch, NonHomogeneous, ParseError
+from .errors import FieldMismatch, InvalidGenerators, InvalidOrder, NonHomogeneous, ParseError
 from .scalars import Field
 
 Word = tuple  # tuple of generator indices
@@ -24,11 +24,11 @@ class Gens:
 
     def __post_init__(self):
         if len(self.names) != len(self.degrees):
-            raise ValueError("names and degrees must have equal length")
+            raise InvalidGenerators(f"{len(self.names)} names but {len(self.degrees)} degrees")
         if any(d < 1 for d in self.degrees):
-            raise ValueError("generator degrees must be positive")
+            raise InvalidGenerators(f"generator degrees {self.degrees} must be positive")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("generator names must be distinct")
+            raise InvalidGenerators(f"generator names {self.names} must be distinct")
 
     def __len__(self):
         return len(self.names)
@@ -61,6 +61,10 @@ class MonomialOrder:
 
     gens: Gens
     rank: tuple
+
+    def __post_init__(self):
+        if sorted(self.rank) != list(range(len(self.gens))):
+            raise InvalidOrder(f"ranks {tuple(self.rank)} are no permutation of 0..{len(self.gens) - 1}")
 
     @staticmethod
     def default(gens: Gens) -> "MonomialOrder":

@@ -14,14 +14,21 @@ is monic, so a rewrite only adds words smaller than the one it removes;
 reducing the largest word first therefore does the same reductions, in the
 same sequence, as always reducing the largest reducible term.
 
-Each element is compiled once, when it is installed, into its rule: its
-terms in its own order with negated coefficients, so rewriting c*w adds
-c times the rule's terms, shifted to the match.  Two memos live on the
-basis: word -> heap key, fixed by the order and never cleared, and word ->
-(leading word, position) of its rewrite.  That memo names the leading word,
-not its rule, so replacing an element's tail leaves it valid; and
-completion installs leading words in degree order, so a new one lies in no
-memoized word but itself, and only that word's entry is dropped.  Over QQ a
+Each element is compiled when it is installed, and no other rule is
+touched: its rule is its terms in its own order with negated coefficients,
+so rewriting c*w adds c times the rule's terms, shifted to the match.  Two
+memos live on the basis: word -> heap key, fixed by the order and never
+cleared, and word -> (leading word, position) of its rewrite.  That memo
+names the leading word, not its rule, so replacing an element's tail
+recompiles that rule alone and leaves the memo valid; and completion
+installs leading words in degree order, so a new one lies in no memoized
+word but itself, and only that word's entry is dropped.
+
+Completion queues an ambiguity as its two elements and cofactor words and
+forms the S-polynomial a * right - left * b from their terms only when it
+is popped, in the term order NcPoly arithmetic gives it.  The tails are
+inter-reduced at the end in one pass: whether a tail is normal depends on
+the leading words alone, which a tail replacement never changes.  Over QQ a
 reduction runs on reduced (numerator, denominator) integer pairs, converted
 from and back to Fractions at entry and exit; the zero tests stay exact, so
 the rewrites, and the order in which terms enter the result, are those of
@@ -30,13 +37,14 @@ Fraction arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegreeBeyondTruncation, NonHomogeneous, TruncationTooLow
+from .errors import DegreeBeyondTruncation, FieldMismatch, NonHomogeneous, TruncationTooLow
 from .freealg import Gens, MonomialOrder, NcPoly, Word
 from .scalars import Field
 
@@ -88,7 +96,11 @@ class Presentation:
             object.__setattr__(self, "order", MonomialOrder.default(self.gens))
         rels = tuple(self.relations)
         object.__setattr__(self, "relations", rels)
+        if self.order.gens != self.gens:
+            raise FieldMismatch("the monomial order is over other generators")
         for r in rels:
+            if r.field != self.field or r.gens != self.gens:
+                raise FieldMismatch(f"relation {r} is over another field or other generators")
             if r.is_zero():
                 continue
             if not r.is_homogeneous():
@@ -127,29 +139,40 @@ class TruncatedGB:
             self._enter = int
             self._mul = lambda c, a: c * a % p
             self._fma = lambda o, c, a: (o + c * a) % p
-        elements = list(elements)
-        self._set_elements(elements, [g.leading_word(self.order) for g in elements])
+        self.elements: list[NcPoly] = []
+        self.leading_words: list[Word] = []
+        self._lw_lengths: list[int] = []
+        for g in elements:
+            self._install(g, g.leading_word(self.order))
 
-    def _set_elements(self, elements, leading_words):
-        """Install the elements and rebuild every lookup derived from them:
-        leading word -> (order key, rule of the first element listed with
-        it), and the leading-word lengths.  A rule is the element's terms in
-        its own order with negated coefficients.  The rewrite memo keeps
-        every entry but those of new leading words: a caller may add a
-        leading word only when it is no proper subword of a word reduced
-        before (completion adds them in degree order)."""
-        self.elements = list(elements)
-        self.leading_words = list(leading_words)
-        old = self._lw_index
-        self._lw_index = {}
-        for u, g in zip(self.leading_words, self.elements):
-            if u not in self._lw_index:
-                rule = tuple((v, self._enter(self.field.neg(c))) for v, c in g.terms.items())
-                self._lw_index[u] = (self.order.key(u), rule)
-                if u not in old:
-                    self._reducers.pop(u, None)
-        self._lw_lengths = sorted({len(u) for u in self._lw_index})
+    def _rule(self, g: NcPoly) -> tuple:
+        """g's terms in its own order with negated coefficients."""
+        return tuple((v, self._enter(self.field.neg(c))) for v, c in g.terms.items())
+
+    def _install(self, g: NcPoly, u: Word):
+        """Append g with leading word u.  A new leading word gets g's rule,
+        its length and its order key; an element listed after another with
+        the same leading word rewrites nothing.  The rewrite memo keeps every
+        entry but u's: a caller may add a leading word only when it is no
+        proper subword of a word reduced before (completion adds them in
+        degree order)."""
+        self.elements.append(g)
+        self.leading_words.append(u)
+        if u in self._lw_index:
+            return
+        self._lw_index[u] = (self.order.key(u), self._rule(g))
+        self._reducers.pop(u, None)
+        if len(u) not in self._lw_lengths:
+            bisect.insort(self._lw_lengths, len(u))
         self._normal_cache.clear()
+
+    def _replace_tail(self, i: int, g: NcPoly):
+        """Put g, whose leading word is element i's, in element i's place and
+        recompile that word's rule; leading words are distinct (as in a
+        completion), so the rule was element i's."""
+        self.elements[i] = g
+        u = self.leading_words[i]
+        self._lw_index[u] = (self._lw_index[u][0], self._rule(g))
 
     # -- reduction ---------------------------------------------------------
 
@@ -264,9 +287,9 @@ class TruncatedGB:
 
 
 def _overlaps(u: Word, v: Word):
-    """Proper overlaps: nonempty proper suffix of u = nonempty proper prefix
-    of v; yields (left cofactor of v-side, right cofactor of u-side) so the
-    ambiguity word is u + v[k:] = u[:len(u)-k] + v."""
+    """The lengths k of the proper overlaps of u with v: a nonempty proper
+    suffix of u equals a prefix of v, so u + v[k:] = u[:len(u)-k] + v is an
+    ambiguity word."""
     for k in range(1, min(len(u), len(v))):
         if u[len(u) - k :] == v[:k]:
             yield k
@@ -275,16 +298,23 @@ def _overlaps(u: Word, v: Word):
 def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
     """Degree-truncated two-sided completion (noncommutative Buchberger).
 
-    Deterministic: ambiguities are processed by (degree, discovery order).
+    Deterministic: relations and ambiguities are processed by (degree,
+    discovery order).  An ambiguity is queued as (a, b, left, right), and
+    its S-polynomial a * right - left * b is formed only when it is popped,
+    from the two elements' terms; its terms come in that product's order
+    (a's shifted terms, then b's new words), which fixes the reductions.
+    Installing an element compiles its rule alone, and the tails are then
+    inter-reduced in one pass.
     """
     pres.check_truncation(D)
     order = pres.order
     gens = pres.gens
     field = pres.field
+    sub, neg = field.sub, field.neg
 
     gb = TruncatedGB(pres, [], D)
 
-    pending = []  # heap of (degree, seq, payload)
+    pending = []  # heap of (degree, seq, relation or ambiguity)
     seq = itertools.count()
 
     def queue_overlaps(h: NcPoly, u: Word):
@@ -294,21 +324,26 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
             pairs = ((h, g, u, v),) if g is h else ((h, g, u, v), (g, h, v, u))
             for a, b, va, vb in pairs:
                 for k in _overlaps(va, vb):
-                    wdeg = gens.word_degree(va) + gens.word_degree(vb) - gens.word_degree(vb[:k])
-                    if wdeg > D:
-                        continue
-                    right = NcPoly.word(gens, field, vb[k:])
-                    left = NcPoly.word(gens, field, va[: len(va) - k])
-                    spoly = a * right - left * b
-                    heapq.heappush(pending, (wdeg, next(seq), spoly))
+                    right = vb[k:]
+                    wdeg = gens.word_degree(va) + gens.word_degree(right)
+                    if wdeg <= D:
+                        heapq.heappush(pending, (wdeg, next(seq), (a, b, va[: len(va) - k], right)))
+
+    def s_polynomial(a: NcPoly, b: NcPoly, left: Word, right: Word) -> NcPoly:
+        """a * right - left * b, its terms in the order NcPoly gives them."""
+        t = {w + right: c for w, c in a.terms.items()}
+        for v, c in b.terms.items():
+            x = left + v
+            t[x] = sub(t[x], c) if x in t else neg(c)
+        return NcPoly._canonical(gens, field, t)
 
     for r in pres.relations:
         if not r.is_zero():
             heapq.heappush(pending, (r.degree(), next(seq), r))
 
     while pending:
-        _, _, f = heapq.heappop(pending)
-        h = gb.normal_form(f)
+        _, _, item = heapq.heappop(pending)
+        h = gb.normal_form(item if isinstance(item, NcPoly) else s_polynomial(*item))
         if h.is_zero():
             continue
         h = h.monic(order)
@@ -316,28 +351,24 @@ def truncated_groebner(pres: Presentation, D: int) -> TruncatedGB:
         # degree-d leading word could only lie inside a longer one (none is
         # added yet) or equal one of degree d (h is reduced)
         lw = h.leading_word(order)
-        gb._set_elements(gb.elements + [h], gb.leading_words + [lw])
+        gb._install(h, lw)
         queue_overlaps(h, lw)
 
-    # final inter-reduction of tails.  The leading words form an antichain
-    # under the subword relation and every element is homogeneous, so no
-    # other element touches g's leading word, g never applies to its own
-    # tail, and the reduced element stays monic with the same leading word.
-    changed = True
-    while changed:
-        changed = False
-        for i, (g, u) in enumerate(zip(gb.elements, gb.leading_words)):
-            red = NcPoly._canonical(gens, field, gb._reduce(g.terms, keep=u))
-            if red != g:
-                changed = True
-                gb._set_elements(gb.elements[:i] + [red] + gb.elements[i + 1 :], gb.leading_words)
-                break
-    # canonical element order: by (degree, leading word)
-    pairs = sorted(
-        zip(gb.elements, gb.leading_words),
-        key=lambda gl: order.key(gl[1]),
-    )
-    gb._set_elements([g for g, _ in pairs], [l for _, l in pairs])
+    # inter-reduction of tails, in one pass.  The leading words form an
+    # antichain under the subword relation and every element is homogeneous,
+    # so no other element touches g's leading word, g never applies to its
+    # own tail, and the reduced element stays monic with the same leading
+    # word.  Whether a tail is normal depends on the leading words alone, so
+    # a later replacement leaves an earlier reduced tail reduced.
+    for i, (g, u) in enumerate(zip(gb.elements, gb.leading_words)):
+        red = NcPoly._canonical(gens, field, gb._reduce(g.terms, keep=u))
+        if red != g:
+            gb._replace_tail(i, red)
+    # canonical element order: by (degree, leading word); the rules are
+    # keyed by leading word, so they stay as they are
+    pairs = sorted(zip(gb.elements, gb.leading_words), key=lambda gl: order.key(gl[1]))
+    gb.elements = [g for g, _ in pairs]
+    gb.leading_words = [u for _, u in pairs]
     return gb
 
 

@@ -354,6 +354,24 @@ def test_malformed_values_are_parse_errors_with_the_section_line(section):
     assert exc.value.line == _section_line()
 
 
+@pytest.mark.parametrize("section", [
+    '[algebra U]\ngenerators = "x, x"\n',
+    '[algebra U]\ngenerators = "x, y"\ndegrees = "1, 0"\n',
+    '[algebra U]\ngenerators = "x, y"\ndegrees = "1"\n',
+], ids=["repeated-name", "degree-zero", "too-few-degrees"])
+def test_malformed_generators_are_parse_errors_with_the_section_line(tmp_path, capsys, section):
+    """Generators that Gens rejects stop the load at their section's line,
+    and the command exits 3 with ParseError, not internal-error."""
+    with pytest.raises(ParseError) as exc:
+        parse_workspace(SMALL_WORKSPACE + section)
+    assert exc.value.line == _section_line()
+    wsfile = tmp_path / "g.nws"
+    wsfile.write_text(SMALL_WORKSPACE + section)
+    code = main(["hilbert", "T", "-w", str(wsfile)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == "ParseError"
+
+
 # a module section that no command reads still fails the load, as it did when
 # every module was built at load (the empty sum was an internal error then)
 @pytest.mark.parametrize("sections, error", [

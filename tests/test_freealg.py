@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncgraded.errors import NonHomogeneous, ParseError
+from ncgraded.errors import InvalidGenerators, NonHomogeneous, ParseError
 from ncgraded.freealg import Gens, NcPoly, parse_poly
 from ncgraded.scalars import QQ, Field
 
@@ -76,3 +76,13 @@ def test_arithmetic_results_equal_the_checked_constructor(field):
         for r in (f + g, f - g, f - f, f * g, -f, f.scale(rng.randrange(-3, 4)), f.scale(13)):
             assert list(r.terms.items()) == list(NcPoly(G, field, r.terms).terms.items())
             assert all(type(c) is kind and c for c in r.terms.values())
+
+
+@pytest.mark.parametrize("names, degrees", [
+    (("x", "x"), (1, 1)),
+    (("x", "y"), (1, 0)),
+    (("x", "y"), (1,)),
+], ids=["repeated-name", "degree-zero", "too-few-degrees"])
+def test_malformed_generators_are_typed_errors(names, degrees):
+    with pytest.raises(InvalidGenerators):
+        Gens(names, degrees)

@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from test_gbasis_oracle import naive_normal_form
+from test_gbasis_oracle import naive_normal_form, reference_groebner
 
 from ncgraded import gbasis
+from ncgraded.errors import FieldMismatch, InvalidOrder
 from ncgraded.freealg import Gens, NcPoly, parse_poly
 from ncgraded.gbasis import (
     MonomialOrder,
@@ -150,3 +151,83 @@ def test_qq_normal_forms_match_the_naive_loop(monkeypatch, seed):
             assert type(c) is Fraction and c and gcd(c.numerator, c.denominator) == 1
     assert any(cancelled)
     assert any(abs(c.numerator) > 2**64 for f in cases for c in f.terms.values())
+
+
+XY = Gens(("x", "y"), (1, 1))
+
+
+@pytest.mark.parametrize("relation, order", [
+    (parse_poly("x*y + 15*y*x", XY, Field(17)), None),
+    (NcPoly(XY, QQ, {(0, 1): 1, (1, 0): Fraction(-3, 2)}), None),
+    (parse_poly("a*b + b*a", Gens(("a", "b"), (1, 1)), F), None),
+    (parse_poly("x*y + y*x", XY, F), MonomialOrder.default(Gens(("a", "b"), (1, 1)))),
+], ids=["other-prime", "rationals", "other-generators", "order-over-other-generators"])
+def test_presentation_rejects_a_relation_or_order_from_elsewhere(relation, order):
+    """A relation is never read over another field or other generators (a
+    GF(17) relation x*y + 15*y*x once completed to 7*x*y + y*x over GF(13))."""
+    with pytest.raises(FieldMismatch):
+        Presentation(F, XY, (relation,), order)
+
+
+@pytest.mark.parametrize("rank", [(0, 1), (0, 0, 1), (0, 1, 3), (1, 2, 3)])
+def test_monomial_order_ranks_are_a_permutation(rank):
+    with pytest.raises(InvalidOrder):
+        MonomialOrder(Gens(("x", "y", "z"), (1, 1, 1)), rank)
+    assert MonomialOrder(Gens(("x", "y", "z"), (1, 1, 1)), (2, 0, 1)).key((0, 1)) == (2, (2, 0))
+
+
+def _reference_cases():
+    """name -> relations: the presentations of
+    test_completion_reduces_no_polynomial_twice over F, and seeded Sklyanin
+    algebras a*xy + b*yx + c*z^2 (and cyclic shifts) over GF(10007) and QQ."""
+    gens = Gens(("x", "y", "z"), (1, 1, 1))
+    cases = {name: [parse_poly(t, gens, F) for t in texts] for name, texts in (
+        ("skew-quadric", ["x*y + y*x - z^2", "x*z + z*x", "y*z + z*y"]),
+        ("sklyanin", ["2*x*y + 3*y*x + 5*z^2", "2*y*z + 3*z*y + 5*x^2", "2*z*x + 3*x*z + 5*y^2"]),
+        ("cubic", ["x*y*x - y*x*y", "x^2*z - z*x^2"]),
+    )}
+    for seed in range(4):
+        rng = random.Random(f"sklyanin/{seed}")
+        for field in (Field(10007), QQ):
+            if field.p:
+                a, b, c = (rng.randrange(1, field.p) for _ in range(3))
+            else:
+                a, b, c = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4))
+                           for _ in range(3))
+            cases[f"sklyanin-{seed}-{field}"] = [
+                NcPoly(gens, field, {(i, j): a, (j, i): b, (k, k): c})
+                for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_completion_reduces_what_the_reference_driver_reduces(monkeypatch, case):
+    """The completion hands normal_form the polynomials the NcPoly driver
+    did, term for term and in order, and forms none of them with NcPoly
+    arithmetic; both give the same basis, and its rules are the elements'."""
+    rels = REFERENCE_CASES[case]
+    gens, field = rels[0].gens, rels[0].field
+    pres = Presentation(field, gens, tuple(rels), MonomialOrder(gens, (0, 1, 2)))
+    seen = []
+    reduce = TruncatedGB.normal_form
+
+    def spy(gb, f):
+        seen.append(list(f.terms.items()))
+        return reduce(gb, f)
+
+    monkeypatch.setattr(TruncatedGB, "normal_form", spy)
+    want = reference_groebner(pres, 6)
+    want_seen, seen[:] = list(seen), []
+    arith = []
+    for op in ("__add__", "__sub__", "__mul__", "__neg__"):
+        monkeypatch.setattr(NcPoly, op, lambda *args, op=op: arith.append(op))
+    gb = truncated_groebner(pres, 6)
+    assert seen == want_seen and arith == []
+    assert len(want_seen) > len(pres.relations)
+    assert [list(g.terms.items()) for g in gb.elements] == [list(g.terms.items()) for g in want]
+    # rules compiled one install or tail at a time are those of the final basis
+    fresh = TruncatedGB(pres, gb.elements, 6)
+    assert gb._lw_index == fresh._lw_index and gb._lw_lengths == fresh._lw_lengths

@@ -9,6 +9,12 @@ and QQ, on graded and weighted generators, and on element sets that are
 not Groebner bases, where the normal form depends on which leading word
 rewrites a word, and where.
 
+``reference_groebner`` is the completion driver that formed S-polynomials
+with NcPoly arithmetic when an ambiguity was found, rebuilt the basis with
+every rule on each install, and inter-reduced tails until none changed; it
+reduces with ``TruncatedGB.normal_form``, so the polynomials the two
+drivers hand it can be compared.
+
 Normal forms are compared with their terms in order.  Each word has one
 fixed rewrite, so the polynomial does not depend on which term is rewritten
 first; the order in which terms enter the result does, and records the
@@ -16,6 +22,7 @@ sequence of reductions.
 """
 
 import heapq
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +115,48 @@ def naive_groebner(pres, D):
     return sorted(elements, key=lambda g: order.key(g.leading_word(order)))
 
 
+def reference_groebner(pres, D):
+    order, gens, field = pres.order, pres.gens, pres.field
+    gb = TruncatedGB(pres, [], D)
+    pending, seq = [], itertools.count()
+
+    def queue_overlaps(h, u):
+        for g, v in zip(gb.elements, gb.leading_words):
+            pairs = ((h, g, u, v),) if g is h else ((h, g, u, v), (g, h, v, u))
+            for a, b, va, vb in pairs:
+                for k in range(1, min(len(va), len(vb))):
+                    if va[len(va) - k :] != vb[:k]:
+                        continue
+                    d = gens.word_degree(va) + gens.word_degree(vb) - gens.word_degree(vb[:k])
+                    if d <= D:
+                        right = NcPoly.word(gens, field, vb[k:])
+                        left = NcPoly.word(gens, field, va[: len(va) - k])
+                        heapq.heappush(pending, (d, next(seq), a * right - left * b))
+
+    for r in pres.relations:
+        if not r.is_zero():
+            heapq.heappush(pending, (r.degree(), next(seq), r))
+    while pending:
+        _, _, f = heapq.heappop(pending)
+        h = gb.normal_form(f)
+        if h.is_zero():
+            continue
+        h = h.monic(order)
+        gb = TruncatedGB(pres, gb.elements + [h], D)
+        queue_overlaps(h, h.leading_word(order))
+    elements = list(gb.elements)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(elements):
+            red = naive_normal_form(order, elements[:i] + elements[i + 1 :], g)
+            if red != g:
+                changed = True
+                elements[i] = red
+                break
+    return sorted(elements, key=lambda g: order.key(g.leading_word(order)))
+
+
 def _assert_same_terms(got, want):
     assert list(got.terms.items()) == list(want.terms.items())
 
@@ -194,4 +243,23 @@ def _quadratic_presentation(draw):
 def test_completion_matches_naive_completion(pres):
     got = truncated_groebner(pres, 4).elements
     want = naive_groebner(pres, 4)
+    assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+
+
+@st.composite
+def _weighted_presentation(draw):
+    """Relations of degrees 2 and 3 on generators of degrees 1, 1, 2."""
+    field = draw(st.sampled_from(FIELDS))
+    rels = [draw(_homogeneous(WEIGHTED, field, d, max_terms=4))
+            for d in draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4).filter(
+                lambda ds: set(ds) == {2, 3}))]
+    return Presentation(field, WEIGHTED, tuple(rels), MonomialOrder(WEIGHTED, (0, 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_presentation())
+def test_weighted_completion_matches_naive_completion(pres):
+    """Ambiguity degrees come from word degrees, not lengths: z has degree 2."""
+    got = truncated_groebner(pres, 5).elements
+    want = naive_groebner(pres, 5)
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
