@@ -1,9 +1,9 @@
 """Graded algebras as queryable oracles.
 
-Two backends share one interface: PresentedAlgebra (Groebner-backed, basis
-= normal words) and TabulatedAlgebra (per-degree structure constants, used
-for endomorphism algebras and for opposite algebras).  Homological code
-upstream only ever sees the oracle interface.
+One class, AlgebraOracle, holds dimensions and memoized structure tensors
+(End(X) and opposite algebras are instances); its subclass PresentedAlgebra
+builds them from normal words of a truncated Groebner basis.  Homological
+code upstream only ever sees AlgebraOracle.
 """
 
 from __future__ import annotations
@@ -19,30 +19,50 @@ from .errors import DegreeBeyondTruncation, NotPeirce, ParseError
 from .findim import Deg0Data, FinDimAlgebra, radical_and_idempotents
 from .freealg import NcPoly
 from .gbasis import Presentation, TruncatedGB, truncated_groebner
-from .memo import memo
+from .memo import Pieces, memo
 from .scalars import Field
 
 
 class AlgebraOracle:
-    """Interface: dim(d), mult_tensor(d1, d2), unit, and generated_through, a
-    degree a such that the pieces of degree at most a generate the algebra
-    (valid_through when no better bound is known)."""
+    """A graded algebra through its truncation, given by per-degree
+    dimensions and structure tensors.
 
-    field: Field
-    valid_through: int
-    valid_from: int = 0
-    generated_through: int
+    dims (absent degrees are 0) is kept as given, so a lazy mapping stays
+    lazy.  The tensor of (d1, d2), of shape (dim d1, dim d2, dim d1+d2), is
+    build(d1, d2), called on its first read and memoized; a pair with a
+    zero dimension among d1, d2 and d1 + d2 (d1 + d2 below valid_from
+    included) reads zeros and never calls build.  The unit is read from
+    unit() once.  generated_through is a degree a such that the pieces of
+    degree at most a generate the algebra (valid_through when no better
+    bound is known)."""
+
+    def __init__(self, field: Field, dims: Mapping, build, unit: Callable[[], np.ndarray], *,
+                 valid_from: int, valid_through: int, generated_through: int):
+        self.field = field
+        self._dims = dims
+        self._build = build
+        self._unit = unit
+        self.valid_from = valid_from
+        self.valid_through = valid_through
+        self.generated_through = generated_through
 
     def dim(self, d: int) -> int:
-        raise NotImplementedError
-
-    def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
-        """Shape (dim(d1), dim(d2), dim(d1+d2)): coordinates of basis products."""
-        raise NotImplementedError
+        self._check_degree(d)
+        return self._dims.get(d, 0)
 
     @property
     def unit(self) -> np.ndarray:
-        raise NotImplementedError
+        return memo(self, "unit", self._unit)
+
+    def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
+        """Coordinates of the products of the basis elements of d1 and d2."""
+        self._check_degree(d1 + d2)
+
+        def build():
+            shape = (self.dim(d1), self.dim(d2), self.dim(d1 + d2))
+            return self._build(d1, d2) if all(shape) else linalg.zeros(self.field, *shape)
+
+        return memo(self, ("mult", d1, d2), build)
 
     def _check_degree(self, d: int):
         if d > self.valid_through:
@@ -104,14 +124,15 @@ class PresentedAlgebra(AlgebraOracle):
     def __init__(self, pres: Presentation, D: int):
         pres.check_truncation(D)
         self.presentation = pres
-        self.field = pres.field
         self.gens = pres.gens
         self.order = pres.order
-        self.valid_through = D
+        super().__init__(pres.field, Pieces(0, D, lambda d: len(self.basis_words(d))), self._products,
+                         lambda: linalg.eye(pres.field, 1)[0], valid_from=0, valid_through=D,
+                         generated_through=max(pres.gens.degrees, default=0))
 
-    @property
-    def generated_through(self) -> int:
-        return max(self.gens.degrees, default=0)
+    # bench/tracer.py wraps PresentedAlgebra.mult_tensor on this class, so
+    # the inherited method is bound here under its own name
+    mult_tensor = AlgebraOracle.mult_tensor
 
     @property
     def gb(self) -> TruncatedGB:
@@ -128,18 +149,6 @@ class PresentedAlgebra(AlgebraOracle):
         """Position of each normal word of degree d in basis_words(d)."""
         return memo(self, ("index", d), lambda: {w: i for i, w in enumerate(self.basis_words(d))})
 
-    def dim(self, d: int) -> int:
-        if d < 0:
-            return 0
-        self._check_degree(d)
-        return len(self.basis_words(d))
-
-    @property
-    def unit(self) -> np.ndarray:
-        v = linalg.zeros(self.field, 1)
-        v[0] = self.field.one
-        return v
-
     def poly_to_vec(self, d: int, f: NcPoly) -> np.ndarray:
         """Coordinates of NF(f) in the degree-d basis (f homogeneous of degree d)."""
         idx = self._word_index(d)
@@ -153,56 +162,18 @@ class PresentedAlgebra(AlgebraOracle):
         return memo(self, ("nf", w),
                     lambda: self.gb.normal_form(NcPoly.word(self.gens, self.field, w)).terms)
 
-    def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
-        self._check_degree(d1 + d2)
-
-        def build():
-            b1, b2, idx = self.basis_words(d1), self.basis_words(d2), self._word_index(d1 + d2)
-            t = linalg.zeros(self.field, len(b1), len(b2), len(idx))
-            for i, u in enumerate(b1):
-                for j, v in enumerate(b2):
-                    for w, c in self._word_normal_form(u + v).items():
-                        t[i, j, idx[w]] = c
-            return t
-
-        return memo(self, ("mult", d1, d2), build)
+    def _products(self, d1: int, d2: int) -> np.ndarray:
+        """The (d1, d2) tensor: the normal form of each product of basis words."""
+        b1, b2, idx = self.basis_words(d1), self.basis_words(d2), self._word_index(d1 + d2)
+        t = linalg.zeros(self.field, len(b1), len(b2), len(idx))
+        for i, u in enumerate(b1):
+            for j, v in enumerate(b2):
+                for w, c in self._word_normal_form(u + v).items():
+                    t[i, j, idx[w]] = c
+        return t
 
 
-class TabulatedAlgebra(AlgebraOracle):
-    """Algebra given by per-degree dimensions and structure tensors.
-
-    dims (absent degrees are 0) is kept as given, so a lazy mapping stays
-    lazy.  The tensor of (d1, d2) is build(d1, d2), called on its first read
-    and memoized; a pair with a zero dimension among d1, d2 and d1 + d2
-    (d1 + d2 below valid_from included) reads zeros and never calls build;
-    the unit is read from unit() once."""
-
-    def __init__(self, field: Field, dims: Mapping, build, unit: Callable[[], np.ndarray], *,
-                 valid_from: int, valid_through: int, generated_through: int):
-        self.field = field
-        self._dims = dims
-        self._build = build
-        self._unit = unit
-        self.valid_from = valid_from
-        self.valid_through = valid_through
-        self.generated_through = generated_through
-
-    def dim(self, d: int) -> int:
-        self._check_degree(d)
-        return self._dims.get(d, 0)
-
-    @property
-    def unit(self) -> np.ndarray:
-        return memo(self, "unit", self._unit)
-
-    def mult_tensor(self, d1: int, d2: int) -> np.ndarray:
-        self._check_degree(d1 + d2)
-
-        def build():
-            shape = (self.dim(d1), self.dim(d2), self.dim(d1 + d2))
-            return self._build(d1, d2) if all(shape) else linalg.zeros(self.field, *shape)
-
-        return memo(self, ("mult", d1, d2), build)
+TabulatedAlgebra = AlgebraOracle  # the former name, which bench/tracer.py wraps
 
 
 # ---------------------------------------------------------------------------

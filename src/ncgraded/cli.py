@@ -40,10 +40,9 @@ from .gbasis import MonomialOrder, Presentation
 from .gmodule import (
     GradedAutomorphism,
     check_homogeneous,
-    cyclic_cover,
+    cyclic_module,
     direct_sum,
     free_graded_module,
-    module_from_cover,
     shift_module,
 )
 from .homology import Window
@@ -63,7 +62,7 @@ class Workspace:
         self.window = Window()
         self.algebras: dict[str, PresentedAlgebra] = {}
         self.modules: dict = {}  # name -> memoized () -> GradedModule, built on first call
-        self.automorphisms: dict[str, GradedAutomorphism] = {}
+        self.automorphisms: dict = {}  # name -> memoized () -> GradedAutomorphism, built on first call
 
     def algebra(self, name: str) -> PresentedAlgebra:
         if name not in self.algebras:
@@ -78,7 +77,7 @@ class Workspace:
     def automorphism(self, name: str) -> GradedAutomorphism:
         if name not in self.automorphisms:
             raise UnknownReference(f"unknown automorphism {name!r}")
-        return self.automorphisms[name]
+        return self.automorphisms[name]()
 
 
 def _parse_sections(text: str):
@@ -205,8 +204,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
                         for e in _exprs(kv.get("generators", ""))]
                 check_homogeneous(gens)
                 # normal forms of the generators complete alg, so they wait for the build
-                build = partial(lambda alg, gens: module_from_cover(
-                    *cyclic_cover(alg, gens), 0, max_deg), alg, gens)
+                build = partial(cyclic_module, alg, gens, max_deg)
             elif mkind == "free":
                 alg = ws.algebra(of)
                 shifts = _ints(kv.get("shifts", "0"), lineno)
@@ -232,7 +230,7 @@ def parse_workspace(text: str, max_deg: int = DEFAULT_MAX_DEG,
             alg = ws.algebra(str(kv.get("of", "")))
             images = [parse_poly(e, alg.gens, ws.field, max_deg)
                       for e in _exprs(kv.get("images", ""))]
-            ws.automorphisms[name] = GradedAutomorphism(alg, images)
+            ws.automorphisms[name] = cache(partial(GradedAutomorphism, alg, images))
     return ws
 
 
@@ -426,7 +424,7 @@ def cmd_iso(args) -> dict:
     M, N = ws.module(args.M), ws.module(args.N)
     if args.shift:
         N = shift_module(N, args.shift)
-    r = homology.are_isomorphic_graded(M, N, ws.window, trials=args.trials, seed=args.seed)
+    r = homology.are_isomorphic_graded(M, N, ws.window, seed=args.seed)
     return make_report("iso", {"M": args.M, "N": args.N, "shift": args.shift}, ws.window,
                        [_check("isomorphism", _ISO_VERDICT[r.status],
                                {"status": r.status, "certified": r.certified,
@@ -540,7 +538,7 @@ def cmd_nu_stable(args) -> dict:
     ws = args.ws
     M = ws.module(args.M)
     sigma = ws.automorphism(args.sigma)
-    r = homology.nu_stability_check(M, sigma, ws.window, trials=args.trials, seed=args.seed)
+    r = homology.nu_stability_check(M, sigma, ws.window, seed=args.seed)
     return make_report("nu-stable", {"M": args.M, "sigma": args.sigma}, ws.window,
                        [_check("twist-isomorphic", _ISO_VERDICT[r.status],
                                {"status": r.status, "certified": r.certified, "detail": r.detail})])
@@ -679,7 +677,6 @@ def _arg(*flags, **kw):
 
 
 _MATCH = _arg("--match", help='rational expression such as "(1+t)/(1-t)^2"')
-_TRIALS = _arg("--trials", type=int, default=64)
 _SEED = _arg("--seed", type=int, default=0, help="seed for randomized isomorphism searches")
 _D_ELL = [_arg("--d", type=int, required=True), _arg("--ell", type=int, required=True)]
 _WORKSPACE = [_arg("--workspace", "-w", help="path to a .nws workspace file"),
@@ -704,7 +701,7 @@ COMMANDS = {
     "mcm": ("maximal Cohen-Macaulay test", ["M"]),
     "indec": ("indecomposability via local endomorphism ring", ["M"]),
     "iso": ("graded isomorphism search",
-            ["M", "N", _arg("--shift", type=int, default=0), _TRIALS, _SEED]),
+            ["M", "N", _arg("--shift", type=int, default=0), _SEED]),
     "cluster": ("cluster-tilting verification",
                 ["X", _arg("--n", type=int, default=1), _arg("--candidates", default="")]),
     "endo": ("graded endomorphism algebra dims", ["X", _MATCH]),
@@ -719,7 +716,7 @@ COMMANDS = {
     "asgorenstein": ("AS-Gorenstein test for a connected algebra", ["name", *_D_ELL]),
     "asregular": ("AS-regularity of End(X) over its degree-0 part", ["X", *_D_ELL]),
     "eval-iso": ("evaluation-map isomorphism check", ["X", "M"]),
-    "nu-stable": ("twist-stability under an automorphism", ["M", "sigma", _TRIALS, _SEED]),
+    "nu-stable": ("twist-stability under an automorphism", ["M", "sigma", _SEED]),
     "verify-example": ("run the built-in end-to-end example",
                        [_arg("--p", type=int, default=13, help="prime for the fixture "
                              "field; p = 1 mod 4, for the fixture needs a 4th root of unity"),

@@ -1,6 +1,6 @@
 """Graded endomorphism algebras B = End(X) = (+)_i Hom(X, X(i)).
 
-B is a TabulatedAlgebra within a window (negative pieces included so that
+B is an AlgebraOracle within a window (negative pieces included so that
 B_{<0} = 0 can be verified rather than assumed): its hom bases, and so its
 dimensions, are computed when B is, and each structure tensor when it is
 first read, in the Peirce basis (+) e_i B_d e_j.  Its degree-0 part is
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle, TabulatedAlgebra
+from .algebra import AlgebraOracle
 from .errors import InvalidDimension, InvalidWindow, NotConnected, ZeroAlgebra
 from .findim import FinDimAlgebra, radical_and_idempotents
 from .findim import gabriel_quiver as _findim_quiver
@@ -56,7 +56,7 @@ class EndoAlgebra:
         if hi < 0:
             raise InvalidWindow(f"End(X) needs algebra_degree_cap >= 0 for its unit; got {hi}")
         self.homs = {d: hom_basis(X, X, d, shared=True) for d in range(lo, hi + 1)}
-        self.algebra = TabulatedAlgebra(
+        self.algebra = AlgebraOracle(
             X.field, {d: len(bs) for d, bs in self.homs.items()}, self._compose_tensor,
             lambda: hom_coords(X.field, self.bases[0], identity_hom(X).stacked()[:, None])[:, 0],
             valid_from=lo, valid_through=hi, generated_through=hi)

@@ -1,14 +1,15 @@
 """Graded right modules (GradedModule, re-exported from projfree): their
 constructors, homomorphisms, twists and duals.  A free module is a ProjFree,
 its own cover.  Derived results (shared hom bases, free modules, opposite
-algebras) are memoized on their owner.  The opposite of any algebra is a
-TabulatedAlgebra over its bases with the two factors of each tensor swapped;
+algebras) are memoized on their owner.  The opposite of any algebra is an
+AlgebraOracle over its bases with the two factors of each tensor swapped;
 a dual module lives over it.
 
-Constructors tabulate nothing: a cyclic module (module_from_cover) finds a
-degree's cover matrix, section and dimension when one of them is first read,
-and a direct sum assembles a degree from its summands' pieces the same way;
-action tensors are built per pair of degrees on first read.
+Constructors tabulate nothing: a cokernel of a cover (module_from_cover)
+finds a degree's cover matrix, section and dimension when one of them is
+first read, and action tensors are built per pair of degrees on first
+read.  A cyclic module is such a cokernel, and so is a direct sum: its
+summands' presentations side by side, so each summand must have one.
 
 Every HomElement is a member of a HomFamily, the maps M -> N(s) made
 together from their stacked generator images (a hom basis, or a family of
@@ -25,18 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .algebra import AlgebraOracle, PresentedAlgebra, TabulatedAlgebra
+from .algebra import AlgebraOracle, PresentedAlgebra
 from .errors import (
     AlgebraMismatch,
     InvalidAutomorphism,
-    NcgError,
     NonHomogeneous,
     ShapeMismatch,
     WindowExceeded,
 )
 from .freealg import NcPoly
-from .memo import memo
-from .projfree import GradedModule, Morphism, Pieces, ProjFree, _Presentation, block_diag, summand_matrices
+from .memo import Pieces, memo
+from .projfree import GradedModule, Morphism, ProjFree, _Presentation, block_diag, summand_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def module_from_cover(cover: ProjFree, rel: Morphism | None, lo: int, hi: int) -
         u = cover.act_rows(P.sections[d].T, d, e)  # (k, ne, F0_{d+e})
         return linalg.matmul(field, u, P.cover_mats[d + e].T)  # (k, ne, k')
 
-    return GradedModule(cover.algebra, lambda d: P.sections[d].shape[1], action, lo, hi, P)
+    return GradedModule(cover.algebra, Pieces(lo, hi, lambda d: P.sections[d].shape[1]), action, lo, hi, P)
 
 
 def _cokernel_piece(cover: ProjFree, rel: Morphism | None, d: int):
@@ -109,58 +109,37 @@ def cyclic_module(alg: PresentedAlgebra, gens, hi: int | None = None) -> GradedM
 
 def shift_module(M: GradedModule, n: int) -> GradedModule:
     """M(n)_i = M_{n+i}."""
-    return GradedModule(M.algebra, lambda d: M.dim(d + n), lambda d, e: M.act_tensor(d + n, e),
-                        M.valid_from - n, M.valid_to - n)
+    lo, hi = M.valid_from - n, M.valid_to - n
+    return GradedModule(M.algebra, Pieces(lo, hi, lambda d: M.dim(d + n)),
+                        lambda d, e: M.act_tensor(d + n, e), lo, hi)
 
 
 def direct_sum(mods) -> GradedModule:
+    """The cokernel of the summands' presentations side by side: covers
+    merged in order, each relation image at its summand's offset.  A
+    summand's error from its presentation propagates."""
     mods = list(mods)
     if not mods:
         raise ShapeMismatch("empty direct sum")
     alg = mods[0].algebra
-    field = mods[0].field
     for m in mods[1:]:
         if m.algebra is not alg:
             raise AlgebraMismatch("direct sum requires a common algebra")
-    lo = min(m.valid_from for m in mods)
-    hi = min(m.valid_to for m in mods)
-    dims = Pieces(lo, hi, lambda d: sum(m.dim(d) for m in mods))
-
-    def action(d, e):
-        return block_diag(field, [m.act_tensor(d, e) for m in mods])
-
-    # merge presentations when every summand has one with the same kind of cover
-    pres = None
-    try:
-        parts = [m.presentation() for m in mods]
-    except NcgError:
-        parts = None
-    if parts is not None:
-        cover = ProjFree(alg, [s for p in parts for s in p.cover.summands])
-
-        def piece(d):
-            cms = [p.cover_mats.get(d, linalg.zeros(field, m.dim(d), p.cover.dim(d)))
-                   for m, p in zip(mods, parts)]
-            scs = [p.sections.get(d, linalg.zeros(field, p.cover.dim(d), m.dim(d)))
-                   for m, p in zip(mods, parts)]
-            return block_diag(field, cms), block_diag(field, scs)
-
-        rel_summands = []
-        rel_images = []
-        for i, p in enumerate(parts):
-            if p.rel is None:
-                continue
-            for j in range(p.rel.source.rank):
-                rel_summands.append(p.rel.source.summands[j])
-                g = p.rel.source.summands[j][1]
-                img = p.rel.images[j]
-                full = linalg.zeros(field, cover.dim(g))
-                off = sum(pp.cover.dim(g) for pp in parts[:i])
-                full[off : off + parts[i].cover.dim(g)] = img
+    parts = [m.presentation() for m in mods]
+    cover = ProjFree(alg, [s for p in parts for s in p.cover.summands])
+    rel_summands, rel_images = [], []
+    first = 0  # the index of the part's first summand in the merged cover
+    for p in parts:
+        if p.rel is not None:
+            for (v, g), img in zip(p.rel.source.summands, p.rel.images):
+                offs = cover.offsets(g)
+                full = linalg.zeros(cover.field, offs[-1])
+                full[offs[first] : offs[first + p.cover.rank]] = img
+                rel_summands.append((v, g))
                 rel_images.append(full)
-        rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
-        pres = _Presentation(cover, lo, hi, piece, rel)
-    return GradedModule(alg, lambda d: dims[d], action, lo, hi, pres)
+        first += p.cover.rank
+    rel = Morphism(ProjFree(alg, rel_summands), cover, rel_images) if rel_summands else None
+    return module_from_cover(cover, rel, min(m.valid_from for m in mods), min(m.valid_to for m in mods))
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +346,10 @@ def identity_hom(M: GradedModule) -> HomElement:
 # ---------------------------------------------------------------------------
 
 
-_AUTOMORPHISM_CHECK_THROUGH = 4  # degrees 0..4 are checked invertible
-
-
 class GradedAutomorphism:
     """Degree-preserving algebra automorphism of a presented algebra, given by
-    generator images; validated on relations and per-degree invertibility."""
+    generator images; validated on relations and on invertibility in the
+    generating degrees."""
 
     def __init__(self, alg: PresentedAlgebra, images):
         self.alg = alg
@@ -386,7 +363,10 @@ class GradedAutomorphism:
             img = self._apply_poly(r)
             if not alg.gb.normal_form(img).is_zero():
                 raise InvalidAutomorphism(f"relation {r} not preserved")
-        for d in range(0, _AUTOMORPHISM_CHECK_THROUGH + 1):
+        # a graded endomorphism that is bijective on the degrees that generate
+        # the algebra hits every generator, so its image, a subalgebra, is the
+        # whole algebra: it is onto every degree, and so bijective
+        for d in range(min(alg.generated_through, alg.valid_through) + 1):
             m = self.matrix(d)
             if m.shape[0] and linalg.inverse(alg.field, m) is None:
                 raise InvalidAutomorphism(f"not invertible in degree {d}")
@@ -423,7 +403,7 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
         return linalg.matmul(M.field, M.act_tensor(d, e), sigma.matrix(e),
                              axes=(1, 0)).transpose(0, 2, 1)
 
-    return GradedModule(M.algebra, M.dim, action, M.valid_from, M.valid_to)
+    return GradedModule(M.algebra, Pieces(M.valid_from, M.valid_to, M.dim), action, M.valid_from, M.valid_to)
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +411,14 @@ def twist_module(M: GradedModule, sigma: GradedAutomorphism) -> GradedModule:
 # ---------------------------------------------------------------------------
 
 
-def opposite_algebra(alg: AlgebraOracle) -> TabulatedAlgebra:
+def opposite_algebra(alg: AlgebraOracle) -> AlgebraOracle:
     """alg^op for any algebra: alg's bases, lazily read dimensions, unit,
     validity and generated_through, and as (d1, d2) tensor a view of alg's
     (d2, d1) tensor with its first two axes swapped, built on first read.
     Memoized both ways, so op(op(A)) is A itself."""
 
     def build():
-        op = TabulatedAlgebra(alg.field, Pieces(alg.valid_from, alg.valid_through, alg.dim),
+        op = AlgebraOracle(alg.field, Pieces(alg.valid_from, alg.valid_through, alg.dim),
                               lambda d1, d2: alg.mult_tensor(d2, d1).transpose(1, 0, 2), lambda: alg.unit,
                               valid_from=alg.valid_from, valid_through=alg.valid_through,
                               generated_through=alg.generated_through)

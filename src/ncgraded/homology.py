@@ -226,7 +226,7 @@ class IsoResult:
 
 
 def are_isomorphic_graded(M: GradedModule, N: GradedModule, window: Window,
-                          trials: int = 64, seed: int = 0) -> IsoResult:
+                          seed: int = 0) -> IsoResult:
     lo = max(min(M.valid_from, N.valid_from), window.internal_lo)
     hi = min(M.valid_to, N.valid_to, window.internal_hi)
     for d in range(lo, hi + 1):
@@ -260,18 +260,17 @@ def are_isomorphic_graded(M: GradedModule, N: GradedModule, window: Window,
         return IsoResult("non-isomorphic", None, True,
                          "no invertible element of Hom(M, N)_0 (exhaustive scan)")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(64):
         coeffs = tuple(rng.randrange(field.p) if field.is_prime_field else rng.randint(-5, 5)
                        for _ in range(k))
         if any(coeffs) and invertible(coeffs):
             return IsoResult("isomorphic", coeffs, True, "randomized witness (certified exactly)")
     return IsoResult("not-found", None, False,
-                     f"no witness in {trials} seeded trials; not a proof of non-isomorphism")
+                     "no witness in 64 seeded trials; not a proof of non-isomorphism")
 
 
-def nu_stability_check(M: GradedModule, sigma, window: Window,
-                       trials: int = 64, seed: int = 0) -> IsoResult:
-    return are_isomorphic_graded(twist_module(M, sigma), M, window, trials, seed)
+def nu_stability_check(M: GradedModule, sigma, window: Window, seed: int = 0) -> IsoResult:
+    return are_isomorphic_graded(twist_module(M, sigma), M, window, seed)
 
 
 # ---------------------------------------------------------------------------

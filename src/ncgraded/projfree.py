@@ -1,12 +1,13 @@
 """Graded right modules over an algebra oracle, and the shifted projective
 modules P = (+) e_j . Alg(-g_j) that cover them.
 
-A GradedModule is tabulated lazily: dimensions and action tensors are
-computed on first use and cached, and every reader of its action goes
-through act_rows(V, d, e), vectors of degree d times alg_e.  It carries
-(or extracts) a minimal projective presentation F1 -> F0 -> M -> 0, whose
-cover matrices and sections are Pieces: a degree is built when it is first
-read, and a degree nothing reads is never built.  An extracted
+A GradedModule is tabulated lazily: its dimensions are a mapping (a dict,
+or a Pieces built on first read), action tensors are computed on first use
+and cached, and every reader of its action goes through act_rows(V, d, e),
+vectors of degree d times alg_e.  It carries (or extracts) a minimal
+projective presentation F1 -> F0 -> M -> 0, whose cover matrices and
+sections are Pieces: a degree is built when it is first read, and a degree
+nothing reads is never built.  An extracted
 presentation reads them while it scans for relations, through top + a,
 where top is the highest degree with M_d != 0 and the algebra is generated
 in degrees <= a (generated_through): past that the kernel is generated
@@ -24,12 +25,15 @@ read off the images' action tensors, with nothing solved.
 A ProjFree keeps no action tensor: its action is block diagonal over the
 summands and almost all zeros, so act_rows contracts the nonzeros of the
 summands' action blocks, memoized on the algebra by vertex and degrees.
+Its act_tensor writes the whole tensor on each call, for the readers that
+need all of it: a shift or a twist of a free module.
 
 summand_matrices evaluates, on one cover summand in one degree, a whole
 family of maps out of a cover given by their generator images: every f o d
 in gmodule.precomposition_matrix, and every member of a gmodule.HomFamily
 at once.  map_matrix is its one-map case, for a Morphism and for the cover
-maps of an extracted presentation.
+maps of an extracted presentation.  block_diag assembles the hom solver's
+per-generator bases (gmodule._hom_basis), which are matrices.
 """
 
 from __future__ import annotations
@@ -45,31 +49,8 @@ from . import linalg
 from .algebra import AlgebraOracle
 from .errors import DegreeBeyondTruncation, IncompleteKernel, ShapeMismatch, WindowExceeded
 from .findim import Deg0Data
-from .memo import memo
+from .memo import Pieces, memo
 from .scalars import INT64_MAX
-
-
-class Pieces(Mapping):
-    """d -> build(d) over the degrees lo..hi, each built on its first read
-    and kept; any other degree is absent (a KeyError, or .get's default)."""
-
-    def __init__(self, lo: int, hi: int, build: Callable):
-        self._degrees = range(lo, hi + 1)
-        self._build = build
-
-    def __getitem__(self, d):
-        if d not in self._degrees:
-            raise KeyError(d)
-        return memo(self, d, lambda: self._build(d))
-
-    def __contains__(self, d) -> bool:  # Mapping's default would build the piece
-        return d in self._degrees
-
-    def __iter__(self):
-        return iter(self._degrees)
-
-    def __len__(self) -> int:
-        return len(self._degrees)
 
 
 class _Presentation:
@@ -91,20 +72,20 @@ class _Presentation:
 class GradedModule:
     """Degreewise dimensions on [valid_from, valid_to] and a right action.
 
-    dims gives dim M_d: a dict (absent degrees are 0) or a function of d.
+    dims maps d to dim M_d (absent degrees are 0): a dict, or a Pieces that
+    finds a degree's dimension on its first read.
     action(d, e) builds the (dim M_d, dim alg_e, dim M_{d+e}) action tensor;
     act_tensor calls it once per (d, e), and never when a dimension is 0,
     and act_rows contracts the tensor it keeps.  A subclass that answers
     act_tensor and act_rows itself passes no action.
     """
 
-    def __init__(self, algebra: AlgebraOracle, dims,
+    def __init__(self, algebra: AlgebraOracle, dims: Mapping,
                  action: Callable[[int, int], np.ndarray] | None,
                  valid_from: int, valid_to: int, pres: _Presentation | None = None):
         self.algebra = algebra
         self.field = algebra.field
-        table = None if callable(dims) else {d: int(n) for d, n in dims.items() if n}
-        self._dim = dims if table is None else (lambda d: table.get(d, 0))
+        self._dims = dims
         self._action = action
         self.valid_from = valid_from
         self.valid_to = valid_to
@@ -117,7 +98,7 @@ class GradedModule:
             return 0
         if d > self.valid_to:
             raise DegreeBeyondTruncation(f"degree {d} beyond module validity {self.valid_to}")
-        return self._dim(d)
+        return self._dims.get(d, 0)
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
         """(dim M_d, dim alg_e, dim M_{d+e}) action tensor."""
@@ -163,9 +144,9 @@ class ProjFree(GradedModule):
         self.summands = [(v, int(g)) for v, g in summands]
         low = min((g for _, g in self.summands), default=0)
         top = alg.valid_through + low
-        super().__init__(
-            alg, lambda d: self.offsets(d)[-1], None,
-            low if lo is None else lo, top if hi is None else min(hi, top))
+        lo = low if lo is None else lo
+        hi = top if hi is None else min(hi, top)
+        super().__init__(alg, Pieces(lo, hi, lambda d: self.offsets(d)[-1]), None, lo, hi)
 
     # bench/tracer.py wraps ProjFree.act on this class, so the inherited
     # method is bound here under its own name
@@ -253,8 +234,9 @@ class ProjFree(GradedModule):
         return out.reshape(lead + (ne, n_out))
 
     def act_tensor(self, d: int, e: int) -> np.ndarray:
-        """The whole action tensor, for the readers that need all of it: the
-        identity of degree d times alg_e, made on each call and not kept."""
+        """The whole action tensor, for the readers that need all of it (a
+        shift or a twist of a free module): the identity of degree d times
+        alg_e, made on each call and not kept."""
         return self.act_rows(linalg.eye(self.field, self.dim(d)), d, e)
 
 
@@ -273,8 +255,8 @@ def block_nonzeros(block: np.ndarray):
 
 def block_diag(field, blocks) -> np.ndarray:
     """Block-diagonal array over the first and last axes of the blocks, whose
-    middle axes agree: matrices, or a direct sum's action tensors (dim in,
-    dim alg_e, dim out)."""
+    middle axes agree: in the library, the per-generator hom bases of
+    gmodule._hom_basis, which are matrices."""
     mid = blocks[0].shape[1:-1] if blocks else ()
     out = linalg.zeros(field, sum(b.shape[0] for b in blocks), *mid, sum(b.shape[-1] for b in blocks))
     r = c = 0

@@ -437,10 +437,23 @@ def test_a_cyclic_module_completes_its_algebra_when_first_built(tmp_path, capsys
     assert completed == [ws.algebra("S").presentation.relations]
 
 
+def test_an_automorphism_section_loads_below_degree_four(tmp_path, capsys):
+    """An [automorphism] is built on first lookup and checked invertible in
+    the degrees that generate its algebra, so --max-deg 3 serves a
+    workspace that has one: a command that does not read it, and one that
+    does."""
+    wsfile = tmp_path / "w.nws"
+    wsfile.write_text(EXAMPLE_WORKSPACE + '\n[automorphism sw]\nof = "A"\nimages = "y; x; z"\n')
+    assert main(["hilbert", "A", "--max-deg", "3", "-w", str(wsfile)]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == [1, 3, 5, 7]
+    assert main(["nu-stable", "X1", "sw", "--max-deg", "3", "-w", str(wsfile)]) != 3
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
 def test_modules_are_built_on_first_lookup(monkeypatch):
     built = []
-    build = cli.module_from_cover
-    monkeypatch.setattr(cli, "module_from_cover", lambda *a: built.append(a) or build(*a))
+    build = cli.cyclic_module
+    monkeypatch.setattr(cli, "cyclic_module", lambda *a: built.append(a) or build(*a))
     ws = parse_workspace(EXAMPLE_WORKSPACE, max_deg=4)
     assert built == []
     assert "X1" in ws.modules and "NOPE" not in ws.modules and len(ws.modules) == 6

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from ncgraded import linalg
-from ncgraded.errors import DegreeBeyondTruncation, WindowExceeded
-from ncgraded.freealg import parse_poly
+from ncgraded.algebra import build_presented_algebra
+from ncgraded.errors import DegreeBeyondTruncation, InvalidAutomorphism, WindowExceeded
+from ncgraded.freealg import Gens, parse_poly
+from ncgraded.gbasis import Presentation
 from ncgraded.gmodule import (
     compose_hom,
     cyclic_module,
@@ -66,9 +68,8 @@ def test_direct_sum_presentation_failures(basic_modules):
     with pytest.raises(TypeError):
         direct_sum([X1, broken])
     broken.presentation = _raise(WindowExceeded("presentation beyond the window"))
-    Ssum = direct_sum([X1, broken])
-    assert Ssum._pres is None
-    assert Ssum.dim(2) == 2 * X1.dim(2)
+    with pytest.raises(WindowExceeded):
+        direct_sum([X1, broken])
 
 
 def test_hom_from_free_is_degree_piece(A, basic_modules):
@@ -112,6 +113,25 @@ def test_twist_by_automorphism(A, basic_modules, F13):
     X1 = basic_modules["X1"]
     T = twist_module(X1, sigma)
     assert [T.dim(d) for d in range(6)] == [X1.dim(d) for d in range(6)]
+
+
+@pytest.mark.parametrize("images, match", [
+    (("y", "x"), "one image per generator"),
+    (("y", "x + z^2", "z"), "homogeneous of the same degree"),
+    (("y", "x*z", "z"), "homogeneous of the same degree"),
+    (("x", "x", "z"), "not preserved"),
+])
+def test_invalid_automorphisms_are_typed_errors(A, F13, images, match):
+    with pytest.raises(InvalidAutomorphism, match=match):
+        GradedAutomorphism(A, [parse_poly(t, A.gens, F13) for t in images])
+
+
+def test_an_automorphism_singular_in_a_generating_degree_is_a_typed_error(F13):
+    """k[x, y] with x, y -> x, x preserves xy - yx, but is singular in degree 1."""
+    gens = Gens(("x", "y"), (1, 1))
+    P = build_presented_algebra(Presentation(F13, gens, (parse_poly("x*y - y*x", gens, F13),)), 3)
+    with pytest.raises(InvalidAutomorphism, match="not invertible in degree 1"):
+        GradedAutomorphism(P, [parse_poly("x", gens, F13)] * 2)
 
 
 def test_dual_module_dims(A, basic_modules):
