@@ -142,8 +142,7 @@ class PresentedAlgebra(AlgebraOracle):
     def basis_words(self, d: int) -> list:
         if d < 0:
             return []
-        return memo(self, ("words", d),
-                    lambda: sorted(self.gb.normal_words(d), key=self.order.key, reverse=True))
+        return memo(self, ("words", d), lambda: self.gb.normal_words(d)[::-1])
 
     def _word_index(self, d: int) -> dict:
         """Position of each normal word of degree d in basis_words(d)."""

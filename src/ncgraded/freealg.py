@@ -7,6 +7,8 @@ concatenate and never commute.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, InvalidGenerators, InvalidOrder, NonHomogeneous, ParseError
@@ -40,18 +42,8 @@ class Gens:
         return sum(self.degrees[i] for i in w)
 
     def word_str(self, w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            name = self.names[w[i]]
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return "*".join(parts)
+        runs = ((self.names[i], len(list(run))) for i, run in itertools.groupby(w))
+        return "*".join(name if n == 1 else f"{name}^{n}" for name, n in runs) or "1"
 
 
 @dataclass(frozen=True)
@@ -191,14 +183,11 @@ class NcPoly:
         return self.scale(self.field.inv(lc))
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for w in sorted(self.terms, key=lambda w: (self.gens.word_degree(w), w)):
-            c = self.terms[w]
-            cs = str(c)
-            parts.append(cs if not w else (f"{cs}*{self.gens.word_str(w)}" if cs != "1" else self.gens.word_str(w)))
-        return " + ".join(parts)
+            cs, ws = str(self.terms[w]), self.gens.word_str(w)
+            parts.append(cs if not w else ws if cs == "1" else f"{cs}*{ws}")
+        return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -208,34 +197,32 @@ class NcPoly:
 # is not multiplication; no commutation is assumed.
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*/^()")
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>.)",
+                    re.DOTALL)
 
 
 def _tokenize(text: str):
+    """The tokens of text, each with its offset, then ("end", len(text)), read
+    by one regular expression: whitespace (str.isspace), an integer, a name,
+    an operator, or any other character, which is an error.  A name is a word
+    character (str.isalnum or '_') that is no decimal digit, then word
+    characters; an integer is decimal digits only, those that int() reads, so
+    a word that starts with another numeric character, such as a superscript
+    digit, is a name."""
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            toks.append((ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", i, int(text[i:j])))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", i, text[i:j]))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", column=i)
+    for m in _TOKEN.finditer(text):
+        kind, tok, i = m.lastgroup, m.group(), m.start()
+        if kind == "int":
+            try:
+                toks.append(("int", i, int(tok)))
+            except ValueError:  # past int()'s limit on digits
+                raise ParseError(f"integer of {len(tok)} digits", column=i) from None
+        elif kind == "name":
+            toks.append(("name", i, tok))
+        elif kind == "op":
+            toks.append((tok, i))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", column=i)
     toks.append(("end", len(text)))
     return toks
 

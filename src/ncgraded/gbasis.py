@@ -127,7 +127,7 @@ class TruncatedGB:
         self.gens = pres.gens
         self.order = pres.order
         self.complete_through = complete_through
-        self._normal_cache: dict[int, list[Word]] = {}
+        self._normal_words: list[list[Word]] = []  # degree n at index n
         self._neg_rank = tuple(-r for r in self.order.rank)
         self._heap_keys: dict = {}
         self._reducers: dict = {}
@@ -164,7 +164,7 @@ class TruncatedGB:
         self._reducers.pop(u, None)
         if len(u) not in self._lw_lengths:
             bisect.insort(self._lw_lengths, len(u))
-        self._normal_cache.clear()
+        self._normal_words.clear()
 
     def _replace_tail(self, i: int, g: NcPoly):
         """Put g, whose leading word is element i's, in element i's place and
@@ -249,41 +249,30 @@ class TruncatedGB:
         return NcPoly._canonical(self.gens, self.field, self._reduce(f.terms))
 
     def normal_words(self, d: int) -> list[Word]:
-        """All degree-d words with no leading word as subword, sorted ascending
-        by the monomial order."""
+        """All degree-d words with no leading word as a subword, ascending in
+        the monomial order.  Each degree is built once, upward from the cached
+        lower degrees, in a loop: a word of degree n is normal exactly when
+        it is a letter i before a normal word of degree n - deg(i) and no
+        leading word is a prefix of it.  Taking the letters by rank, and each
+        lower degree in its order, gives degree n in order with no sort."""
         if d > self.complete_through:
             raise DegreeBeyondTruncation(f"degree {d} exceeds completion bound {self.complete_through}")
         if d < 0:
             return []
-        if d in self._normal_cache:
-            return self._normal_cache[d]
+        words, index, lengths = self._normal_words, self._lw_index, self._lw_lengths
         degrees = self.gens.degrees
-        # build all normal words of degree <= d by extension on the right
-        frontier = {0: [()]}
-        maxdeg = 0
-        while maxdeg < d:
-            newdeg = maxdeg + 1
-            out = []
-            for d0 in range(maxdeg + 1):
-                for i, gd in enumerate(degrees):
-                    if d0 + gd != newdeg:
-                        continue
-                    for w in frontier.get(d0, []):
-                        w2 = w + (i,)
-                        # w is normal, so only suffixes ending at the new
-                        # letter can match a leading word
-                        ok = True
-                        for start in range(len(w2)):
-                            if w2[start:] in self._lw_index:
-                                ok = False
-                                break
-                        if ok:
-                            out.append(w2)
-            frontier[newdeg] = out
-            maxdeg = newdeg
-        for dd, ws in frontier.items():
-            self._normal_cache.setdefault(dd, sorted(ws, key=self.order.key))
-        return self._normal_cache[d]
+        letters = sorted(range(len(degrees)), key=self.order.rank.__getitem__)
+        for n in range(len(words), d + 1):
+            out = [] if n else [()]
+            for i in letters:
+                for w in words[n - degrees[i]] if degrees[i] <= n else ():
+                    v = (i,) + w
+                    # a slice longer than v is v, a leading word only when
+                    # v is not normal
+                    if not any(v[:k] in index for k in lengths):
+                        out.append(v)
+            words.append(out)
+        return words[d]
 
 
 def _overlaps(u: Word, v: Word):

@@ -20,26 +20,18 @@ from .gbasis import Presentation
 from .scalars import Field
 
 
-def _word2_index(n: int, w) -> int:
-    return w[0] * n + w[1]
-
-
 def quadratic_relation_matrix(pres: Presentation) -> np.ndarray:
-    """Columns = relation coefficient vectors in the n^2 degree-2 word basis."""
+    """Columns = relation coefficient vectors in the n^2 degree-2 word basis,
+    the word (i, j) at row i * n + j."""
     n = len(pres.gens)
-    field = pres.field
     if any(d != 1 for d in pres.gens.degrees):
         raise NotQuadratic("all generators must have degree 1")
-    cols = []
-    for r in pres.relations:
+    mat = linalg.zeros(pres.field, n * n, len(pres.relations))
+    for c, r in enumerate(pres.relations):
         if r.is_zero() or not r.is_homogeneous() or r.homogeneous_degree() != 2:
             raise NotQuadratic(f"relation {r} is not quadratic")
-        v = linalg.zeros(field, n * n)
-        for w, c in r.terms.items():
-            v[_word2_index(n, w)] = c
-        cols.append(v)
-    mat = (np.stack(cols, axis=1) if cols
-           else linalg.zeros(field, n * n, 0))
+        for (i, j), x in r.terms.items():
+            mat[i * n + j, c] = x
     return mat
 
 
@@ -49,16 +41,10 @@ def quadratic_dual(pres: Presentation) -> Presentation:
     n = len(pres.gens)
     R = quadratic_relation_matrix(pres)
     perp = linalg.nullspace(field, R.T)
-    rels = []
-    for c in range(perp.shape[1]):
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                v = field(perp[_word2_index(n, (i, j)), c])
-                if not field.is_zero(v):
-                    terms[(i, j)] = v
-        rels.append(NcPoly(pres.gens, field, terms))
-    return Presentation(field, pres.gens, tuple(rels), pres.order)
+    # row i * n + j is the word (i, j); NcPoly drops the zeros
+    rels = tuple(NcPoly(pres.gens, field, {divmod(k, n): v for k, v in enumerate(perp[:, c])})
+                 for c in range(perp.shape[1]))
+    return Presentation(field, pres.gens, rels, pres.order)
 
 
 def clifford_algebra(Adual: PresentedAlgebra, w: NcPoly, window_cap: int) -> tuple[FinDimAlgebra, dict]:

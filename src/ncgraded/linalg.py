@@ -19,8 +19,8 @@ slower and only exercised by small inputs.
 ``rref`` is a Gauss-Jordan elimination on sparse rows, so that its cost
 follows the nonzeros, not m * n: it reads the nonzeros once, keeps each row
 as a {column: value} dict beside an index from each column to the rows that
-hold it, takes the columns in increasing order from a heap, pivots on the
-lowest unused row holding the column and updates only the rows holding it.
+hold it, walks the columns in increasing order once, pivots on the lowest
+unused row holding the column and updates only the rows holding it.
 The reduced row echelon form is unique, so R and the pivots do not depend
 on these choices.  Over both fields the rows stay sparse to the end: a
 dense input, or one that fills in, pays Python's cost for every entry and
@@ -35,7 +35,6 @@ that are produced block by block (``eval_iso_check``).
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 
@@ -135,14 +134,15 @@ def rref(field: Field, a: np.ndarray, reduced: bool = True):
     for i, j, v in zip(rs.tolist(), cs.tolist(), a.reshape(-1)[flat].tolist()):
         rows[i][j] = v
         holders.setdefault(j, set()).add(i)
-    # the columns in holders, smallest first; after column c is taken, every
-    # row that is not a pivot row is zero up to c, so fill lands right of c
-    heap = sorted(holders)
+    # the columns in holders, smallest first, walked once; after column c is
+    # taken, every unused row is zero up to c, so the pivot row's entries lie
+    # right of c, in columns still in holders, and fill adds no column
     unused = set(range(m))
     done: list[int] = []  # the pivot rows, in pivot order
     pivots: list[int] = []
-    while heap and unused:
-        c = heapq.heappop(heap)
+    for c in sorted(holders):
+        if not unused:
+            break
         hold = holders.pop(c)
         cand = hold & unused
         if not cand:
@@ -164,11 +164,7 @@ def rref(field: Field, a: np.ndarray, reduced: bool = True):
                     v %= p
                 if v:
                     if j not in row:
-                        if j in holders:
-                            holders[j].add(i)
-                        else:
-                            holders[j] = {i}
-                            heapq.heappush(heap, j)
+                        holders[j].add(i)
                     row[j] = v
                 elif j in row:
                     del row[j]

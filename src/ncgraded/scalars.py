@@ -7,6 +7,7 @@ package ever touches floating point.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,8 +114,9 @@ class Field:
         text = text.strip()
         if text == "QQ":
             return Field()
-        if text.startswith("GF(") and text.endswith(")") and text[3:-1].strip().isdigit():
-            return Field(int(text[3:-1]))
+        if text.startswith("GF(") and text.endswith(")") and text[3:-1].strip().isdecimal():
+            with contextlib.suppress(ValueError):  # past int()'s limit on digits
+                return Field(int(text[3:-1]))
         raise ParseError(f"cannot parse field {text!r}; expected 'GF(p)' or 'QQ'")
 
 

@@ -1,9 +1,12 @@
+import contextlib
 import json
 import pathlib
 import shlex
+import string
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncgraded import algebra, cli
 from ncgraded.cli import (
@@ -14,8 +17,10 @@ from ncgraded.cli import (
     parse_workspace,
     verify_example,
 )
-from ncgraded.errors import NcgError, NonHomogeneous, ParseError, UnknownReference
+from ncgraded.errors import NcgError, NonHomogeneous, ParseError, UnknownReference, UnsupportedField
+from ncgraded.freealg import Gens, parse_poly
 from ncgraded.homology import Window
+from ncgraded.scalars import QQ, Field
 
 
 def test_example_workspace_parses():
@@ -523,3 +528,87 @@ def test_malformed_expressions_are_parse_errors(tmp_path, capsys, relations, mat
 def test_meaningless_dimensions_are_typed_errors(tmp_path, capsys, argv):
     code, out = _run_example(tmp_path, capsys, argv + ["--max-deg", "6", "--window=-2,2,2,4"])
     assert code == 3 and out["error"] == "InvalidDimension"
+
+
+_LONG_INTEGER = "1" * 5000  # past int()'s default limit of 4300 digits
+
+
+@pytest.mark.parametrize("argv, workspace", [
+    (["--match", "²"], SMALL_WORKSPACE),
+    ([], SMALL_WORKSPACE.replace('"3*x*y"', '"x*y - ²"')),
+    (["--field", "GF(²)"], SMALL_WORKSPACE),
+    ([], SMALL_WORKSPACE.replace('"GF(13)"', '"GF(¹³)"')),
+    (["--match", _LONG_INTEGER], SMALL_WORKSPACE),
+    (["--field", f"GF({_LONG_INTEGER})"], SMALL_WORKSPACE),
+], ids=["superscript-match", "superscript-relation", "superscript-field-option",
+        "superscript-field-section", "long-integer-match", "long-integer-field"])
+def test_numerals_that_int_cannot_read_are_parse_errors(tmp_path, capsys, argv, workspace):
+    """A superscript digit is numeric but not decimal: int() cannot read it,
+    so in an expression it starts a name and in a field it is no prime.
+    Neither, nor an integer past int()'s limit on digits, is an
+    internal-error."""
+    wsfile = tmp_path / "n.nws"
+    wsfile.write_text(workspace)
+    code = main(["hilbert", "T", "--max-deg", "3", "-w", str(wsfile)] + argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 3 and out["error"] == "ParseError", out
+
+
+_ALPHABET = (string.printable + "éßΩжλ漢_"  # ASCII and letters
+             + "٠١٢٣०१"  # decimal digits of other scripts, which int() reads
+             + "²³¹½Ⅷ⑤"  # numeric characters that are not decimal
+             + "  　")  # spaces outside ASCII
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(_ALPHABET), max_size=12))
+@example("²")
+@example("x*y - ²")
+@example("GF(¹³)")
+@example(_LONG_INTEGER)
+def test_parsers_return_a_value_or_raise_parse_error(text):
+    gens = Gens(("x", "y"), (1, 1))
+    for parse in (lambda: parse_poly(text, gens, Field(13), 6),
+                  lambda: parse_poly(text, gens, QQ, 6),
+                  lambda: parse_rational(text, 6),
+                  lambda: Field.parse(text)):
+        with contextlib.suppress(ParseError):
+            parse()
+    try:
+        Field.parse(f"GF({text})")
+    except ParseError:
+        pass
+    except UnsupportedField:  # a number, but no prime in range
+        assert text.strip().isdecimal()
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("[field\n", 1, 1),
+    ("[foo]\n", 1, 1),
+    ("[field F]\n", 1, 1),
+    ("[module]\n", 1, 1),
+    ("[field]\nname\n", 2, 4),
+    ('[field]\nname = "GF(13)\n', 2, 8),
+    ("[field]\nname = GF13\n", 2, 8),
+    ('name = "GF(13)"\n', 1, 1),
+    ('[algebra T]\nrelations = "x"\n', 1, 1),
+    ('[algebra T]\ngenerators = "x"\n[module M]\nkind = "weird"\nof = "T"\n', 3, 1),
+], ids=["unterminated-header", "unknown-section", "named-field", "unnamed-module",
+        "no-equals", "unterminated-string", "unquoted-word", "key-outside-a-section",
+        "no-generators", "unknown-module-kind"])
+def test_workspace_errors_carry_their_line_and_column(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_workspace(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_a_bare_integer_value_parses():
+    ws = parse_workspace('[algebra T]\ngenerators = "x"\n'
+                         '[module M]\nkind = "free"\nof = "T"\nshifts = -1\n', max_deg=3)
+    M = ws.module("M")  # T(-1): its generator sits in degree 1
+    assert [M.dim(d) for d in range(-1, 3)] == [0, 0, 1, 1]
+
+
+def test_an_unknown_automorphism_is_an_unknown_reference(tmp_path, capsys):
+    code, out = _run_example(tmp_path, capsys, ["nu-stable", "X1", "nope", "--max-deg", "3"])
+    assert code == 3 and out["error"] == "UnknownReference"

@@ -15,6 +15,10 @@ every rule on each install, and inter-reduced tails until none changed; it
 reduces with ``TruncatedGB.normal_form``, so the polynomials the two
 drivers hand it can be compared.
 
+``brute_force_normal_words`` filters every word of a degree against the
+leading words and sorts what is left by the monomial order; ``normal_words``
+must give that list, whatever order its degrees are read in.
+
 Normal forms are compared with their terms in order.  Each word has one
 fixed rewrite, so the polynomial does not depend on which term is rewritten
 first; the order in which terms enter the result does, and records the
@@ -24,6 +28,7 @@ sequence of reductions.
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgraded.freealg import Gens, MonomialOrder, NcPoly, parse_poly
@@ -263,3 +268,46 @@ def test_weighted_completion_matches_naive_completion(pres):
     got = truncated_groebner(pres, 5).elements
     want = naive_groebner(pres, 5)
     assert [list(g.terms.items()) for g in got] == [list(g.terms.items()) for g in want]
+
+
+def brute_force_normal_words(gb, d):
+    """Every word of degree d with no leading word as a subword, ascending in
+    the monomial order."""
+    gens = gb.gens
+    words = (w for n in range(d + 1) for w in itertools.product(range(len(gens)), repeat=n)
+             if gens.word_degree(w) == d)
+    return sorted((w for w in words
+                   if not any(w[i : i + len(u)] == u for u in gb.leading_words
+                              for i in range(len(w) - len(u) + 1))),
+                  key=gb.order.key)
+
+
+NORMAL_WORD_CASES = {
+    # generators of degrees 1, 1, 2, under an order that ranks z lowest
+    "weighted": Presentation(Field(13), WEIGHTED,
+                             tuple(parse_poly(t, WEIGHTED, Field(13))
+                                   for t in ("y*x - x*y", "z*x - x*z", "z*y - y*z + x^3")),
+                             MonomialOrder(WEIGHTED, (1, 2, 0))),
+    "skew-quadric": Presentation(QQ, GRADED,
+                                 tuple(parse_poly(t, GRADED, QQ)
+                                       for t in ("x*y + y*x - z^2", "x*z + z*x", "y*z + z*y")),
+                                 MonomialOrder(GRADED, (0, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(NORMAL_WORD_CASES))
+def test_normal_words_match_a_brute_force_filter(key):
+    """Degrees read out of order (5 before 2, the top before the bottom) give
+    the lists of a filter over all words, in the same order."""
+    gb = truncated_groebner(NORMAL_WORD_CASES[key], 6)
+    assert gb.leading_words
+    for d in (5, 2, 0, 6, 1, 3, 4):
+        assert gb.normal_words(d) == brute_force_normal_words(gb, d)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_weighted_presentation())
+def test_weighted_normal_words_match_a_brute_force_filter(pres):
+    gb = truncated_groebner(pres, 5)
+    for d in (5, 2, 4):
+        assert gb.normal_words(d) == brute_force_normal_words(gb, d)

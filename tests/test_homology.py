@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ncgraded.cli import EXAMPLE_WORKSPACE, parse_workspace
+from ncgraded.cli import EXAMPLE_WORKSPACE, example_workspace, parse_workspace
 from ncgraded.errors import InvalidDimension, InvalidWindow, NcgError
-from ncgraded.gmodule import free_graded_module, shift_module
+from ncgraded.freealg import parse_poly
+from ncgraded.gmodule import cyclic_module, direct_sum, free_graded_module, shift_module
 from ncgraded.homology import (
     Window,
     are_isomorphic_graded,
@@ -118,6 +119,44 @@ def test_isomorphism_compares_degrees_where_one_module_vanishes(basic_modules):
     for N in (shift_module(X1, -3), shift_module(X2, -3)):
         r = are_isomorphic_graded(X1, N, narrow)
         assert r.status == "non-isomorphic" and r.certified, r.detail
+
+
+ISO_WINDOW = Window(-3, 3, 2, 4)
+
+
+@pytest.fixture(scope="module", params=[13, 10009], ids=["p13", "p10009"])
+def small_example(request):
+    return example_workspace(request.param, max_deg=6, window=ISO_WINDOW)
+
+
+def test_isomorphism_of_sums_by_scan_or_by_seeded_search(small_example):
+    """X1 + X2 against X1 + X1: Hom(M, N)_0 is small enough over GF(13) for the
+    exhaustive scan, which certifies that no element is invertible; over
+    GF(10009) only the 64 seeded trials run, which certify nothing."""
+    X1, X2 = small_example.module("X1"), small_example.module("X2")
+    r = are_isomorphic_graded(direct_sum([X1, X2]), direct_sum([X1, X1]), ISO_WINDOW)
+    if small_example.field.p == 13:
+        assert (r.status, r.certified) == ("non-isomorphic", True)
+        assert "exhaustive scan" in r.detail
+    else:
+        assert (r.status, r.certified, r.witness) == ("not-found", False, None)
+
+
+def test_isomorphism_witness_by_scan_or_by_seeded_search(small_example):
+    X1 = small_example.module("X1")
+    r = are_isomorphic_graded(X1, X1, ISO_WINDOW)
+    assert (r.status, r.certified) == ("isomorphic", True)
+    assert len(r.witness) == 1 and r.witness[0] % small_example.field.p
+    assert ("exhaustive scan" if small_example.field.p == 13 else "randomized") in r.detail
+
+
+def test_isomorphism_skips_degrees_where_the_module_vanishes(small_example):
+    """k is zero in degrees 1..3 of the window, where no matrix is inverted."""
+    A = small_example.algebra("A")
+    k = cyclic_module(A, [parse_poly(g, A.gens, small_example.field) for g in "xyz"], 6)
+    assert [k.dim(d) for d in range(0, 4)] == [1, 0, 0, 0]
+    r = are_isomorphic_graded(k, k, ISO_WINDOW)
+    assert (r.status, r.certified) == ("isomorphic", True) and len(r.witness) == 1
 
 
 def test_in_add_detects_membership(X, basic_modules, window):
